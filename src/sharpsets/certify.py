@@ -18,11 +18,13 @@ import itertools
 import time
 from dataclasses import dataclass, field as dc_field
 
-from . import designs, geometry, gf
+from . import designs, geometry, gf, linsys
 from .perm import (
     GroupEnumeration,
     GroupSpec,
+    InvariantViolation,
     Perm,
+    apply_to_set,
     enumerate_group,
     induced_action,
     load_group,
@@ -72,10 +74,11 @@ class VerificationReport:
 
     def __post_init__(self):
         if self.conclusion == REFUTED:
-            assert self.side_condition_ok, "refuted requires p coprime to |B||C|"
-            assert self.certificate is not None
+            if self.certificate is None or not self.side_condition_ok:
+                raise InvariantViolation("refuted requires a certificate with p coprime to |B||C|")
             p = self.certificate.p
-            assert all(s % p == 0 for s in self.spectrum), "refuted requires p | every size"
+            if any(s % p for s in self.spectrum):
+                raise InvariantViolation("refuted requires p | every size")
 
     def as_dict(self) -> dict:
         cert = self.certificate
@@ -91,15 +94,6 @@ class VerificationReport:
             "elapsed_ms": self.elapsed_ms,
             "notes": self.notes,
         }
-
-
-def apply_to_set(g: Perm, point_set: int) -> int:
-    out = 0
-    while point_set:
-        low = point_set & -point_set
-        out |= 1 << g[low.bit_length() - 1]
-        point_set ^= low
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,47 +214,6 @@ def verify_certificate_family(
 # Certificate discovery
 
 
-def _nullspace_mod_p(rows: list[int], ncols: int, p: int) -> list[list[int]]:
-    """Basis of {v : M v = 0 (mod p)} for M given as bitmask rows (p=2) or not used."""
-    # dense smallish systems; rows are bitmasks only when p == 2
-    import numpy as np
-
-    if p == 2:
-        mat = [[row >> j & 1 for j in range(ncols)] for row in rows]
-    else:
-        mat = rows
-    a = np.array(mat, dtype=np.int64) % p
-    m = a.shape[0]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, m):
-            if a[i, c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        for i in range(m):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-a[i, f]) % p
-        basis.append(v)
-    return basis
-
-
 def certificate_search(
     G: GroupEnumeration,
     p: int,
@@ -343,42 +296,16 @@ def certificate_search(
         if c_set.bit_count() % p == 0:
             continue
         images = sorted({apply_to_set(g, c_set) for g in G.elements})
-        basis = _nullspace_mod_p(images, n, p) if p != 2 else _nullspace_bitmask(images, n)
+        if p == 2:
+            basis = linsys.nullspace_mod_2(images, n)
+        else:
+            basis = linsys.nullspace_mod_p([[img >> j & 1 for j in range(n)] for img in images], p)
         for b_set in _zero_one_vectors(basis, n, p, limit=1 << 16):
             if 0 < b_set.bit_count() <= max_b and b_set.bit_count() % p != 0:
                 found = finish(b_set, c_set)
                 if found:
                     return found
     return None
-
-
-def _nullspace_bitmask(rows: list[int], ncols: int) -> list[int]:
-    """Nullspace basis mod 2; vectors returned as bitmasks."""
-    pivots: dict[int, int] = {}  # pivot column -> reduced row mask
-    for row in rows:
-        r = row
-        for c, m in pivots.items():
-            if r >> c & 1:
-                r ^= m
-        if r:
-            pivots[r.bit_length() - 1] = r
-    # re-reduce rows so each pivot column appears in exactly one row
-    cols = sorted(pivots, reverse=True)
-    for c in cols:
-        m = pivots[c]
-        for c2 in cols:
-            if c2 != c and m >> c2 & 1:
-                m ^= pivots[c2]
-        pivots[c] = m
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = 1 << f
-        for c, m in pivots.items():
-            if m >> f & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
 
 
 def _zero_one_vectors(basis, ncols: int, p: int, limit: int):
@@ -482,25 +409,16 @@ def _m22_certificate(design: designs.Design, special_point: int = 22):
     return block, all22 ^ block, avoiding
 
 
-def _run_m22(group_file=None, enumerated: bool | None = None, **_ignored) -> VerificationReport:
+def _run_m22(group_file=None, enumerated: bool = False, **_ignored) -> VerificationReport:
     t0 = time.perf_counter()
     design = designs.golay_witt_design()
     b_set, c_set, avoiding = _m22_certificate(design)
-    if enumerated is None:
-        enumerated = group_file is not None
-    fallback_note = None
-    if enumerated:
-        from .perm import GroupTooLarge
-
+    if enumerated or group_file is not None:
+        # a group too large to enumerate raises GroupTooLarge: verifying any
+        # other group in its place would report on the wrong group
         spec = load_group(group_file) if group_file else designs.witt_stabilizer_generators(design)
-        try:
-            G = enumerate_group(spec)
-        except GroupTooLarge as exc:
-            enumerated = False
-            fallback_note = f"enumeration refused ({exc}); fell back to family mode"
-    if enumerated:
         cert = Certificate(b_set, c_set, 2, "enumerated-group", 22)
-        report = verify_certificate_enumerated(G, cert, case="m22")
+        report = verify_certificate_enumerated(enumerate_group(spec), cert, case="m22")
     else:
         family = [((1 << 22) - 1) ^ blk for blk in avoiding]
         gens = designs.witt_stabilizer_generators(design).generators
@@ -518,8 +436,6 @@ def _run_m22(group_file=None, enumerated: bool | None = None, **_ignored) -> Ver
             "the point stabilizer of the design permutes the blocks avoiding that point, "
             "so every image C^g stays in the family",
         )
-        if fallback_note:
-            report.notes["fallback"] = fallback_note
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
 

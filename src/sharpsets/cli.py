@@ -4,8 +4,9 @@ Subcommands: `verify sp|m22|mclaughlin|alt|m23`, `design-check`,
 `search-sharp`, `linsys`, `selftest`. Each run writes one JSON report
 (stdout by default, `--out FILE` otherwise). The exit status reflects
 operational success only: a completed run exits 0 whether the mathematical
-conclusion is refuted or inconclusive, bad flags exit 2 (argparse), and a
-missing data file exits 3.
+conclusion is refuted or inconclusive, bad flags exit 2 (argparse), a
+missing data file exits 3, and a group too large to enumerate is refused
+for size with exit 4 and no report.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from importlib import resources
 
 from . import certify, designs, linsys, sharp_search
-from .perm import enumerate_group, induced_action, load_group
+from .perm import GroupTooLarge, enumerate_group, induced_action, load_group
 
 
 def shipped_group_path(name: str):
@@ -34,11 +35,18 @@ def _write_report(report: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def probe(text: str) -> dict[str, int]:
+    """keep=N,trials=M,seed=S; argparse turns a ValueError here into exit 2."""
+    opts = {key: int(value) for key, value in (part.split("=") for part in text.split(","))}
+    if not opts.keys() <= {"keep", "trials", "seed"}:
+        raise ValueError(f"unknown option in {text!r}")
+    return opts
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report here instead of stdout")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
-    common.add_argument("--threads", type=int, default=1, help="reserved; runs are sequential and deterministic")
 
     top = argparse.ArgumentParser(prog="sharpsets")
     sub = top.add_subparsers(dest="command", required=True)
@@ -84,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--p", type=int, help="prime for --ring f_p")
     ls.add_argument("--fpf", action="store_true", help="keep identity and fixed-point-free columns only")
     ls.add_argument("--pin-identity", action="store_true", dest="pin_identity")
-    ls.add_argument("--probe", help="keep=N,trials=M,seed=S random restriction probe")
+    ls.add_argument("--probe", type=probe, help="keep=N,trials=M,seed=S random restriction probe")
     ls.add_argument("--export-system", help="dump the matrix to this path")
 
     sub.add_parser("selftest", help="run the built-in invariant corpus", parents=[common])
@@ -92,7 +100,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "linsys" and args.ring == "f_p" and not args.p:
+        parser.error("--ring f_p needs --p")
     try:
         if args.command == "verify":
             report = _cmd_verify(args)
@@ -107,6 +118,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing data file: {exc}", file=sys.stderr)
         return 3
+    except GroupTooLarge as exc:
+        print(f"refused for size: {exc}", file=sys.stderr)
+        return 4
     _write_report(report, args.out)
     if report.get("case") == "selftest" and report["conclusion"] != "ok":
         return 1
@@ -130,7 +144,7 @@ def _cmd_verify(args) -> dict:
         group_file = args.group
         if args.enumerated and group_file is None:
             group_file = str(shipped_group_path("m22"))
-        report = certify.run_case("m22", group_file=group_file, enumerated=args.enumerated or group_file is not None)
+        report = certify.run_case("m22", group_file=group_file)
     elif case == "mclaughlin":
         if args.export_graph:
             designs.write_graph(designs.mclaughlin_graph().graph, args.export_graph)
@@ -194,17 +208,14 @@ def _cmd_linsys(args) -> dict:
     if args.export_system:
         linsys.dump_system(system, args.export_system)
     if args.probe:
-        opts = dict(part.split("=", 1) for part in args.probe.split(","))
         outcome = linsys.random_restriction_probe(
             system,
-            keep=int(opts.get("keep", system.cols)),
-            trials=int(opts.get("trials", 1)),
-            seed=int(opts.get("seed", args.seed)),
+            keep=args.probe.get("keep", system.cols),
+            trials=args.probe.get("trials", 1),
+            seed=args.probe.get("seed", args.seed),
             nonneg=args.ring == "znn",
         )
     elif args.ring == "f_p":
-        if not args.p:
-            raise SystemExit("--ring f_p needs --p")
         outcome = linsys.solve_mod_p(system, args.p)
     elif args.ring == "q":
         outcome = linsys.solve_rational(system)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf
-from .perm import GroupSpec, Perm, compose, inverse, is_permutation
+from .perm import GroupSpec, Perm, apply_to_set, compose, inverse, is_permutation
 
 GOLAY_LENGTH = 23
 QUADRATIC_RESIDUES_23 = tuple(sorted({(i * i) % 23 for i in range(1, 23)}))
@@ -389,16 +389,7 @@ def symmetric_design_refutation(params: SymmetricDesignParams) -> RefutationTrac
 def is_design_automorphism(design: Design, g: Perm) -> bool:
     """Does g (a permutation of the points) map every block onto a block?"""
     block_set = set(design.blocks)
-    for block in design.blocks:
-        image = 0
-        rest = block
-        while rest:
-            low = rest & -rest
-            image |= 1 << g[low.bit_length() - 1]
-            rest ^= low
-        if image not in block_set:
-            return False
-    return True
+    return all(apply_to_set(g, block) in block_set for block in design.blocks)
 
 
 def _gf23_scale_map(c: int) -> Perm:

@@ -305,16 +305,6 @@ def frobenius_point_map(space: SymplecticSpace, action: str = "projective") -> P
     return _point_perm(space, sq, action)
 
 
-def apply_to_set(perm: Perm, point_set: int) -> int:
-    """Image of a bitset of points under a point permutation."""
-    out = 0
-    while point_set:
-        low = point_set & -point_set
-        out |= 1 << perm[low.bit_length() - 1]
-        point_set ^= low
-    return out
-
-
 def vector_lift(space: SymplecticSpace, proj_set: int) -> int:
     """Preimage of a projective point set under the projection of nonzero vectors."""
     out = 0

@@ -8,10 +8,11 @@ of relaxations. Collapsing by a subgroup H (orbits of H on ordered pairs
 as equations, H-conjugacy class representatives as variables) yields the
 condensed system; with H trivial it reproduces the full one.
 
-All solver arithmetic is exact: bitmask rows over F_2, machine integers
-under numpy for odd p (values stay far below 2^63), Fractions over Q and
-arbitrary-precision integers for the Hermite normal form over Z. Floating
-point is never used.
+All solver arithmetic is exact: bitmask vectors over F_2, machine integers
+under numpy for odd p (Python integers once (p-1)^2 no longer fits in
+int64), Fractions over Q and arbitrary-precision integers for the Hermite
+normal form over Z. Floating point is never used. Each field has one
+elimination kernel, shared by its solver and its other users.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .perm import (
     GroupEnumeration,
+    InvariantViolation,
     Perm,
     conjugation_reps,
     identity,
@@ -188,93 +190,141 @@ def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
 
     p = 2 runs an incremental column-span construction on bitmask vectors
     with an early exit as soon as the right side enters the span; odd p
-    runs dense row reduction on int64 (all values stay below p^2 << 2^63).
+    runs dense row reduction (see _rref_mod_p).
     """
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise ValueError(f"p = {p} is not prime")
     outcome = _solve_mod_2(system) if p == 2 else _solve_mod_odd(system, p)
-    if outcome.status == SOLVABLE:
-        assert verify_witness(system, outcome.witness, modulus=p)
+    if outcome.status == SOLVABLE and not verify_witness(system, outcome.witness, modulus=p):
+        raise InvariantViolation(f"mod-{p} witness fails substitution")
     outcome.notes["p"] = p
     return outcome
 
 
+def _bitmask(values) -> int:
+    """Pack values mod 2 into an int, bit r holding the r-th value."""
+    return sum(1 << r for r, x in enumerate(values) if x & 1)
+
+
+def _reduce_mod_2(basis: dict[int, tuple[int, int]], v: int, combo: int) -> tuple[int, int]:
+    """Reduce v against an F_2 echelon basis {top bit: (vector, column combination)}.
+
+    combo is the column combination v stands for and is reduced alongside.
+    """
+    while v:
+        top = v.bit_length() - 1
+        if top not in basis:
+            break
+        bv, bc = basis[top]
+        v ^= bv
+        combo ^= bc
+    return v, combo
+
+
 def _solve_mod_2(system: ExactSystem) -> SolveOutcome:
-    nrows, ncols = system.rows, system.cols
-    residual = 0
-    for r in range(nrows):
-        if system.rhs[r] & 1:
-            residual |= 1 << r
+    ncols = system.cols
+    residual = _bitmask(system.rhs)
     if residual == 0:
         return SolveOutcome(SOLVABLE, [0] * ncols, {"early_exit_col": -1})
-    basis: dict[int, tuple[int, int]] = {}  # pivot row -> (vector, column combination)
+    basis: dict[int, tuple[int, int]] = {}
     res_combo = 0
-    for c in range(ncols):
-        v = 0
-        for r in range(nrows):
-            if system.matrix[r][c] & 1:
-                v |= 1 << r
-        combo = 1 << c
-        while v:
-            top = v.bit_length() - 1
-            if top not in basis:
-                basis[top] = (v, combo)
-                # fold the new basis vector into the reduced residual
-                while residual:
-                    rt = residual.bit_length() - 1
-                    if rt not in basis:
-                        break
-                    bv, bc = basis[rt]
-                    residual ^= bv
-                    res_combo ^= bc
-                if residual == 0:
-                    witness = [(res_combo >> k) & 1 for k in range(ncols)]
-                    return SolveOutcome(SOLVABLE, witness, {"early_exit_col": c})
-                break
-            bv, bc = basis[top]
-            v ^= bv
-            combo ^= bc
+    for c, column in enumerate(zip(*system.matrix)):
+        v, combo = _reduce_mod_2(basis, _bitmask(column), 1 << c)
+        if v:
+            basis[v.bit_length() - 1] = (v, combo)
+            # fold the new basis vector into the reduced residual
+            residual, res_combo = _reduce_mod_2(basis, residual, res_combo)
+            if residual == 0:
+                witness = [(res_combo >> k) & 1 for k in range(ncols)]
+                return SolveOutcome(SOLVABLE, witness, {"early_exit_col": c})
     return SolveOutcome(INFEASIBLE, None, {"rank": len(basis)})
 
 
-def _solve_mod_odd(system: ExactSystem, p: int) -> SolveOutcome:
-    a = np.array(system.matrix, dtype=np.int64) % p
-    b = np.array(system.rhs, dtype=np.int64) % p
-    aug = np.concatenate([a, b[:, None]], axis=1)
-    nrows, ncols = system.rows, system.cols
+def nullspace_mod_2(rows: list[int], ncols: int) -> list[int]:
+    """Basis of {v : M v = 0 (mod 2)} for bitmask rows of M, as bitmasks.
+
+    Columns go in from the highest index down, and each one that reduces to
+    0 gives its combination: the reduced echelon basis, by free column.
+    """
+    basis: dict[int, tuple[int, int]] = {}
+    null = []
+    for j in reversed(range(ncols)):
+        v, combo = _reduce_mod_2(basis, _bitmask(row >> j for row in rows), 1 << j)
+        if v:
+            basis[v.bit_length() - 1] = (v, combo)
+        else:
+            null.append(combo)
+    return null[::-1]
+
+
+def _mod_p_array(matrix, p: int) -> np.ndarray:
+    """Matrix entries reduced mod p: int64 while (p-1)^2 fits, else Python ints."""
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
+    return np.array(matrix, dtype=dtype) % p
+
+
+def _rref_mod_p(a: np.ndarray, p: int, ncols: int) -> list[int]:
+    """Gauss-Jordan mod p of `a` (entries in [0, p)) in place; returns the pivots, all < ncols.
+
+    Rows are updated one by one: an np.outer update was measured slower on the A7 mod-3 system.
+    """
+    nrows = a.shape[0]
     pivots = []
     r = 0
     for c in range(ncols):
-        nz = np.nonzero(aug[r:, c])[0]
+        nz = np.nonzero(a[r:, c])[0]
         if nz.size == 0:
             continue
         sel = r + int(nz[0])
         if sel != r:
-            aug[[r, sel]] = aug[[sel, r]]
-        aug[r] = aug[r] * pow(int(aug[r, c]), -1, p) % p
-        mask = np.nonzero(aug[:, c])[0]
-        for i in mask:
+            a[[r, sel]] = a[[sel, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        for i in np.nonzero(a[:, c])[0]:
             if i != r:
-                aug[i] = (aug[i] - aug[i, c] * aug[r]) % p
+                a[i] = (a[i] - a[i, c] * a[r]) % p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if aug[i, ncols] % p:
-            return SolveOutcome(INFEASIBLE, None, {"rank": r})
+    return pivots
+
+
+def _solve_mod_odd(system: ExactSystem, p: int) -> SolveOutcome:
+    a = _mod_p_array(system.matrix, p)
+    b = _mod_p_array(system.rhs, p)
+    aug = np.concatenate([a, b[:, None]], axis=1)
+    ncols = system.cols
+    pivots = _rref_mod_p(aug, p, ncols)
+    r = len(pivots)
+    if aug[r:, ncols].any():
+        return SolveOutcome(INFEASIBLE, None, {"rank": r})
     witness = [0] * ncols
     for i, c in enumerate(pivots):
-        witness[c] = int(aug[i, ncols]) % p
+        witness[c] = int(aug[i, ncols])
     return SolveOutcome(SOLVABLE, witness, {"rank": r})
+
+
+def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {v : M v = 0 (mod p)}, one vector per free column in increasing order."""
+    a = _mod_p_array(matrix, p)
+    ncols = a.shape[1]
+    pivots = _rref_mod_p(a, p, ncols)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = int(-a[i, f] % p)
+        basis.append(v)
+    return basis
 
 
 # ---------------------------------------------------------------------------
 # Q
 
 
-def solve_rational(system: ExactSystem) -> SolveOutcome:
-    """Exact Gaussian elimination over the rationals; free variables are set to 0."""
+def _rref_rational(system: ExactSystem):
+    """Gauss-Jordan of [A | b] over Q: (nonzero rows, pivots), rows None if inconsistent."""
     nrows, ncols = system.rows, system.cols
     aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(system.matrix, system.rhs)]
     pivots = []
@@ -294,28 +344,22 @@ def solve_rational(system: ExactSystem) -> SolveOutcome:
         r += 1
         if r == nrows:
             break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return SolveOutcome(INFEASIBLE, None, {"rank": r})
-    witness = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        witness[c] = aug[i][ncols]
-    outcome = SolveOutcome(SOLVABLE, witness, {"rank": r})
-    assert verify_witness(system, witness)
-    return outcome
+    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+        return None, pivots
+    return aug[:r], pivots
 
 
-def rational_solvability_via_full_collapse(G: GroupEnumeration) -> SolveOutcome:
-    """Decide rational solvability of the full system through the H = G collapse.
-
-    Collapsing by the whole group leaves one variable per conjugacy class and
-    one equation per orbit on ordered pairs, a far smaller system. Because
-    the group order is invertible over the rationals, its solvability matches
-    the full system's (averaging a full solution gives a collapsed one, and a
-    collapsed solution spreads back out evenly). The condition is weak, but
-    it is a cheap screen.
-    """
-    return solve_rational(build_H_system(G, G))
+def solve_rational(system: ExactSystem) -> SolveOutcome:
+    """Exact Gaussian elimination over the rationals; free variables are set to 0."""
+    rows, pivots = _rref_rational(system)
+    if rows is None:
+        return SolveOutcome(INFEASIBLE, None, {"rank": len(pivots)})
+    witness = [Fraction(0)] * system.cols
+    for row, c in zip(rows, pivots):
+        witness[c] = row[-1]
+    if not verify_witness(system, witness):
+        raise InvariantViolation("rational witness fails substitution")
+    return SolveOutcome(SOLVABLE, witness, {"rank": len(pivots)})
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +384,9 @@ def solve_integer(system: ExactSystem) -> SolveOutcome:
         if pre.status == INFEASIBLE:
             return SolveOutcome(INFEASIBLE, None, {"prescreen": "mod-2 infeasible"})
     status, witness, notes = _hermite_solve(system.matrix, system.rhs)
-    outcome = SolveOutcome(status, witness, notes)
-    if status == SOLVABLE:
-        assert verify_witness(system, witness)
-    return outcome
+    if status == SOLVABLE and not verify_witness(system, witness):
+        raise InvariantViolation("integer witness fails substitution")
+    return SolveOutcome(status, witness, notes)
 
 
 def _hermite_solve(matrix: list[list[int]], rhs: list[int]):
@@ -416,10 +459,11 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
     into the floor branch first, then the ceiling branch. The budget counts
     explored nodes; exceeding it returns unknown-budget rather than a guess.
     """
-    reduced = _drop_dependent_rows(system)
-    if reduced is None:
+    rows, _ = _rref_rational(system)
+    if rows is None:
         return SolveOutcome(INFEASIBLE, None, {"stage": "rational-preprocessing"})
-    a, b = reduced
+    a = [row[:-1] for row in rows]
+    b = [row[-1] for row in rows]
     ncols = system.cols
     stack = [([Fraction(0)] * ncols, [None] * ncols)]
     nodes = 0
@@ -434,8 +478,8 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
         frac_at = next((j for j, x in enumerate(point) if x.denominator != 1), None)
         if frac_at is None:
             witness = [int(x) for x in point]
-            assert all(x >= 0 for x in witness)
-            assert verify_witness(system, witness)
+            if any(x < 0 for x in witness) or not verify_witness(system, witness):
+                raise InvariantViolation("non-negative integer witness fails its check")
             return SolveOutcome(SOLVABLE, witness, {"nodes": nodes})
         v = point[frac_at]
         floor_hi = list(hi)
@@ -445,34 +489,6 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
         stack.append((ceil_lo, list(hi)))     # explored second
         stack.append((list(lo), floor_hi))    # floor branch first (LIFO)
     return SolveOutcome(INFEASIBLE, None, {"nodes": nodes})
-
-
-def _drop_dependent_rows(system: ExactSystem):
-    """Rational row reduction; returns (A, b) with independent rows or None."""
-    nrows, ncols = system.rows, system.cols
-    aug = [[Fraction(x) for x in row] + [Fraction(c)] for row, c in zip(system.matrix, system.rhs)]
-    out_rows = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    a = [row[:ncols] for row in aug[:r]]
-    b = [row[ncols] for row in aug[:r]]
-    return a, b
 
 
 def _lp_feasible_point(a, b, lo, hi):
@@ -589,7 +605,8 @@ def random_restriction_probe(
             full = [0] * system.cols
             for j, x in zip(chosen, outcome.witness):
                 full[j] = x
-            assert verify_witness(system, full)
+            if not verify_witness(system, full):
+                raise InvariantViolation("probe witness fails substitution on the full system")
             return SolveOutcome(SOLVABLE, full, {"trial": trial, "kept": chosen})
     return SolveOutcome(UNKNOWN_BUDGET, None, {"trials": trials})
 

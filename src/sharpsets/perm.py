@@ -22,6 +22,10 @@ class GroupTooLarge(RuntimeError):
     """Enumeration exceeded its cap; refusing to return a truncated group."""
 
 
+class InvariantViolation(AssertionError):
+    """A correctness guard failed; raised explicitly so that `python -O` keeps it."""
+
+
 def is_permutation(images) -> bool:
     n = len(images)
     seen = [False] * n
@@ -50,9 +54,14 @@ def inverse(g: Perm) -> Perm:
     return tuple(inv)
 
 
-def conjugate(g: Perm, h: Perm) -> Perm:
-    """h^-1 g h."""
-    return compose(compose(inverse(h), g), h)
+def apply_to_set(g: Perm, point_set: int) -> int:
+    """Image of a bitset of points under g."""
+    out = 0
+    while point_set:
+        low = point_set & -point_set
+        out |= 1 << g[low.bit_length() - 1]
+        point_set ^= low
+    return out
 
 
 def from_cycles(n: int, *cycles) -> Perm:

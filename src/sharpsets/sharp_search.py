@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .perm import GroupEnumeration, Perm, induced_action
+from .perm import GroupEnumeration, InvariantViolation, Perm, induced_action
 
 FOUND = "found"
 NONE_EXHAUSTIVE = "none-exhaustive"
@@ -126,7 +126,8 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     if not ok:
         return SearchResult(NONE_EXHAUSTIVE, None, nodes, (time.perf_counter() - t0) * 1e3)
     witness = SharpSet(tuple(sorted(chosen)), t)
-    assert verify_sharp_set(G, witness.element_indices, t), "witness must verify"
+    if not verify_sharp_set(G, witness.element_indices, t):
+        raise InvariantViolation("exact-cover witness is not sharply transitive")
     return SearchResult(FOUND, witness, nodes, (time.perf_counter() - t0) * 1e3)
 
 

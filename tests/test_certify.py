@@ -65,7 +65,7 @@ def test_enumerated_a6_on_pairs(a6):
     idx = a6.index()
     for g in list(idx)[:40]:
         ig = induced.elements[idx[g]]
-        size = (asc & certify.apply_to_set(ig, desc)).bit_count()
+        size = (asc & perm.apply_to_set(ig, desc)).bit_count()
         assert size == perm.inversions(g)
 
 
@@ -208,9 +208,17 @@ def test_search_finds_certificate_for_a6_pairs(a6):
     cert = certificate_search(induced, 2, max_b=15, max_c=15, action=action)
     assert cert is not None
     assert cert.b_size <= 15 and cert.c_size <= 15
+    assert (cert.b_set, cert.c_set, cert.p) == (536054785, 17593311, 2)
     # and it must pass full verification (the search verifies internally too)
     report = verify_certificate_enumerated(induced, cert)
     assert report.conclusion == "refuted"
+
+
+def test_search_odd_p_beyond_exhaustive_scan(s4):
+    # 12 cells is past the exhaustive (B, C) scan, so B comes from the mod-3
+    # nullspace; S4 holds a sharply 2-transitive A4, so no certificate exists
+    action, induced = induced_action(s4, 2)
+    assert certificate_search(induced, 3, action=action, budget=300) is None
 
 
 def test_search_none_for_c5(c5):
@@ -244,6 +252,51 @@ def test_report_invariant_guard():
             side_condition_ok=True,
             conclusion="refuted",
         )
+
+
+GUARDS_UNDER_O = """
+import sys
+from sharpsets import certify, linsys, sharp_search
+from sharpsets.perm import InvariantViolation, enumeration_from_elements
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+checks = {
+    "report": lambda: certify.VerificationReport(
+        "x", "enumerated", certify.Certificate(1, 1, 2, "enumerated-group", 4), {1: 4}, True, "refuted"
+    ),
+}
+one = linsys.ExactSystem("z", [[1]], [1], ["x"], ["e0"])
+linsys.verify_witness = lambda *args, **kwargs: False
+checks["mod_p"] = lambda: linsys.solve_mod_p(one, 3)
+checks["rational"] = lambda: linsys.solve_rational(one)
+checks["integer"] = lambda: linsys.solve_integer(one)
+checks["nonneg"] = lambda: linsys.solve_nonneg_integer(one)
+sharp_search.verify_sharp_set = lambda *args, **kwargs: False
+checks["sharp"] = lambda: sharp_search.find_sharp_set(enumeration_from_elements(1, [(0,)]))
+for name, check in checks.items():
+    try:
+        check()
+    except InvariantViolation:
+        print(name)
+"""
+
+
+def test_guards_survive_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(certify.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", GUARDS_UNDER_O],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["report", "mod_p", "rational", "integer", "nonneg", "sharp"]
 
 
 def test_certificate_validation():

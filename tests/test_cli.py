@@ -139,9 +139,29 @@ def test_missing_group_file_exit_3(tmp_path, capsys):
 
 
 def test_bad_flags_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "alt", "--bogus"])
-    assert exc.value.code == 2
+    c5 = str(shipped_group_path("c5"))
+    for argv in (
+        ["verify", "alt", "--bogus"],
+        ["linsys", "--group", c5, "--ring", "f_p"],
+        ["linsys", "--group", c5, "--ring", "z", "--probe", "keep"],
+        ["linsys", "--group", c5, "--ring", "z", "--probe", "keep=x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsys):
+    # S22 contains the sharply transitive C22, so no report may say refuted
+    from sharpsets import certify, perm
+
+    s22 = tmp_path / "s22.grp"
+    s22.write_text("n 22\n1 0 " + " ".join(map(str, range(2, 22))) + "\n" + " ".join(map(str, range(1, 22))) + " 0\n")
+    monkeypatch.setattr(certify, "enumerate_group", lambda spec: perm.enumerate_group(spec, cap=5000))
+    code, report = run_cli(tmp_path, "verify", "m22", "--group", str(s22))
+    assert code == 4
+    assert report is None
+    assert "refused for size" in capsys.readouterr().err
 
 
 def test_reports_byte_identical_modulo_timing(tmp_path):

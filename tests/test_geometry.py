@@ -131,7 +131,7 @@ def test_generators_preserve_form_and_lines():
     ns = {l.points for l in geometry.nonsingular_lines(sp)}
     for g in spec.generators:
         for pts in ns:
-            assert geometry.apply_to_set(g, pts) in ns
+            assert perm.apply_to_set(g, pts) in ns
 
 
 def test_frobenius_preserves_nonsingular_family():
@@ -139,7 +139,7 @@ def test_frobenius_preserves_nonsingular_family():
     frob = geometry.frobenius_point_map(sp, "projective")
     ns = {l.points for l in geometry.nonsingular_lines(sp)}
     for pts in ns:
-        assert geometry.apply_to_set(frob, pts) in ns
+        assert perm.apply_to_set(frob, pts) in ns
 
 
 def test_vector_lift_q2_is_identity_on_indices():

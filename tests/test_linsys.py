@@ -197,6 +197,42 @@ def test_mod_p_odd_matches_brute_force():
             assert (solve_mod_p(system, p).status == "solvable") == brute
 
 
+def test_mod_p_beyond_int64_products():
+    # (p-1)^2 >= 2^63, so int64 elimination would wrap around
+    p = 4294967311
+    rng = random.Random(11)
+    for _ in range(5):
+        matrix = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
+        rhs = [rng.randrange(p) for _ in range(6)]
+        system = ExactSystem("z", matrix, rhs, [f"x{j}" for j in range(6)], [f"e{i}" for i in range(6)])
+        out = solve_mod_p(system, p)
+        assert out.status == "solvable" and out.notes["rank"] == 6
+        assert verify_witness(system, out.witness, modulus=p)
+
+
+def test_nullspaces_match_brute_force():
+    rng = random.Random(5)
+    for p in (2, 3, 5):
+        for _ in range(40):
+            nrows, ncols = rng.randrange(1, 5), rng.randrange(1, 5)
+            matrix = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
+            vectors = list(itertools.product(range(p), repeat=ncols))
+            null = {v for v in vectors if all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in matrix)}
+            if p == 2:
+                rows = [sum(a << j for j, a in enumerate(row)) for row in matrix]
+                masks = linsys.nullspace_mod_2(rows, ncols)
+                basis = [[m >> j & 1 for j in range(ncols)] for m in masks]
+            else:
+                basis = linsys.nullspace_mod_p(matrix, p)
+            assert all(tuple(v) in null for v in basis)
+            # the basis has ncols - rank vectors and spans the whole nullspace
+            span = {
+                tuple(sum(c * v[j] for c, v in zip(coeffs, basis)) % p for j in range(ncols))
+                for coeffs in itertools.product(range(p), repeat=len(basis))
+            }
+            assert span == null and len(null) == p ** len(basis)
+
+
 # ---------------------------------------------------------------------------
 # Q solver
 
@@ -214,11 +250,13 @@ def test_rational_inconsistent():
 
 
 def test_rational_full_collapse_fast_path(c5, s3, s4, a4, fano_stabilizer):
-    # collapsing by the whole group must not change rational solvability
+    # collapsing by the whole group must not change rational solvability:
+    # averaging a full solution over G gives a collapsed one, and a collapsed
+    # solution spreads back out evenly, because |G| is invertible over Q
     one = perm.GroupEnumeration(2, [identity(2)], "1")
     for enum in (c5, s3, s4, a4, fano_stabilizer, one):
         direct = solve_rational(build_full_system(enum.elements)).status
-        collapsed = linsys.rational_solvability_via_full_collapse(enum).status
+        collapsed = solve_rational(build_H_system(enum, enum)).status
         assert direct == collapsed, enum.name
 
 

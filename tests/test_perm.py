@@ -65,6 +65,14 @@ def test_enumerate_m22(m22_enum):
     assert m22_enum.order == 443520
 
 
+def test_apply_to_set():
+    g = from_cycles(5, (0, 1, 2), (3, 4))
+    assert perm.apply_to_set(g, 0) == 0
+    assert perm.apply_to_set(g, 0b00001) == 0b00010
+    assert perm.apply_to_set(g, 0b01101) == 0b10011
+    assert perm.apply_to_set(g, 0b11111) == 0b11111
+
+
 def test_enumerate_cap_is_explicit():
     spec = GroupSpec(6, (from_cycles(6, (0, 1)), from_cycles(6, (0, 1, 2, 3, 4, 5))), "S6")
     with pytest.raises(perm.GroupTooLarge):
