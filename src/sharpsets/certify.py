@@ -7,9 +7,9 @@ is impossible under that divisibility pattern, so a verified certificate
 refutes existence. The identity itself is checked by doublecount_check.
 
 Two verification modes are provided: "enumerated" walks every group element;
-"family" walks a superset of the images {C^g}, which is sound as long as
-closure of the family under the group is either checked against generators
-or recorded as an explicit assumption in the report.
+"family" walks a family of sets holding every image C^g, which is either
+the orbit of C under the group's generators (perm.set_orbit) or closed for
+a mathematical reason recorded as an assumption in the report.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .perm import (
     enumerate_group,
     induced_action,
     load_group,
+    set_orbit,
 )
 
 REFUTED = "refuted"
@@ -42,13 +43,13 @@ class Certificate:
     b_set: int
     c_set: int
     p: int
-    family: str          # "enumerated-group" or a named family rule
+    family: str          # "enumerated-group" or "family"
     domain: int
 
     def __post_init__(self):
         if self.b_set == 0 or self.c_set == 0:
             raise ValueError("B and C must be nonempty")
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p**0.5) + 1)):
+        if not linsys.is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
 
     @property
@@ -162,41 +163,24 @@ def verify_certificate_family(
     p: int,
     *,
     domain: int,
-    closure_witness,
+    closure_witness: str,
     case: str = "",
-    family_name: str = "family",
 ) -> VerificationReport:
     """Check p | |B & C'| over a family of sets containing every image C^g.
 
-    closure_witness is either a sequence of generator permutations, in which
-    case closure of the family under each of them is verified here, or a
-    string stating the mathematical reason the family is closed, which is
-    recorded as an assumption of the report.
+    closure_witness states why the family holds every image C^g, for
+    example that it is an orbit built by perm.set_orbit; it is recorded as
+    the report's first assumption and not re-checked here.
     """
-    if not family:
-        raise ValueError("family is empty")
     if c_set not in set(family):
         raise ValueError("C must be a member of its own family")
     t0 = time.perf_counter()
-    cert = Certificate(b_set, c_set, p, family_name, domain)
+    cert = Certificate(b_set, c_set, p, "family", domain)
     side_ok = (cert.b_size * cert.c_size) % p != 0
     spectrum: dict[int, int] = {}
     for member in family:
         size = (b_set & member).bit_count()
         spectrum[size] = spectrum.get(size, 0) + 1
-    assumptions = []
-    if isinstance(closure_witness, str):
-        assumptions.append(f"assumed: {closure_witness}")
-    else:
-        gens = list(closure_witness)
-        members = set(family)
-        for idx, g in enumerate(gens):
-            if len(g) != domain:
-                raise ValueError("closure generator acts on the wrong domain")
-            for member in family:
-                if apply_to_set(g, member) not in members:
-                    raise AssertionError(f"family not closed under generator {idx}")
-        assumptions.append(f"family closure verified under {len(gens)} generators")
     refuted = side_ok and all(s % p == 0 for s in spectrum)
     return VerificationReport(
         case=case,
@@ -205,7 +189,7 @@ def verify_certificate_family(
         spectrum=spectrum,
         side_condition_ok=side_ok,
         conclusion=REFUTED if refuted else INCONCLUSIVE,
-        assumptions=tuple(assumptions),
+        assumptions=(closure_witness,),
         elapsed_ms=(time.perf_counter() - t0) * 1e3,
     )
 
@@ -401,18 +385,12 @@ def _run_alt(n: int, **_ignored) -> VerificationReport:
     return report
 
 
-def _m22_certificate(design: designs.Design, special_point: int = 22):
-    """B = a block avoiding the special point, C = its complement in the 22 points."""
-    avoiding = designs.blocks_avoiding(design, special_point)
-    block = avoiding[0]
-    all22 = (1 << 22) - 1
-    return block, all22 ^ block, avoiding
-
-
 def _run_m22(group_file=None, enumerated: bool = False, **_ignored) -> VerificationReport:
+    """B = a block avoiding the special point, C = its complement in the 22 points, p = 2."""
     t0 = time.perf_counter()
     design = designs.golay_witt_design()
-    b_set, c_set, avoiding = _m22_certificate(design)
+    b_set = designs.blocks_avoiding(design, 22)[0]
+    c_set = ((1 << 22) - 1) ^ b_set
     if enumerated or group_file is not None:
         # a group too large to enumerate raises GroupTooLarge: verifying any
         # other group in its place would report on the wrong group
@@ -420,21 +398,15 @@ def _run_m22(group_file=None, enumerated: bool = False, **_ignored) -> Verificat
         cert = Certificate(b_set, c_set, 2, "enumerated-group", 22)
         report = verify_certificate_enumerated(enumerate_group(spec), cert, case="m22")
     else:
-        family = [((1 << 22) - 1) ^ blk for blk in avoiding]
         gens = designs.witt_stabilizer_generators(design).generators
         report = verify_certificate_family(
-            family,
+            set_orbit(gens, c_set),
             b_set,
             c_set,
             2,
             domain=22,
-            closure_witness=gens,
+            closure_witness=f"the family is the orbit of C under the {len(gens)} generators of the point stabilizer",
             case="m22",
-            family_name="complements of the 176 blocks avoiding the special point",
-        )
-        report.assumptions += (
-            "the point stabilizer of the design permutes the blocks avoiding that point, "
-            "so every image C^g stays in the family",
         )
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3
     return report
@@ -450,7 +422,8 @@ def _run_m23(**_ignored) -> VerificationReport:
     """
     t0 = time.perf_counter()
     base = _run_m22()
-    assert base.conclusion == REFUTED
+    if base.conclusion != REFUTED:
+        raise InvariantViolation("the m23 reduction rests on the m22 case, which did not refute")
     report = VerificationReport(
         case="m23",
         mode="reduction",
@@ -488,11 +461,10 @@ def _run_mclaughlin(**_ignored) -> VerificationReport:
         3,
         domain=g.n,
         closure_witness=(
-            "graph automorphisms map non-adjacent pairs to non-adjacent pairs, hence "
+            "assumed: graph automorphisms map non-adjacent pairs to non-adjacent pairs, hence "
             "common neighborhoods to common neighborhoods"
         ),
         case="mclaughlin",
-        family_name="common neighborhoods of the 22275 non-adjacent vertex pairs",
     )
     sizes = {m.bit_count() for m in family}
     report.notes["common_neighborhood_sizes"] = sorted(sizes)
@@ -512,49 +484,48 @@ def _run_sp(
     modulus: int | None = None,
     **_ignored,
 ) -> VerificationReport:
-    """Symplectic case: B = elliptic quadric, C = a nonsingular line, p = 2."""
+    """Symplectic case: B = elliptic quadric, C = a nonsingular line, p = 2.
+
+    C is the line through the hyperbolic pair e0, e1 and the family is its
+    orbit under the transvection generators and the Frobenius map. Every
+    semilinear map preserving the form keeps nonsingular lines nonsingular,
+    so an orbit as large as their census holds C^g for every g of the whole
+    group, whichever group the generators generate.
+    """
     t0 = time.perf_counter()
     space = geometry.symplectic_space(n, gf.field_for_q(q, modulus))
     quad = geometry.elliptic_quadric(space)
-    ns_lines = geometry.nonsingular_lines(space)
-    proj_family = [l.points for l in ns_lines]
-    gens = geometry.symplectic_generators(space, "projective").generators
-    frob = geometry.frobenius_point_map(space, "projective")
+    spec = geometry.symplectic_generators(space, action)
+    e0, e1 = (tuple(int(j == i) for j in range(2 * n)) for i in (0, 1))
+    line = geometry.line_through(space, e0, e1).points
     if action == "projective":
-        family = proj_family
-        b_set = quad.projective_set
-        domain = space.num_proj_points
-        witness = list(gens) + [frob]
-    elif action == "vector":
-        family = [geometry.vector_lift(space, m) for m in proj_family]
-        b_set = quad.vector_set
-        domain = space.num_vectors
-        vgens = geometry.symplectic_generators(space, "vector").generators
-        vfrob = geometry.frobenius_point_map(space, "vector")
-        witness = list(vgens) + [vfrob]
+        b_set, c_set, domain = quad.projective_set, line, space.num_proj_points
     else:
-        raise ValueError("action must be 'projective' or 'vector'")
+        b_set, c_set, domain = quad.vector_set, geometry.vector_lift(space, line), space.num_vectors
+    family = set_orbit(spec.generators + (geometry.frobenius_point_map(space, action),), c_set)
+    census = geometry.nonsingular_line_count(n, q)
+    if len(family) != census:
+        raise InvariantViolation(f"the orbit of C has {len(family)} lines, the census {census}")
     case = f"sp(2n={2 * n},q={q},{action})"
     report = verify_certificate_family(
         family,
         b_set,
-        family[0],
+        c_set,
         2,
         domain=domain,
-        closure_witness=witness,
+        closure_witness=(
+            f"the family is the orbit of C under {len(spec.generators)} transvections and the Frobenius "
+            f"map (field automorphisms act coordinatewise); it holds all {census} nonsingular lines, "
+            "which every semilinear map preserving the form permutes"
+        ),
         case=case,
-        family_name=f"{len(family)} nonsingular lines ({action} level)",
-    )
-    report.assumptions += (
-        "semidirect-product convention: field automorphisms act coordinatewise; the "
-        "Frobenius map is included in the closure generators",
     )
     if enumerate_group_flag:
-        spec = geometry.symplectic_generators(space, action)
         G = enumerate_group(spec)
-        cert = Certificate(b_set, family[0], 2, "enumerated-group", domain)
+        cert = Certificate(b_set, c_set, 2, "enumerated-group", domain)
         enum_report = verify_certificate_enumerated(G, cert, case=case)
-        assert enum_report.conclusion == report.conclusion
+        if enum_report.conclusion != report.conclusion:
+            raise InvariantViolation("the enumerated and orbit verdicts differ")
         report.notes["enumerated_order"] = G.order
         report.notes["enumerated_spectrum"] = {str(k): v for k, v in sorted(enum_report.spectrum.items())}
     report.elapsed_ms = (time.perf_counter() - t0) * 1e3

@@ -2,23 +2,26 @@
 
 Subcommands: `verify sp|m22|mclaughlin|alt|m23`, `design-check`,
 `search-sharp`, `linsys`, `selftest`. Each run writes one JSON report
-(stdout by default, `--out FILE` otherwise). The exit status reflects
-operational success only: a completed run exits 0 whether the mathematical
-conclusion is refuted or inconclusive, bad flags exit 2 (argparse), a
-missing data file exits 3, and a group too large to enumerate is refused
-for size with exit 4 and no report.
+(stdout by default, `--out FILE` otherwise). The m22 and sp families are
+orbits of C under the group's generators. A completed run exits 0 whether
+the conclusion is refuted or inconclusive. Bad flags exit 2 (argparse); a
+malformed group file exits 2, a missing data file 3, and a group or orbit
+too large to enumerate 4, each with one stderr line and no report. A failed
+`selftest` check carries an `error` field and makes the run exit 1. Random
+probes take their seed from `--probe`; there is no `--seed` flag.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
 from importlib import resources
 
 from . import certify, designs, linsys, sharp_search
-from .perm import GroupTooLarge, enumerate_group, induced_action, load_group
+from .perm import GroupFileError, GroupTooLarge, InvariantViolation, enumerate_group, induced_action, load_group
 
 
 def shipped_group_path(name: str):
@@ -43,10 +46,17 @@ def probe(text: str) -> dict[str, int]:
     return opts
 
 
+def prime(text: str) -> int:
+    """A prime for --ring f_p; argparse turns a ValueError here into exit 2."""
+    p = int(text)
+    if not linsys.is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON report here instead of stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized probes")
 
     top = argparse.ArgumentParser(prog="sharpsets")
     sub = top.add_subparsers(dest="command", required=True)
@@ -89,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--t", type=int, default=1, help="re-express on t-arrangements first")
     ls.add_argument("--subgroup", help="collapse by this subgroup's orbits and classes")
     ls.add_argument("--ring", choices=["f_p", "q", "z", "znn"], required=True)
-    ls.add_argument("--p", type=int, help="prime for --ring f_p")
+    ls.add_argument("--p", type=prime, help="prime for --ring f_p")
     ls.add_argument("--fpf", action="store_true", help="keep identity and fixed-point-free columns only")
     ls.add_argument("--pin-identity", action="store_true", dest="pin_identity")
     ls.add_argument("--probe", type=probe, help="keep=N,trials=M,seed=S random restriction probe")
@@ -115,6 +125,9 @@ def main(argv=None) -> int:
             report = _cmd_linsys(args)
         else:
             report = _cmd_selftest(args)
+    except GroupFileError as exc:
+        print(f"malformed group file: {exc}", file=sys.stderr)
+        return 2
     except FileNotFoundError as exc:
         print(f"missing data file: {exc}", file=sys.stderr)
         return 3
@@ -212,7 +225,7 @@ def _cmd_linsys(args) -> dict:
             system,
             keep=args.probe.get("keep", system.cols),
             trials=args.probe.get("trials", 1),
-            seed=args.probe.get("seed", args.seed),
+            seed=args.probe.get("seed", 0),
             nonneg=args.ring == "znn",
         )
     elif args.ring == "f_p":
@@ -243,28 +256,28 @@ def _cmd_selftest(args) -> dict:
         try:
             fn()
             checks.append({"name": name, "ok": True})
-        except Exception:
-            checks.append({"name": name, "ok": False})
+        except Exception as exc:
+            checks.append({"name": name, "ok": False, "error": f"{type(exc).__name__}: {exc}"})
+
+    def expect(ok, what):  # unlike assert, kept under python -O
+        if not ok:
+            raise InvariantViolation(what)
 
     from . import geometry, gf
-    from .perm import GroupSpec, check_group_axioms, from_cycles, parity
+    from .perm import GroupSpec, check_group_axioms, cycle_parity, enumeration_from_elements, from_cycles, parity
 
     def field_axioms():
         for m in (1, 2, 3):
             F = gf.FieldSpec(m, gf.default_modulus(m))
             for a in F.elements():
                 for b in F.elements():
-                    assert gf.mul(F, a, b) == gf.mul(F, b, a)
+                    expect(gf.mul(F, a, b) == gf.mul(F, b, a), f"GF({F.q}): {a}*{b} != {b}*{a}")
                     if a:
-                        assert gf.mul(F, a, gf.inv(F, a)) == 1
+                        expect(gf.mul(F, a, gf.inv(F, a)) == 1, f"GF({F.q}): {a} * inv({a}) != 1")
 
     def parity_vs_cycles():
-        from itertools import permutations
-
-        for g in permutations(range(5)):
-            from .perm import cycle_parity
-
-            assert parity(g) == cycle_parity(g)
+        for g in itertools.permutations(range(5)):
+            expect(parity(g) == cycle_parity(g), f"parity of {g}")
 
     def group_axioms():
         s4 = enumerate_group(GroupSpec(4, (from_cycles(4, (0, 1)), from_cycles(4, (0, 1, 2, 3))), "S4"))
@@ -272,17 +285,15 @@ def _cmd_selftest(args) -> dict:
 
     def witt():
         d = designs.golay_witt_design()
-        assert d.b == 253 and designs.steiner_check(d)
+        expect(d.b == 253 and designs.steiner_check(d), "not a Steiner system S(4,7,23) with 253 blocks")
 
     def complement_certificate_premise():
         d = designs.golay_witt_design()
         avoiding = designs.blocks_avoiding(d, 22)
         b0 = avoiding[0]
-        assert {7 - (b0 & other).bit_count() for other in avoiding} == {0, 4, 6}
+        expect({7 - (b0 & other).bit_count() for other in avoiding} == {0, 4, 6}, "|B & C'| sizes")
 
     def stabilizer_search_agrees_with_counting():
-        import itertools
-
         blocks = [frozenset({i % 7, (1 + i) % 7, (3 + i) % 7}) for i in range(7)]
         block_set = set(blocks)
         auts = [
@@ -291,34 +302,31 @@ def _cmd_selftest(args) -> dict:
             if all(frozenset(p[x] for x in b) in block_set for b in blocks)
         ]
         stab = sorted(p[:6] for p in auts if p[6] == 6)
-        from .perm import enumeration_from_elements
-        from . import sharp_search
-
         enum = enumeration_from_elements(6, stab, "fano-stab")
-        assert sharp_search.find_sharp_set(enum, 1).status == sharp_search.NONE_EXHAUSTIVE
+        expect(sharp_search.find_sharp_set(enum, 1).status == sharp_search.NONE_EXHAUSTIVE, "the search found a set")
         trace = designs.symmetric_design_refutation(designs.SymmetricDesignParams(7, 3, 1))
-        assert trace.conclusion == "refuted"
+        expect(trace.conclusion == "refuted", f"counting conclusion {trace.conclusion}")
 
     def pentagon():
         g = designs.Graph(5, tuple(sum(1 << j for j in ((i + 1) % 5, (i - 1) % 5)) for i in range(5)))
-        assert designs.srg_check(g, (5, 2, 0, 1)).ok
+        expect(designs.srg_check(g, (5, 2, 0, 1)).ok, "the pentagon is not srg(5,2,0,1)")
 
     def quadric():
         space = geometry.symplectic_space(2, gf.field_for_q(2))
-        assert geometry.elliptic_quadric(space).projective_size == 5
+        expect(geometry.elliptic_quadric(space).projective_size == 5, "not 5 points")
 
     def doublecount():
         c5 = enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), "C5"))
         rep = certify.doublecount_check(c5.elements, 0b10101, 0b00111)
-        assert rep.sharply_transitive and rep.equal
+        expect(rep.sharply_transitive and rep.equal, f"{rep}")
 
     def solver_ladder():
         c5 = enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), "C5"))
         full = linsys.build_full_system(c5.elements)
-        assert linsys.solve_nonneg_integer(full).status == "solvable"
-        assert linsys.solve_integer(full).status == "solvable"
-        assert linsys.solve_rational(full).status == "solvable"
-        assert linsys.solve_mod_p(full, 2).status == "solvable"
+        expect(linsys.solve_nonneg_integer(full).status == "solvable", "Z>=0: no solution")
+        expect(linsys.solve_integer(full).status == "solvable", "Z: no solution")
+        expect(linsys.solve_rational(full).status == "solvable", "Q: no solution")
+        expect(linsys.solve_mod_p(full, 2).status == "solvable", "F_2: no solution")
 
     run("field-axioms", field_axioms)
     run("parity-vs-cycle-type", parity_vs_cycles)

@@ -17,6 +17,7 @@ elimination kernel, shared by its solver and its other users.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -185,6 +186,10 @@ def dump_system(system: ExactSystem, path) -> None:
 # F_p
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
 def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
     """Exact solvability over F_p, with a witness when solvable.
 
@@ -192,7 +197,7 @@ def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
     with an early exit as soon as the right side enters the span; odd p
     runs dense row reduction (see _rref_mod_p).
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     outcome = _solve_mod_2(system) if p == 2 else _solve_mod_odd(system, p)
     if outcome.status == SOLVABLE and not verify_witness(system, outcome.witness, modulus=p):

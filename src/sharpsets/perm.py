@@ -8,7 +8,7 @@ compose(a, b) means "apply a, then b".
 from __future__ import annotations
 
 import itertools
-from collections import deque
+import os
 from dataclasses import dataclass, field
 
 Perm = tuple[int, ...]
@@ -19,11 +19,15 @@ class DegreeMismatch(ValueError):
 
 
 class GroupTooLarge(RuntimeError):
-    """Enumeration exceeded its cap; refusing to return a truncated group."""
+    """Enumeration of a group or an orbit passed its cap; nothing truncated is returned."""
 
 
 class InvariantViolation(AssertionError):
     """A correctness guard failed; raised explicitly so that `python -O` keeps it."""
+
+
+class GroupFileError(ValueError):
+    """A group file that does not describe permutations of its declared degree."""
 
 
 def is_permutation(images) -> bool:
@@ -168,27 +172,40 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
     start = identity(spec.degree)
     seen = {start}
     elements = [start]
-    queue = deque([start])
     gens = spec.generators
-    while queue:
-        cur = queue.popleft()
+    for cur in elements:  # the list grows while it is walked: a BFS queue
         for gen in gens:
             nxt = tuple(map(gen.__getitem__, cur))
             if nxt not in seen:
                 if len(seen) >= cap:
-                    raise GroupTooLarge(
-                        f"{spec.name or 'group'}: more than {cap} elements; "
-                        "raise the cap or use family-mode verification"
-                    )
+                    raise GroupTooLarge(f"enumerating {spec.name or 'a group'} passed the cap of {cap} elements")
                 seen.add(nxt)
                 elements.append(nxt)
-                queue.append(nxt)
     if spec.declared_order is not None and spec.declared_order != len(elements):
         raise ValueError(
             f"{spec.name or 'group'}: declared order {spec.declared_order}, "
             f"enumerated {len(elements)}"
         )
     return GroupEnumeration(spec.degree, elements, spec.name)
+
+
+def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+    """The images of a bitset of points under the group the generators generate.
+
+    BFS order from point_set, so the list starts with it and is reproducible.
+    Raises GroupTooLarge once more than `cap` images appear.
+    """
+    seen = {point_set}
+    orbit = [point_set]
+    for member in orbit:
+        for gen in generators:
+            image = apply_to_set(gen, member)
+            if image not in seen:
+                if len(seen) >= cap:
+                    raise GroupTooLarge(f"the orbit of a {point_set.bit_count()}-point set passed the cap of {cap}")
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def enumeration_from_elements(degree, elements, name="", check=True) -> GroupEnumeration:
@@ -217,20 +234,21 @@ def check_group_axioms(enum: GroupEnumeration, exhaustive_limit: int = 10_000, s
     import random
 
     eset = set(enum.elements)
-    assert identity(enum.degree) in eset, "identity missing"
-    assert len(eset) == enum.order, "duplicate elements"
+    if identity(enum.degree) not in eset:
+        raise InvariantViolation("identity missing")
+    if len(eset) != enum.order:
+        raise InvariantViolation("duplicate elements")
     for g in enum.elements[: min(enum.order, exhaustive_limit)]:
-        assert inverse(g) in eset, f"inverse missing for {g}"
+        if inverse(g) not in eset:
+            raise InvariantViolation(f"inverse missing for {g}")
     if enum.order <= 400:  # order^2 products is cheap here
-        for a in enum.elements:
-            for b in enum.elements:
-                assert compose(a, b) in eset
+        pairs = itertools.product(enum.elements, repeat=2)
     else:
         rng = random.Random(seed)
-        for _ in range(samples):
-            a = enum.elements[rng.randrange(enum.order)]
-            b = enum.elements[rng.randrange(enum.order)]
-            assert compose(a, b) in eset
+        pairs = ((rng.choice(enum.elements), rng.choice(enum.elements)) for _ in range(samples))
+    for a, b in pairs:
+        if compose(a, b) not in eset:
+            raise InvariantViolation(f"{a} * {b} is not in the group")
 
 
 # ---------------------------------------------------------------------------
@@ -336,28 +354,29 @@ def conjugation_reps(G: GroupEnumeration, H: GroupEnumeration) -> ConjugationCla
 
 
 def load_group(path) -> GroupSpec:
+    """Read a group file; any malformed content raises GroupFileError."""
     degree = None
     declared = None
     gens = []
-    name = ""
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if parts[0] == "n" and degree is None:
-                degree = int(parts[1])
-            elif parts[0] == "order":
-                declared = int(parts[1])
-            else:
-                gens.append(tuple(int(p) for p in parts))
-    if degree is None:
-        raise ValueError(f"{path}: missing 'n <degree>' header")
-    import os
-
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    return GroupSpec(degree, tuple(gens), name, declared)
+    try:
+        with open(path) as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                parts = line.split()
+                if parts[0] == "n" and degree is None:
+                    (degree,) = map(int, parts[1:])
+                elif parts[0] == "order":
+                    (declared,) = map(int, parts[1:])
+                else:
+                    gens.append(tuple(int(p) for p in parts))
+        if degree is None:
+            raise ValueError("missing 'n <degree>' header")
+        name = os.path.splitext(os.path.basename(str(path)))[0]
+        return GroupSpec(degree, tuple(gens), name, declared)
+    except ValueError as exc:
+        raise GroupFileError(f"{path}: {exc}") from exc
 
 
 def dump_group(spec: GroupSpec, path) -> None:

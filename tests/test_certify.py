@@ -114,7 +114,7 @@ def test_family_m22(witt):
     assert report.certificate.b_size == 7
     assert report.certificate.c_size == 15
     assert report.certificate.p == 2
-    assert any("closure verified" in a for a in report.assumptions)
+    assert any("orbit of C" in a for a in report.assumptions)
 
 
 def test_family_sp44_projective():
@@ -129,12 +129,34 @@ def test_family_rejects_foreign_c():
         verify_certificate_family(family, 0b1, 0b1111, 2, domain=4, closure_witness="x")
 
 
-def test_family_closure_witness_failure():
-    # the family {01} is not closed under the swap with {10}
-    family = [0b01]
-    swap = (1, 0)
-    with pytest.raises(AssertionError):
-        verify_certificate_family(family, 0b1, 0b01, 2, domain=2, closure_witness=[swap])
+@pytest.mark.parametrize("action", ["projective", "vector"])
+def test_family_sp_4_2(action):
+    report = run_case("sp", n=4, q=2, action=action)
+    assert report.conclusion == "refuted"
+    # 119 quadric points, each on 64 nonsingular lines, each line through 0 or 2 of them
+    assert report.spectrum == {0: 1632, 2: 3808}
+    assert sum(report.spectrum.values()) == geometry.nonsingular_line_count(4, 2) == 5440
+    assert report.certificate.b_size == 119
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (2, 4)])
+@pytest.mark.parametrize("action", ["projective", "vector"])
+def test_sp_orbit_family_is_every_nonsingular_line(monkeypatch, n, q, action):
+    families = []
+
+    def capture(family, *args, **kwargs):
+        families.append(family)
+        return verify_certificate_family(family, *args, **kwargs)
+
+    monkeypatch.setattr(certify, "verify_certificate_family", capture)
+    assert run_case("sp", n=n, q=q, action=action).conclusion == "refuted"
+    space = geometry.symplectic_space(n, gf.field_for_q(q))
+    reference = {line.points for line in geometry.nonsingular_lines(space)}
+    if action == "vector":
+        reference = {geometry.vector_lift(space, pts) for pts in reference}
+    (family,) = families
+    assert len(family) == len(set(family))
+    assert set(family) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +278,7 @@ def test_report_invariant_guard():
 
 GUARDS_UNDER_O = """
 import sys
-from sharpsets import certify, linsys, sharp_search
+from sharpsets import certify, geometry, linsys, sharp_search
 from sharpsets.perm import InvariantViolation, enumeration_from_elements
 
 if __debug__:
@@ -274,6 +296,20 @@ checks["integer"] = lambda: linsys.solve_integer(one)
 checks["nonneg"] = lambda: linsys.solve_nonneg_integer(one)
 sharp_search.verify_sharp_set = lambda *args, **kwargs: False
 checks["sharp"] = lambda: sharp_search.find_sharp_set(enumeration_from_elements(1, [(0,)]))
+certify._run_m22 = lambda **kwargs: certify.VerificationReport("m22", "family", None, {1: 1}, False, "inconclusive")
+checks["m23"] = lambda: certify.run_case("m23")
+certify.verify_certificate_enumerated = lambda G, cert, case="": certify.VerificationReport(
+    case, "enumerated", cert, {1: 1}, True, "inconclusive"
+)
+checks["sp_enumerated"] = lambda: certify.run_case("sp", n=2, q=2, enumerate_group_flag=True)
+
+
+def sp_census():  # runs last: the patch stays in place
+    geometry.nonsingular_line_count = lambda n, q: 0
+    certify.run_case("sp", n=2, q=2)
+
+
+checks["sp_census"] = sp_census
 for name, check in checks.items():
     try:
         check()
@@ -296,7 +332,9 @@ def test_guards_survive_python_O():
         text=True,
         check=True,
     )
-    assert out.stdout.split() == ["report", "mod_p", "rational", "integer", "nonneg", "sharp"]
+    assert out.stdout.split() == [
+        "report", "mod_p", "rational", "integer", "nonneg", "sharp", "m23", "sp_enumerated", "sp_census"
+    ]
 
 
 def test_certificate_validation():

@@ -133,22 +133,69 @@ def test_selftest_ok(tmp_path):
     jsonschema.validate(report, SCHEMA)
 
 
+def test_selftest_fails_under_python_O(tmp_path):
+    # with multiplication in GF(2^m) broken, the checks must fail with a reason
+    # even though python -O strips every assert
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sharpsets
+
+    out = tmp_path / "selftest.json"
+    script = (
+        "import sys\n"
+        "from sharpsets import cli, gf\n"
+        "if __debug__:\n    sys.exit('expected to run under python -O')\n"
+        "gf.mul = lambda F, a, b: 0\n"
+        f"sys.exit(cli.main(['selftest', '--out', {str(out)!r}]))\n"
+    )
+    src = str(Path(sharpsets.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    report = json.loads(out.read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["conclusion"] == "fail"
+    failed = {c["name"]: c["error"] for c in report["checks"] if not c["ok"]}
+    assert set(failed) == {"field-axioms", "witt-design", "complement-certificate-premise", "elliptic-quadric-(2,2)"}
+    assert all(error.startswith("InvariantViolation: ") for error in failed.values())
+    assert all("error" not in c for c in report["checks"] if c["ok"])
+
+
 def test_missing_group_file_exit_3(tmp_path, capsys):
     code = main(["search-sharp", "--group", str(tmp_path / "nope.grp"), "--t", "1"])
     assert code == 3
 
 
-def test_bad_flags_exit_2():
+def test_bad_flags_exit_2(tmp_path, capsys):
     c5 = str(shipped_group_path("c5"))
     for argv in (
         ["verify", "alt", "--bogus"],
         ["linsys", "--group", c5, "--ring", "f_p"],
+        ["linsys", "--group", c5, "--ring", "f_p", "--p", "4"],
+        ["linsys", "--group", c5, "--ring", "f_p", "--p", "1"],
         ["linsys", "--group", c5, "--ring", "z", "--probe", "keep"],
         ["linsys", "--group", c5, "--ring", "z", "--probe", "keep=x"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+    capsys.readouterr()
+    # malformed group files: wrong length, a non-integer token, a non-permutation
+    for i, text in enumerate(("n 3\n0 1\n", "n 3\n0 x 2\n", "n 3\n0 0 1\n")):
+        bad = tmp_path / f"bad{i}.grp"
+        bad.write_text(text)
+        for argv in (
+            ["search-sharp", "--group", str(bad)],
+            ["linsys", "--group", str(bad), "--ring", "z"],
+            ["linsys", "--group", c5, "--subgroup", str(bad), "--ring", "z"],
+            ["verify", "m22", "--group", str(bad)],
+        ):
+            code, report = run_cli(tmp_path, *argv)
+            assert (code, report) == (2, None), argv
+            err = capsys.readouterr().err
+            assert err.startswith("malformed group file:") and err.count("\n") == 1, err
 
 
 def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsys):
@@ -161,7 +208,8 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
     code, report = run_cli(tmp_path, "verify", "m22", "--group", str(s22))
     assert code == 4
     assert report is None
-    assert "refused for size" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("refused for size") and "cap of 5000" in err and err.count("\n") == 1
 
 
 def test_reports_byte_identical_modulo_timing(tmp_path):

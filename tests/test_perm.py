@@ -75,8 +75,23 @@ def test_apply_to_set():
 
 def test_enumerate_cap_is_explicit():
     spec = GroupSpec(6, (from_cycles(6, (0, 1)), from_cycles(6, (0, 1, 2, 3, 4, 5))), "S6")
-    with pytest.raises(perm.GroupTooLarge):
+    with pytest.raises(perm.GroupTooLarge, match="cap of 100 elements"):
         enumerate_group(spec, cap=100)
+
+
+def test_set_orbit():
+    gens = (from_cycles(6, (0, 1)), from_cycles(6, (0, 1, 2, 3, 4, 5)))
+    orbit = perm.set_orbit(gens, 0b000111)
+    # S6 on 3-subsets: all of them, C first, each once, closed under the generators
+    assert orbit[0] == 0b000111
+    assert sorted(orbit) == sorted(c for c in range(64) if c.bit_count() == 3)
+    assert all(perm.apply_to_set(g, c) in orbit for g in gens for c in orbit)
+    # the cyclic subgroup has only the 6 rotations of an interval
+    assert len(perm.set_orbit(gens[1:], 0b000111)) == 6
+    assert perm.set_orbit(gens, 0b111111) == [0b111111]
+    with pytest.raises(perm.GroupTooLarge, match="cap of 19"):
+        perm.set_orbit(gens, 0b000111, cap=19)
+    assert len(perm.set_orbit(gens, 0b000111, cap=20)) == 20
 
 
 def test_enumerate_declared_order_mismatch():
@@ -234,6 +249,16 @@ def test_group_file_roundtrip(tmp_path):
     assert loaded.degree == 4
     assert loaded.generators == spec.generators
     assert loaded.declared_order == 24
+
+
+@pytest.mark.parametrize(
+    "text", ["n 3\n0 1\n", "n 3\n0 x 2\n", "n 3\n0 0 1\n", "1 2 0\n", "n\n1 2 0\n", "n 3\n", "n 3\norder 3 3\n1 2 0\n"]
+)
+def test_malformed_group_file(tmp_path, text):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    with pytest.raises(perm.GroupFileError, match="bad.grp"):
+        perm.load_group(path)
 
 
 def test_group_file_comments(tmp_path):
