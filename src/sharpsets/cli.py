@@ -2,11 +2,17 @@
 
 Subcommands: `verify sp|m22|mclaughlin|alt|m23`, `design-check`,
 `search-sharp`, `linsys`, `selftest`. Each run writes one JSON report
-(stdout by default, `--out FILE` otherwise). The m22 and sp families are
-orbits of C under the group's generators. A completed run exits 0 whether
-the conclusion is refuted or inconclusive. Bad flags exit 2 (argparse); a
-malformed group file exits 2, a missing data file 3, and a group or orbit
-too large to enumerate 4, each with one stderr line and no report. A failed
+(stdout by default, `--out FILE` otherwise) whose `elapsed_ms` times the
+whole command. The m22 and sp families are orbits of C under the group's
+generators, each checked against a census. A completed run exits 0 whether
+the conclusion is refuted or inconclusive. Every bad value on the command
+line exits 2: bad flags through argparse, and a malformed group file, a
+group file whose order line disagrees with its generators, an unsupported
+`--n`, `--q`, `--modulus` or `--t`, or impossible design parameters with
+one stderr line and no report. A missing data file exits 3, and a group
+or orbit too large to enumerate 4, likewise. The quadric's polarization is
+checked on every pair of an F_2-basis, complete because both sides are
+biadditive, so sp (2,8), (3,4) and (5,2) run in seconds. A failed
 `selftest` check carries an `error` field and makes the run exit 1. Random
 probes take their seed from `--probe`; there is no `--seed` flag.
 """
@@ -21,7 +27,7 @@ import time
 from importlib import resources
 
 from . import certify, designs, linsys, sharp_search
-from .perm import GroupFileError, GroupTooLarge, InvariantViolation, enumerate_group, induced_action, load_group
+from .perm import GroupFileError, GroupTooLarge, enumerate_group, expect, induced_action, load_group
 
 
 def shipped_group_path(name: str):
@@ -114,19 +120,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "linsys" and args.ring == "f_p" and not args.p:
         parser.error("--ring f_p needs --p")
+    commands = {
+        "verify": _cmd_verify,
+        "design-check": _cmd_design_check,
+        "search-sharp": _cmd_search,
+        "linsys": _cmd_linsys,
+        "selftest": _cmd_selftest,
+    }
+    t0 = time.perf_counter()
     try:
-        if args.command == "verify":
-            report = _cmd_verify(args)
-        elif args.command == "design-check":
-            report = _cmd_design_check(args)
-        elif args.command == "search-sharp":
-            report = _cmd_search(args)
-        elif args.command == "linsys":
-            report = _cmd_linsys(args)
-        else:
-            report = _cmd_selftest(args)
+        report = commands[args.command](args)
     except GroupFileError as exc:
         print(f"malformed group file: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # every input check raises one
+        print(f"bad input: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing data file: {exc}", file=sys.stderr)
@@ -134,6 +142,7 @@ def main(argv=None) -> int:
     except GroupTooLarge as exc:
         print(f"refused for size: {exc}", file=sys.stderr)
         return 4
+    report["elapsed_ms"] = (time.perf_counter() - t0) * 1e3
     _write_report(report, args.out)
     if report.get("case") == "selftest" and report["conclusion"] != "ok":
         return 1
@@ -170,12 +179,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_design_check(args) -> dict:
-    t0 = time.perf_counter()
     params = designs.SymmetricDesignParams(args.v, args.k, args.lam)
-    trace = designs.symmetric_design_refutation(params)
-    out = {"case": "design-check", "elapsed_ms": (time.perf_counter() - t0) * 1e3}
-    out.update(trace.as_dict())
-    return out
+    return {"case": "design-check", **designs.symmetric_design_refutation(params).as_dict()}
 
 
 def _cmd_search(args) -> dict:
@@ -197,20 +202,18 @@ def _cmd_search(args) -> dict:
         "t": args.t,
         "witness": witness,
         "nodes": result.nodes,
-        "elapsed_ms": result.elapsed_ms,
     }
 
 
 def _cmd_linsys(args) -> dict:
-    t0 = time.perf_counter()
     spec = load_group(args.group)
     G = enumerate_group(spec)
-    if args.t > 1:
+    if args.t != 1:
         _, G = induced_action(G, args.t)
     if args.subgroup:
         hspec = load_group(args.subgroup)
         H = enumerate_group(hspec)
-        if args.t > 1:
+        if args.t != 1:
             _, H = induced_action(H, args.t)
         system = linsys.build_H_system(G, H)
     else:
@@ -242,14 +245,12 @@ def _cmd_linsys(args) -> dict:
         "p": args.p,
         "rows": system.rows,
         "cols": system.cols,
-        "elapsed_ms": (time.perf_counter() - t0) * 1e3,
     }
     report.update(outcome.as_dict())
     return report
 
 
 def _cmd_selftest(args) -> dict:
-    t0 = time.perf_counter()
     checks = []
 
     def run(name, fn):
@@ -258,10 +259,6 @@ def _cmd_selftest(args) -> dict:
             checks.append({"name": name, "ok": True})
         except Exception as exc:
             checks.append({"name": name, "ok": False, "error": f"{type(exc).__name__}: {exc}"})
-
-    def expect(ok, what):  # unlike assert, kept under python -O
-        if not ok:
-            raise InvariantViolation(what)
 
     from . import geometry, gf
     from .perm import GroupSpec, check_group_axioms, cycle_parity, enumeration_from_elements, from_cycles, parity
@@ -342,7 +339,6 @@ def _cmd_selftest(args) -> dict:
         "case": "selftest",
         "checks": checks,
         "conclusion": "ok" if all(c["ok"] for c in checks) else "fail",
-        "elapsed_ms": (time.perf_counter() - t0) * 1e3,
     }
 
 

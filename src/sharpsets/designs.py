@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gf
-from .perm import GroupSpec, Perm, apply_to_set, compose, inverse, is_permutation
+from .perm import GroupSpec, Perm, apply_to_set, compose, expect, inverse, is_permutation
 
 GOLAY_LENGTH = 23
 QUADRATIC_RESIDUES_23 = tuple(sorted({(i * i) % 23 for i in range(1, 23)}))
@@ -30,8 +30,10 @@ class Design:
     name: str = ""
 
     def __post_init__(self):
-        assert all(b.bit_count() == self.k for b in self.blocks), "block size"
-        assert len(set(self.blocks)) == len(self.blocks), "duplicate blocks"
+        if any(b.bit_count() != self.k for b in self.blocks):
+            raise ValueError(f"a block does not have {self.k} points")
+        if len(set(self.blocks)) != len(self.blocks):
+            raise ValueError("duplicate blocks")
 
     @property
     def b(self) -> int:
@@ -54,7 +56,7 @@ def _qr_generator_polynomial() -> int:
         if cand != 1:
             alpha = cand
             break
-    assert alpha is not None and gf.power(F, alpha, 23) == 1
+    expect(alpha is not None and gf.power(F, alpha, 23) == 1, "an element of order 23 in GF(2^11)")
     # product of (x + alpha^r) over the residue exponents, in GF(2^11)[x]
     poly = [1]
     for r in QUADRATIC_RESIDUES_23:
@@ -64,11 +66,11 @@ def _qr_generator_polynomial() -> int:
             nxt[i + 1] ^= c
             nxt[i] ^= gf.mul(F, root, c)
         poly = nxt
-    assert all(c in (0, 1) for c in poly), "coefficients must drop to GF(2)"
+    expect(all(c in (0, 1) for c in poly), "coefficients must drop to GF(2)")
     bits = 0
     for i, c in enumerate(poly):
         bits |= c << i
-    assert bits.bit_length() - 1 == 11
+    expect(bits.bit_length() - 1 == 11, "the generator polynomial has degree 11")
     return bits
 
 
@@ -86,7 +88,7 @@ def golay_codewords() -> list[int]:
     """All 4096 codewords of the [23, 12, 7] code as 23-bit masks."""
     g = _qr_generator_polynomial()
     words = [_gf2_poly_mul(msg, g) for msg in range(1 << 12)]
-    assert all(w < 1 << 23 for w in words)
+    expect(all(w < 1 << 23 for w in words), "codewords have length 23")
     return words
 
 
@@ -101,8 +103,8 @@ def golay_witt_design() -> Design:
     for w in words:
         weights[w.bit_count()] = weights.get(w.bit_count(), 0) + 1
     min_weight = min(w for w in weights if w > 0)
-    assert min_weight == 7, f"minimum weight census broke: {weights}"
-    assert weights[7] == 253, f"weight-7 census {weights.get(7)}"
+    expect(min_weight == 7, f"minimum weight census broke: {weights}")
+    expect(weights[7] == 253, f"weight-7 census {weights.get(7)}")
     blocks = tuple(sorted(w for w in words if w.bit_count() == 7))
     return Design(GOLAY_LENGTH, 7, blocks, name="W23")
 
@@ -154,15 +156,15 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        assert len(self.adj) == self.n
+        if len(self.adj) != self.n:
+            raise ValueError(f"{len(self.adj)} adjacency rows for {self.n} vertices")
         for i, row in enumerate(self.adj):
-            assert not row >> i & 1, "loop"
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                assert (self.adj[i] >> j & 1) == (self.adj[j] >> i & 1), "asymmetric"
+            if row >> i & 1:
+                raise ValueError(f"loop at vertex {i}")
+            if any((self.adj[j] >> i & 1) != (row >> j & 1) for j in range(i + 1, self.n)):
+                raise ValueError(f"asymmetric adjacency at vertex {i}")
 
     def degree(self, i: int) -> int:
         return self.adj[i].bit_count()
@@ -203,35 +205,28 @@ def srg_check(graph: Graph, params: tuple[int, int, int, int]) -> SrgReport:
 
 @dataclass
 class McLaughlinData:
-    """The 275-vertex graph plus the vertex bookkeeping used to build it.
+    """The 275-vertex graph and its point vertices.
 
-    Vertices 0..21 are the design points other than the special point,
+    Vertices 0..21 are the design points other than the special point 22,
     then the 77 blocks through it, then the 176 blocks avoiding it.
     """
 
     graph: Graph
-    design: Design
-    special_point: int
     point_vertex_mask: int            # vertices 0..21
-    u_blocks: list[int]               # blocks through the special point
-    v_blocks: list[int]               # blocks avoiding it
 
 
-def mclaughlin_graph(special_point: int = 22) -> McLaughlinData:
+def mclaughlin_graph() -> McLaughlinData:
     """Build the McLaughlin graph from the Witt design.
 
-    With q the special point, vertices are the 22 remaining points (B), the
-    77 blocks through q (U) and the 176 blocks avoiding q (V). Adjacency:
+    With q = 22 the special point, vertices are the 22 remaining points (B),
+    the 77 blocks through q (U) and the 176 blocks avoiding q (V). Adjacency:
     B is independent; b~u iff b not in u; b~v iff b in v; u~u' iff they meet
     only in q; v~v' iff |v & v'| = 1; u~v iff |u & v| = 3.
     """
     design = golay_witt_design()
-    q = special_point
-    u_blocks = blocks_through(design, q)
-    v_blocks = blocks_avoiding(design, q)
-    assert (len(u_blocks), len(v_blocks)) == (77, 176)
-    points = [p for p in range(design.v) if p != q]
-    assert points == list(range(22)), "special point must be the last design point"
+    u_blocks = blocks_through(design, 22)
+    v_blocks = blocks_avoiding(design, 22)
+    expect((len(u_blocks), len(v_blocks)) == (77, 176), "77 blocks through the special point, 176 avoiding it")
     n = 22 + 77 + 176
     adj = [0] * n
     u_off, v_off = 22, 22 + 77
@@ -240,13 +235,13 @@ def mclaughlin_graph(special_point: int = 22) -> McLaughlinData:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
 
-    for bi, p in enumerate(points):
+    for p in range(22):  # point vertex p is design point p
         for ui, u in enumerate(u_blocks):
             if not u >> p & 1:
-                link(bi, u_off + ui)
+                link(p, u_off + ui)
         for vi, v in enumerate(v_blocks):
             if v >> p & 1:
-                link(bi, v_off + vi)
+                link(p, v_off + vi)
     for i in range(77):
         for j in range(i + 1, 77):
             if (u_blocks[i] & u_blocks[j]).bit_count() == 1:
@@ -259,13 +254,7 @@ def mclaughlin_graph(special_point: int = 22) -> McLaughlinData:
         for j in range(176):
             if (u_blocks[i] & v_blocks[j]).bit_count() == 3:
                 link(u_off + i, v_off + j)
-    labels = tuple(
-        [f"point:{p}" for p in points]
-        + [f"block+q:{i}" for i in range(77)]
-        + [f"block-q:{i}" for i in range(176)]
-    )
-    graph = Graph(n, tuple(adj), labels)
-    return McLaughlinData(graph, design, q, (1 << 22) - 1, u_blocks, v_blocks)
+    return McLaughlinData(Graph(n, tuple(adj)), (1 << 22) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +341,7 @@ def symmetric_design_refutation(params: SymmetricDesignParams) -> RefutationTrac
 
     # both integral: k-lam divides k and v-k, hence v; it always divides v-1
     # because k(v-k) = (v-1)(k-lam); coprimality of v and v-1 forces d = 1
-    assert k * (v - k) == (v - 1) * d
+    expect(k * (v - k) == (v - 1) * d, "k(v-k) = (v-1)(k-lambda)")
     divides_v = (v % d) == 0
     divides_v1 = ((v - 1) % d) == 0
     ok_div = divides_v and divides_v1 and d == 1
@@ -473,7 +462,7 @@ def complete_design_automorphism(design: Design, prescribed: dict[int, int], fix
     if not dfs(0):
         return None
     g = tuple(img)
-    assert is_design_automorphism(design, g)
+    expect(is_design_automorphism(design, g), "the completed map is not a design automorphism")
     return g
 
 
@@ -495,21 +484,21 @@ def witt_stabilizer_generators(design: Design | None = None, special_point: int 
     gens = []
     for base in (_gf23_scale_map(2), _gf23_power_map()):
         g = compose(compose(shift, base), shift_back)
-        assert g[special_point] == special_point
-        assert is_design_automorphism(design, g), "map does not preserve the block set"
+        expect(g[special_point] == special_point, "the map moves the special point")
+        expect(is_design_automorphism(design, g), "map does not preserve the block set")
         gens.append(g)
     low = sorted(p for p in range(design.v) if p != special_point)[:3]
     extra = complete_design_automorphism(
         design, {low[0]: low[1], low[1]: low[2], low[2]: low[0]}, fixed=(special_point,)
     )
-    assert extra is not None, "the stabilizer acts transitively on point triples"
+    expect(extra is not None, "the stabilizer acts transitively on point triples")
     gens.append(extra)
     keep = [x for x in range(design.v) if x != special_point]
     relabel = {x: i for i, x in enumerate(keep)}
     restricted = []
     for g in gens:
         r = tuple(relabel[g[x]] for x in keep)
-        assert is_permutation(r)
+        expect(is_permutation(r), "a restricted generator is not a permutation")
         restricted.append(r)
     return GroupSpec(22, tuple(restricted), name="witt-point-stabilizer", declared_order=443520)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import gf
 from .gf import FieldSpec
-from .perm import GroupSpec, InvariantViolation, Perm
+from .perm import GroupSpec, Perm, expect
 
 Vector = tuple[int, ...]
 
@@ -85,9 +85,14 @@ def symplectic_space(n: int, field: FieldSpec) -> SymplecticSpace:
     space.proj_points = proj_points
     space.proj_index = proj_index
     space.proj_of_vec = proj_of_vec
-    assert len(vectors) == q ** (2 * n) - 1
-    assert len(proj_points) == (q ** (2 * n) - 1) // (q - 1)
+    expect(len(vectors) == q ** (2 * n) - 1, "vector count")
+    expect(len(proj_points) == (q ** (2 * n) - 1) // (q - 1), "projective point count")
     return space
+
+
+def unit_vectors(space: SymplecticSpace, scalars=(1,)) -> list[Vector]:
+    """c e_i for every coordinate i and every scalar c, ordered by i, then c."""
+    return [tuple(c * (j == i) for j in range(space.dim)) for i in range(space.dim) for c in scalars]
 
 
 def symplectic_form(space: SymplecticSpace, x: Vector, y: Vector) -> int:
@@ -139,40 +144,33 @@ def elliptic_quadric(space: SymplecticSpace) -> QuadricData:
     """
     F = space.field
     delta = next((a for a in F.elements() if gf.trace(F, a) == 1), None)
-    assert delta is not None, "trace is onto {0,1} for every valid field"
+    expect(delta is not None, "trace is onto {0,1} for every valid field")
     proj_set = 0
     for i, rep in enumerate(space.proj_points):
         if quadric_value(space, delta, rep) == 0:
             proj_set |= 1 << i
-    vec_set = 0
-    for vi, pi in enumerate(space.proj_of_vec):
-        if proj_set >> pi & 1:
-            vec_set |= 1 << vi
-    quad = QuadricData(delta, proj_set, vec_set)
+    quad = QuadricData(delta, proj_set, vector_lift(space, proj_set))
     q, n = space.q, space.n
     expected = (q ** (2 * n - 1) - 1) // (q - 1) - q ** (n - 1)
-    assert quad.projective_size == expected, "elliptic point count"
-    assert quad.vector_size == (q - 1) * expected
+    expect(quad.projective_size == expected, f"elliptic point count {quad.projective_size}, not {expected}")
+    expect(quad.vector_size == (q - 1) * expected, "elliptic vector count")
     _check_polarization(space, delta)
     return quad
 
 
-def _check_polarization(space: SymplecticSpace, delta: int, limit: int = 4096) -> None:
-    """Q(x+y) + Q(x) + Q(y) == <x, y>, exhaustively on small spaces."""
-    vecs = space.vectors
-    if len(vecs) <= limit:
-        pool_x = pool_y = vecs
-    else:
-        pool_x = vecs[::37][:40]
-        pool_y = vecs[::53][:40]
-    for x in pool_x:
-        for y in pool_y:
-            lhs = (
-                quadric_value(space, delta, space.add(x, y))
-                ^ quadric_value(space, delta, x)
-                ^ quadric_value(space, delta, y)
-            )
-            assert lhs == symplectic_form(space, x, y), "quadric does not polarize to the form"
+def _check_polarization(space: SymplecticSpace, delta: int) -> None:
+    """Q(x+y) + Q(x) + Q(y) == <x, y> on every ordered pair of an F_2-basis.
+
+    Q is a sum of products of F_2-linear maps of the coordinates, so its
+    left side is biadditive, and so is the form: gf.mul is a carry-less
+    product reduced mod the modulus, hence F_2-bilinear. Agreement on the
+    (2nm)^2 pairs of the basis {x^k e_i} therefore holds for all vectors.
+    """
+    basis = unit_vectors(space, [1 << k for k in range(space.field.m)])
+    value = {v: quadric_value(space, delta, v) for v in basis}
+    for x, y in itertools.product(basis, repeat=2):
+        lhs = quadric_value(space, delta, space.add(x, y)) ^ value[x] ^ value[y]
+        expect(lhs == symplectic_form(space, x, y), f"quadric does not polarize to the form on {x}, {y}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +190,7 @@ def line_through(space: SymplecticSpace, u: Vector, v: Vector) -> ProjectiveLine
     pts = 1 << space.proj_point(u) | 1 << space.proj_point(v)
     for c in range(1, space.q):
         pts |= 1 << space.proj_point(space.add(u, space.scale(c, v)))
-    assert pts.bit_count() == space.q + 1
+    expect(pts.bit_count() == space.q + 1, "a line has q + 1 points")
     return ProjectiveLine(pts, u, v)
 
 
@@ -208,7 +206,7 @@ def enumerate_lines(space: SymplecticSpace) -> list[ProjectiveLine]:
                 lines.append(line)
     pairs = npts * (npts - 1) // 2
     per_line = (space.q + 1) * space.q // 2
-    assert len(lines) == pairs // per_line, "line census"
+    expect(len(lines) == pairs // per_line, "line census")
     return lines
 
 
@@ -261,15 +259,14 @@ def symplectic_generators(space: SymplecticSpace, action: str = "projective") ->
     """
     if action not in ("projective", "vector"):
         raise ValueError("action must be 'projective' or 'vector'")
-    units = [tuple(int(j == i) for j in range(space.dim)) for i in range(space.dim)]
+    units = unit_vectors(space)
     axes = units + [space.add(units[i], units[i + 2]) for i in range(0, space.dim - 2, 2)]
     gens = []
     for u in axes:
         for k in range(space.field.m):
             t = _transvection(space, u, 1 << k)
             for x, y in itertools.product(units, repeat=2):
-                if symplectic_form(space, t(x), t(y)) != symplectic_form(space, x, y):
-                    raise InvariantViolation(f"transvection along {u} does not preserve the form")
+                expect(symplectic_form(space, t(x), t(y)) == symplectic_form(space, x, y), f"transvection along {u}")
             gens.append(_point_perm(space, t, action))
     degree = space.num_proj_points if action == "projective" else space.num_vectors
     return GroupSpec(

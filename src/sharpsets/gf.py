@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .perm import expect
+
 MAX_M = 16
 
 
@@ -121,7 +123,7 @@ def trace(F: FieldSpec, a: int) -> int:
     for _ in range(F.m):
         t ^= x
         x = mul(F, x, x)
-    assert t in (0, 1), "trace must land in the prime field"
+    expect(t in (0, 1), "trace must land in the prime field")
     return t
 
 

@@ -29,6 +29,7 @@ from .perm import (
     InvariantViolation,
     Perm,
     conjugation_reps,
+    expect,
     identity,
     is_fixed_point_free,
     orbits_on_pairs,
@@ -41,13 +42,11 @@ UNKNOWN_BUDGET = "unknown-budget"
 
 @dataclass
 class ExactSystem:
-    """A x = b with exact integer coefficients and labelled axes."""
+    """A x = b with exact integer coefficients; column_elements names the element of each column."""
 
     ring: str                          # informational tag: "f_p" / "q" / "z" / "znn"
     matrix: list[list[int]]
     rhs: list[int]
-    var_labels: list[str]
-    eq_labels: list[str]
     column_elements: list[Perm] | None = field(default=None, repr=False)
 
     @property
@@ -59,10 +58,10 @@ class ExactSystem:
         return len(self.matrix[0]) if self.matrix else 0
 
     def __post_init__(self):
-        assert len(self.rhs) == self.rows
-        assert all(len(r) == self.cols for r in self.matrix)
-        assert len(self.var_labels) == self.cols
-        assert len(self.eq_labels) == self.rows
+        if len(self.rhs) != self.rows:
+            raise ValueError(f"{len(self.rhs)} right sides for {self.rows} rows")
+        if any(len(r) != self.cols for r in self.matrix):
+            raise ValueError("matrix rows differ in length")
 
 
 @dataclass
@@ -94,7 +93,7 @@ def verify_witness(system: ExactSystem, witness, modulus: int | None = None) -> 
 # System construction
 
 
-def build_full_system(elements: list[Perm], labels: list[str] | None = None) -> ExactSystem:
+def build_full_system(elements: list[Perm]) -> ExactSystem:
     """One equation per ordered pair of points, one variable per element."""
     n = len(elements[0])
     ncols = len(elements)
@@ -102,10 +101,7 @@ def build_full_system(elements: list[Perm], labels: list[str] | None = None) -> 
     for k, g in enumerate(elements):
         for i in range(n):
             matrix[i * n + g[i]][k] = 1
-    rhs = [1] * (n * n)
-    var_labels = labels if labels is not None else [f"g{k}" for k in range(ncols)]
-    eq_labels = [f"({i},{j})" for i in range(n) for j in range(n)]
-    return ExactSystem("z", matrix, rhs, var_labels, eq_labels, list(elements))
+    return ExactSystem("z", matrix, [1] * (n * n), list(elements))
 
 
 def build_H_system(G: GroupEnumeration, H: GroupEnumeration, check_samples: int = 3) -> ExactSystem:
@@ -130,14 +126,11 @@ def build_H_system(G: GroupEnumeration, H: GroupEnumeration, check_samples: int 
     for rep, members in zip(classes.reps, classes.classes):
         col = a_of(rep)
         for other in members[1:check_samples + 1]:
-            assert a_of(other) == col, "coefficient not constant on a conjugation class"
+            expect(a_of(other) == col, "coefficient not constant on a conjugation class")
         matrix_cols.append(col)
     nrows = len(orbits)
     matrix = [[matrix_cols[c][r] for c in range(len(matrix_cols))] for r in range(nrows)]
-    rhs = [len(orb) for orb in orbits]
-    var_labels = [f"class{k}" for k in range(len(classes.reps))]
-    eq_labels = [f"orbit{r}:{orbits[r][0]}" for r in range(nrows)]
-    return ExactSystem("z", matrix, rhs, var_labels, eq_labels, list(classes.reps))
+    return ExactSystem("z", matrix, [len(orb) for orb in orbits], list(classes.reps))
 
 
 def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSystem:
@@ -147,7 +140,7 @@ def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSys
     contribution (value 1) is subtracted from the right side.
     """
     if system.column_elements is None:
-        raise ValueError("system carries no element labels")
+        raise ValueError("system carries no column elements")
     n = len(system.column_elements[0])
     ident = identity(n)
     keep = [
@@ -163,14 +156,7 @@ def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSys
                 rhs[r] -= system.matrix[r][k]
         keep = [k for k in keep if k not in id_cols]
     matrix = [[system.matrix[r][k] for k in keep] for r in range(system.rows)]
-    return ExactSystem(
-        system.ring,
-        matrix,
-        rhs,
-        [system.var_labels[k] for k in keep],
-        list(system.eq_labels),
-        [system.column_elements[k] for k in keep],
-    )
+    return ExactSystem(system.ring, matrix, rhs, [system.column_elements[k] for k in keep])
 
 
 def dump_system(system: ExactSystem, path) -> None:
@@ -552,7 +538,7 @@ def _lp_feasible_point(a, b, lo, hi):
             for i in range(m)
             if tab[i][enter] > 0
         ]
-        assert ratios, "phase-1 objective is bounded below, a ratio row must exist"
+        expect(bool(ratios), "phase-1 objective is bounded below, a ratio row must exist")
         _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
         piv = tab[leave][enter]
         tab[leave] = [x / piv for x in tab[leave]]
@@ -601,8 +587,6 @@ def random_restriction_probe(
             system.ring,
             [[row[j] for j in chosen] for row in system.matrix],
             list(system.rhs),
-            [system.var_labels[j] for j in chosen],
-            list(system.eq_labels),
             [system.column_elements[j] for j in chosen] if system.column_elements else None,
         )
         outcome = solve_nonneg_integer(sub) if nonneg else solve_integer(sub)

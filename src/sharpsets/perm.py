@@ -30,6 +30,12 @@ class GroupFileError(ValueError):
     """A group file that does not describe permutations of its declared degree."""
 
 
+def expect(ok: bool, what: str) -> None:
+    """Raise InvariantViolation(what) unless ok; unlike assert, kept under python -O."""
+    if not ok:
+        raise InvariantViolation(what)
+
+
 def is_permutation(images) -> bool:
     n = len(images)
     seen = [False] * n
@@ -234,10 +240,8 @@ def check_group_axioms(enum: GroupEnumeration, exhaustive_limit: int = 10_000, s
     import random
 
     eset = set(enum.elements)
-    if identity(enum.degree) not in eset:
-        raise InvariantViolation("identity missing")
-    if len(eset) != enum.order:
-        raise InvariantViolation("duplicate elements")
+    expect(identity(enum.degree) in eset, "identity missing")
+    expect(len(eset) == enum.order, "duplicate elements")
     for g in enum.elements[: min(enum.order, exhaustive_limit)]:
         if inverse(g) not in eset:
             raise InvariantViolation(f"inverse missing for {g}")
@@ -343,8 +347,7 @@ def conjugation_reps(G: GroupEnumeration, H: GroupEnumeration) -> ConjugationCla
         reps.append(g)
         sizes.append(len(orbit))
         classes.append(members)
-    if sum(sizes) != G.order:
-        raise AssertionError("conjugation orbits do not partition G")
+    expect(sum(sizes) == G.order, "conjugation orbits do not partition G")
     return ConjugationClasses(reps, sizes, classes)
 
 

@@ -10,10 +10,9 @@ on t-arrangements, so one search core handles every arity.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-from .perm import GroupEnumeration, InvariantViolation, Perm, induced_action
+from .perm import GroupEnumeration, Perm, expect, induced_action
 
 FOUND = "found"
 NONE_EXHAUSTIVE = "none-exhaustive"
@@ -34,8 +33,7 @@ class CoverInstance:
         return self.n_cells * self.n_cells
 
     def __post_init__(self):
-        for row in self.rows:
-            assert row.bit_count() == self.n_cells, "each row covers one image per source cell"
+        expect(all(row.bit_count() == self.n_cells for row in self.rows), "each row covers one image per source cell")
 
 
 def build_cover_instance(elements: list[Perm]) -> CoverInstance:
@@ -60,7 +58,6 @@ class SearchResult:
     status: str                     # found / none-exhaustive / unknown-budget
     sharp_set: SharpSet | None
     nodes: int
-    elapsed_ms: float = 0.0
 
 
 def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET) -> SearchResult:
@@ -71,7 +68,6 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     and any witness it returns are deterministic. The node budget makes the
     cutoff machine independent; exhaustion is reported explicitly.
     """
-    t0 = time.perf_counter()
     if t == 1:
         elements = G.elements
     else:
@@ -122,13 +118,12 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     try:
         ok = search(0)
     except _Budget:
-        return SearchResult(UNKNOWN_BUDGET, None, nodes, (time.perf_counter() - t0) * 1e3)
+        return SearchResult(UNKNOWN_BUDGET, None, nodes)
     if not ok:
-        return SearchResult(NONE_EXHAUSTIVE, None, nodes, (time.perf_counter() - t0) * 1e3)
+        return SearchResult(NONE_EXHAUSTIVE, None, nodes)
     witness = SharpSet(tuple(sorted(chosen)), t)
-    if not verify_sharp_set(G, witness.element_indices, t):
-        raise InvariantViolation("exact-cover witness is not sharply transitive")
-    return SearchResult(FOUND, witness, nodes, (time.perf_counter() - t0) * 1e3)
+    expect(verify_sharp_set(G, witness.element_indices, t), "exact-cover witness is not sharply transitive")
+    return SearchResult(FOUND, witness, nodes)
 
 
 class _Budget(Exception):

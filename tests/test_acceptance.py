@@ -147,7 +147,7 @@ def test_criterion_7_integer_solvers():
             matrix[row] = [scale * a for a in matrix[row]]
             rhs = [rng.randrange(-10, 11) for _ in range(5)]
             rhs[row] = scale * rng.randrange(-5, 5) + rng.randrange(1, scale)
-        system = linsys.ExactSystem("z", matrix, rhs, [f"x{j}" for j in range(8)], [f"e{i}" for i in range(5)])
+        system = linsys.ExactSystem("z", matrix, rhs)
         out = linsys.solve_integer(system)
         boxed = bounded_solution_exists(matrix, rhs, 10)
         ok &= (out.status == "solvable") == boxed
@@ -164,9 +164,7 @@ def test_criterion_7_integer_solvers():
             rhs_extra = [sum(a * x for a, x in zip(row, x0)) for row in extra]
         else:
             rhs_extra = [rng.randrange(-6, 7) for _ in range(3)]
-        system = linsys.ExactSystem(
-            "znn", [[1] * 8] + extra, [total] + rhs_extra, [f"x{j}" for j in range(8)], [f"e{i}" for i in range(4)]
-        )
+        system = linsys.ExactSystem("znn", [[1] * 8] + extra, [total] + rhs_extra)
         out = linsys.solve_nonneg_integer(system)
 
         def compositions(left, parts):

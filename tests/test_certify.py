@@ -57,7 +57,7 @@ def test_enumerated_a6_on_pairs(a6):
     action, induced = induced_action(a6, 2)
     asc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x < y)
     desc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x > y)
-    cert = Certificate(asc, desc, 2, "enumerated-group", 30)
+    cert = Certificate(asc, desc, 2, 30)
     report = verify_certificate_enumerated(induced, cert)
     assert report.conclusion == "refuted"
     assert all(size % 2 == 0 for size in report.spectrum)
@@ -74,21 +74,21 @@ def test_enumerated_sp42():
     quad = geometry.elliptic_quadric(space)
     line = geometry.nonsingular_lines(space)[0]
     G = enumerate_group(geometry.symplectic_generators(space, "projective"))
-    cert = Certificate(quad.projective_set, line.points, 2, "enumerated-group", 15)
+    cert = Certificate(quad.projective_set, line.points, 2, 15)
     report = verify_certificate_enumerated(G, cert)
     assert report.conclusion == "refuted"
     assert set(report.spectrum) <= {0, 2}
 
 
 def test_enumerated_inconclusive_for_regular_group(c5):
-    cert = Certificate(0b1, 0b1, 2, "enumerated-group", 5)
+    cert = Certificate(0b1, 0b1, 2, 5)
     report = verify_certificate_enumerated(c5, cert)
     assert report.conclusion == "inconclusive"
     assert 1 in report.spectrum
 
 
 def test_enumerated_domain_mismatch(c5):
-    cert = Certificate(0b1, 0b1, 2, "enumerated-group", 6)
+    cert = Certificate(0b1, 0b1, 2, 6)
     with pytest.raises(ValueError):
         verify_certificate_enumerated(c5, cert)
 
@@ -137,6 +137,15 @@ def test_family_sp_4_2(action):
     assert report.spectrum == {0: 1632, 2: 3808}
     assert sum(report.spectrum.values()) == geometry.nonsingular_line_count(4, 2) == 5440
     assert report.certificate.b_size == 119
+
+
+@pytest.mark.parametrize("action, spectrum", [("projective", {0: 2080, 2: 2080}), ("vector", {0: 2080, 14: 2080})])
+def test_family_sp_2_8(action, spectrum):
+    # the first GF(8) case; 2(q - 1) = 14 vectors of a line lie on the quadric
+    report = run_case("sp", n=2, q=8, action=action)
+    assert report.conclusion == "refuted"
+    assert report.spectrum == spectrum
+    assert sum(report.spectrum.values()) == geometry.nonsingular_line_count(2, 8) == 4160
 
 
 @pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (2, 4)])
@@ -264,7 +273,7 @@ def test_no_certificate_for_groups_with_sharp_sets(c5, c6, s3, s4, a4):
 
 def test_report_invariant_guard():
     # a "refuted" report with a bad spectrum must be impossible to construct
-    cert = Certificate(0b1, 0b1, 2, "enumerated-group", 4)
+    cert = Certificate(0b1, 0b1, 2, 4)
     with pytest.raises(AssertionError):
         certify.VerificationReport(
             case="x",
@@ -285,10 +294,10 @@ if __debug__:
     sys.exit("expected to run under python -O")
 checks = {
     "report": lambda: certify.VerificationReport(
-        "x", "enumerated", certify.Certificate(1, 1, 2, "enumerated-group", 4), {1: 4}, True, "refuted"
+        "x", "enumerated", certify.Certificate(1, 1, 2, 4), {1: 4}, True, "refuted"
     ),
 }
-one = linsys.ExactSystem("z", [[1]], [1], ["x"], ["e0"])
+one = linsys.ExactSystem("z", [[1]], [1])
 linsys.verify_witness = lambda *args, **kwargs: False
 checks["mod_p"] = lambda: linsys.solve_mod_p(one, 3)
 checks["rational"] = lambda: linsys.solve_rational(one)
@@ -296,8 +305,24 @@ checks["integer"] = lambda: linsys.solve_integer(one)
 checks["nonneg"] = lambda: linsys.solve_nonneg_integer(one)
 sharp_search.verify_sharp_set = lambda *args, **kwargs: False
 checks["sharp"] = lambda: sharp_search.find_sharp_set(enumeration_from_elements(1, [(0,)]))
-certify._run_m22 = lambda **kwargs: certify.VerificationReport("m22", "family", None, {1: 1}, False, "inconclusive")
-checks["m23"] = lambda: certify.run_case("m23")
+
+
+def m22_census():  # the orbit of C loses one member
+    set_orbit = certify.set_orbit
+    certify.set_orbit = lambda *args, **kwargs: set_orbit(*args, **kwargs)[:-1]
+    try:
+        certify.run_case("m22")
+    finally:
+        certify.set_orbit = set_orbit
+
+
+def m23():  # the m22 case it rests on does not refute; the patch stays in place
+    certify._run_m22 = lambda **kwargs: certify.VerificationReport("m22", "family", None, {1: 1}, False, "inconclusive")
+    certify.run_case("m23")
+
+
+checks["m22_census"] = m22_census
+checks["m23"] = m23
 certify.verify_certificate_enumerated = lambda G, cert, case="": certify.VerificationReport(
     case, "enumerated", cert, {1: 1}, True, "inconclusive"
 )
@@ -333,14 +358,14 @@ def test_guards_survive_python_O():
         check=True,
     )
     assert out.stdout.split() == [
-        "report", "mod_p", "rational", "integer", "nonneg", "sharp", "m23", "sp_enumerated", "sp_census"
+        "report", "mod_p", "rational", "integer", "nonneg", "sharp", "m22_census", "m23", "sp_enumerated", "sp_census"
     ]
 
 
 def test_certificate_validation():
     with pytest.raises(ValueError):
-        Certificate(0, 0b1, 2, "enumerated-group", 4)  # empty B
+        Certificate(0, 0b1, 2, 4)  # empty B
     with pytest.raises(ValueError):
-        Certificate(0b1, 0b1, 4, "enumerated-group", 4)  # composite p
+        Certificate(0b1, 0b1, 4, 4)  # composite p
     with pytest.raises(ValueError):
-        Certificate(0b1, 0b1, 1, "enumerated-group", 4)  # unit p
+        Certificate(0b1, 0b1, 1, 4)  # unit p

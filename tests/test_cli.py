@@ -196,6 +196,25 @@ def test_bad_flags_exit_2(tmp_path, capsys):
             assert (code, report) == (2, None), argv
             err = capsys.readouterr().err
             assert err.startswith("malformed group file:") and err.count("\n") == 1, err
+    # values that parse but are out of range, and a group file whose order
+    # line disagrees with its generator
+    order_mismatch = tmp_path / "order.grp"
+    order_mismatch.write_text("n 3\norder 4\n1 2 0\n")
+    for argv in (
+        ["verify", "sp", "--n", "2", "--q", "3"],
+        ["verify", "sp", "--n", "1", "--q", "2"],
+        ["verify", "sp", "--n", "2", "--q", "4", "--modulus", "5"],
+        ["search-sharp", "--group", str(order_mismatch)],
+        ["linsys", "--group", c5, "--t", "9", "--ring", "z"],
+        ["search-sharp", "--group", c5, "--t", "0"],
+        ["linsys", "--group", c5, "--t", "0", "--ring", "z"],
+        ["design-check", "--v", "7", "--k", "3", "--lambda", "2"],
+        ["verify", "alt", "--n", "2"],
+    ):
+        code, report = run_cli(tmp_path, *argv)
+        assert (code, report) == (2, None), argv
+        err = capsys.readouterr().err
+        assert err.startswith("bad input:") and err.count("\n") == 1, err
 
 
 def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +175,64 @@ def test_polarization_identity_exhaustive():
             ^ geometry.quadric_value(sp, quad.delta, y)
         )
         assert lhs == geometry.symplectic_form(sp, x, y)
+
+
+MUTATED_QUADRIC = """
+import sys
+from sharpsets import geometry, gf
+from sharpsets.perm import InvariantViolation
+
+
+def mutated(space, delta, v):  # the cross term x_{2n-2} x_{2n-1} becomes x_{2n-2}^2
+    F = space.field
+    acc = 0
+    for i in range(0, space.dim - 2, 2):
+        acc ^= gf.mul(F, v[i], v[i + 1])
+    a, b = v[-2], v[-1]
+    return acc ^ gf.mul(F, a, a) ^ gf.mul(F, a, a) ^ gf.mul(F, delta, gf.mul(F, b, b))
+
+
+geometry.quadric_value = mutated
+for q in (2, 4):
+    space = geometry.symplectic_space(2, gf.field_for_q(q))
+    delta = next(a for a in space.field.elements() if gf.trace(space.field, a) == 1)
+    for check in (lambda: geometry.elliptic_quadric(space), lambda: geometry._check_polarization(space, delta)):
+        try:
+            check()
+        except InvariantViolation as exc:
+            print(q, type(exc).__name__)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_mutated_quadric_is_refused(flags):
+    # the point counts catch this mutant first; the F_2-basis polarization
+    # check must catch it on its own as well
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", MUTATED_QUADRIC],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["2 InvariantViolation"] * 2 + ["4 InvariantViolation"] * 2
+
+
+@pytest.mark.parametrize("n, q", [(2, 2), (3, 2), (2, 4)])
+def test_polarization_basis_check_agrees_with_all_pairs(n, q):
+    # reference: the identity the basis check certifies, on every pair of vectors
+    sp = space(n, q)
+    delta = geometry.elliptic_quadric(sp).delta
+    value = {v: geometry.quadric_value(sp, delta, v) for v in sp.vectors}
+    value[(0,) * sp.dim] = 0
+    for x in sp.vectors[:: 1 if q == 2 else 5]:
+        for y in sp.vectors:
+            assert value[sp.add(x, y)] ^ value[x] ^ value[y] == geometry.symplectic_form(sp, x, y)
+
+
+def test_unit_vectors():
+    sp = space(2, 4)
+    assert geometry.unit_vectors(sp)[:2] == [(1, 0, 0, 0), (0, 1, 0, 0)]
+    basis = geometry.unit_vectors(sp, [1, 2])
+    assert len(basis) == 8 and basis[:3] == [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)]

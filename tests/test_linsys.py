@@ -189,7 +189,7 @@ def test_mod_p_odd_matches_brute_force():
             nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 4)
             matrix = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
             rhs = [rng.randrange(p) for _ in range(nrows)]
-            system = ExactSystem("z", matrix, rhs, [f"x{j}" for j in range(ncols)], [f"e{i}" for i in range(nrows)])
+            system = ExactSystem("z", matrix, rhs)
             brute = any(
                 all(sum(a * x for a, x in zip(row, cand)) % p == b % p for row, b in zip(matrix, rhs))
                 for cand in itertools.product(range(p), repeat=ncols)
@@ -204,7 +204,7 @@ def test_mod_p_beyond_int64_products():
     for _ in range(5):
         matrix = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
         rhs = [rng.randrange(p) for _ in range(6)]
-        system = ExactSystem("z", matrix, rhs, [f"x{j}" for j in range(6)], [f"e{i}" for i in range(6)])
+        system = ExactSystem("z", matrix, rhs)
         out = solve_mod_p(system, p)
         assert out.status == "solvable" and out.notes["rank"] == 6
         assert verify_witness(system, out.witness, modulus=p)
@@ -238,14 +238,14 @@ def test_nullspaces_match_brute_force():
 
 
 def test_rational_half():
-    system = ExactSystem("q", [[2]], [1], ["x"], ["e0"])
+    system = ExactSystem("q", [[2]], [1])
     out = solve_rational(system)
     assert out.status == "solvable"
     assert out.witness == [Fraction(1, 2)]
 
 
 def test_rational_inconsistent():
-    system = ExactSystem("q", [[1], [1]], [0, 1], ["x"], ["e0", "e1"])
+    system = ExactSystem("q", [[1], [1]], [0, 1])
     assert solve_rational(system).status == "infeasible"
 
 
@@ -265,7 +265,7 @@ def test_rational_full_collapse_fast_path(c5, s3, s4, a4, fano_stabilizer):
 
 
 def test_integer_2x_eq_1():
-    system = ExactSystem("z", [[2]], [1], ["x"], ["e0"])
+    system = ExactSystem("z", [[2]], [1])
     assert solve_integer(system).status == "infeasible"
 
 
@@ -297,7 +297,7 @@ def test_integer_agrees_with_bounded_search():
             matrix[row] = [scale * a for a in matrix[row]]
             rhs = [rng.randrange(-10, 11) for _ in range(5)]
             rhs[row] = scale * rng.randrange(-5, 5) + rng.randrange(1, scale)
-        system = ExactSystem("z", matrix, rhs, [f"x{j}" for j in range(8)], [f"e{i}" for i in range(5)])
+        system = ExactSystem("z", matrix, rhs)
         out = solve_integer(system)
         boxed = bounded_solution_exists(matrix, rhs, 10)
         if out.status == "solvable":
@@ -316,7 +316,7 @@ def test_integer_witness_exactness():
         matrix = [[rng.randrange(-6, 7) for _ in range(ncols)] for _ in range(nrows)]
         x0 = [rng.randrange(-4, 5) for _ in range(ncols)]
         rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
-        system = ExactSystem("z", matrix, rhs, [f"x{j}" for j in range(ncols)], [f"e{i}" for i in range(nrows)])
+        system = ExactSystem("z", matrix, rhs)
         out = solve_integer(system)
         assert out.status == "solvable"
         assert verify_witness(system, out.witness)
@@ -333,7 +333,7 @@ def test_nonneg_c5(c5):
 
 
 def test_nonneg_forced_fraction_infeasible():
-    system = ExactSystem("znn", [[1, 1], [1, -1]], [1, 2], ["x", "y"], ["e0", "e1"])
+    system = ExactSystem("znn", [[1, 1], [1, -1]], [1, 2])
     assert solve_nonneg_integer(system).status == "infeasible"
 
 
@@ -354,7 +354,7 @@ def test_nonneg_agrees_with_exhaustive_enumeration():
             rhs_extra = [rng.randrange(-6, 7) for _ in range(3)]
         matrix = [[1] * 8] + extra_rows
         rhs = [total] + rhs_extra
-        system = ExactSystem("znn", matrix, rhs, [f"x{j}" for j in range(8)], [f"e{i}" for i in range(4)])
+        system = ExactSystem("znn", matrix, rhs)
         out = solve_nonneg_integer(system)
 
         def compositions(total, parts):
@@ -384,7 +384,7 @@ def test_nonneg_agrees_with_exhaustive_enumeration():
 
 
 def test_nonneg_budget_outcome():
-    system = ExactSystem("znn", [[2, -2]], [1], ["x", "y"], ["e0"])
+    system = ExactSystem("znn", [[2, -2]], [1])
     # rationally feasible (x = y + 1/2) but integrally hopeless; the budget
     # must cut the unbounded branching off explicitly
     out = solve_nonneg_integer(system, budget=10)
@@ -403,7 +403,7 @@ def test_ring_monotonicity(c5, c6, s3, s4):
     for _ in range(10):
         matrix = [[rng.randrange(-3, 4) for _ in range(4)] for _ in range(3)]
         rhs = [rng.randrange(-5, 6) for _ in range(3)]
-        systems.append(ExactSystem("z", matrix, rhs, list("wxyz"), ["a", "b", "c"]))
+        systems.append(ExactSystem("z", matrix, rhs))
     for system in systems:
         nn = solve_nonneg_integer(system).status
         zz = solve_integer(system).status
