@@ -19,8 +19,10 @@ from dataclasses import dataclass, field as dc_field
 
 from . import designs, geometry, gf, linsys
 from .perm import (
+    DEFAULT_ENUMERATION_CAP,
     GroupEnumeration,
     GroupSpec,
+    GroupTooLarge,
     Perm,
     apply_to_set,
     enumerate_group,
@@ -483,25 +485,34 @@ def _run_sp(
     orbit under the transvection generators and the Frobenius map. Every
     semilinear map preserving the form keeps nonsingular lines nonsingular,
     so an orbit as large as their census holds C^g for every g of the whole
-    group, whichever group the generators generate.
+    group, whichever group the generators generate. The orbit is built on
+    projective points and lifted for the vector action, which is exact:
+    linear and semilinear maps commute with the scalars.
     """
-    space = geometry.symplectic_space(n, gf.field_for_q(q, modulus))
+    if action not in ("projective", "vector"):
+        raise ValueError("action must be 'projective' or 'vector'")
+    fspec = gf.field_for_q(q, modulus)
+    census = geometry.nonsingular_line_count(n, q)
+    if census > DEFAULT_ENUMERATION_CAP:  # set_orbit would refuse it, after building everything
+        raise GroupTooLarge(f"sp({2 * n},{q}) has {census} nonsingular lines, past the cap of {DEFAULT_ENUMERATION_CAP}")
+    space = geometry.symplectic_space(n, fspec)
     quad = geometry.elliptic_quadric(space)
-    spec = geometry.symplectic_generators(space, action)
+    spec = geometry.symplectic_generators(space)
     e0, e1 = geometry.unit_vectors(space)[:2]
     line = geometry.line_through(space, e0, e1).points
-    if action == "projective":
-        b_set, c_set, domain = quad.projective_set, line, space.num_proj_points
-    else:
-        b_set, c_set, domain = quad.vector_set, geometry.vector_lift(space, line), space.num_vectors
-    family = set_orbit(spec.generators + (geometry.frobenius_point_map(space, action),), c_set)
-    census = geometry.nonsingular_line_count(n, q)
+    family = set_orbit(spec.generators + (geometry.frobenius_point_map(space),), line)
     expect(len(family) == census, f"the orbit of C has {len(family)} lines, the census {census}")
+    b_set, domain = quad.projective_set, space.num_proj_points
+    if action == "vector":
+        # c * (representative of each point), one map per scalar c != 0: a lifted set is their images' union
+        multiples = [tuple(space.vec_index[space.scale(c, rep)] for rep in space.proj_points) for c in range(1, q)]
+        family = [sum(apply_to_set(m, member) for m in multiples) for member in family]
+        b_set, domain = quad.vector_set, space.num_vectors
     case = f"sp(2n={2 * n},q={q},{action})"
     report = verify_certificate_family(
         family,
         b_set,
-        c_set,
+        family[0],
         2,
         domain=domain,
         closure_witness=(
@@ -512,9 +523,8 @@ def _run_sp(
         case=case,
     )
     if enumerate_group_flag:
-        G = enumerate_group(spec)
-        cert = Certificate(b_set, c_set, 2, domain)
-        enum_report = verify_certificate_enumerated(G, cert, case=case)
+        G = enumerate_group(geometry.symplectic_generators(space, action) if action == "vector" else spec)
+        enum_report = verify_certificate_enumerated(G, report.certificate, case=case)
         expect(enum_report.conclusion == report.conclusion, "the enumerated and orbit verdicts differ")
         report.notes["enumerated_order"] = G.order
         report.notes["enumerated_spectrum"] = {str(k): v for k, v in sorted(enum_report.spectrum.items())}

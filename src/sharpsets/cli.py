@@ -8,11 +8,15 @@ generators, each checked against a census. A completed run exits 0 whether
 the conclusion is refuted or inconclusive. Every bad value on the command
 line exits 2: bad flags through argparse, and a malformed group file, a
 group file whose order line disagrees with its generators, an unsupported
-`--n`, `--q`, `--modulus` or `--t`, or impossible design parameters with
-one stderr line and no report. A missing data file exits 3, and a group
-or orbit too large to enumerate 4, likewise. The quadric's polarization is
-checked on every pair of an F_2-basis, complete because both sides are
-biadditive, so sp (2,8), (3,4) and (5,2) run in seconds. A failed
+`--n`, `--q`, `--modulus`, `--t` or `--budget`, or impossible design
+parameters with one stderr line and no report. A missing data file exits
+3, and input refused for size 4, likewise: a group or orbit too large to
+enumerate, an sp case past the orbit cap, or a linear system past
+linsys.DENSE_CELL_CAP dense cells (systems are stored by column; only the
+odd-p, Q, Z and Z>=0 solvers and `--export-system` densify). The
+quadric's polarization is checked on every pair of an F_2-basis, complete
+because both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in
+seconds in both actions. A failed
 `selftest` check carries an `error` field and makes the run exit 1. Random
 probes take their seed from `--probe`; there is no `--seed` flag.
 """
@@ -218,7 +222,6 @@ def _cmd_linsys(args) -> dict:
         system = linsys.build_H_system(G, H)
     else:
         system = linsys.build_full_system(G.elements)
-    system.ring = args.ring
     if args.fpf or args.pin_identity:
         system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)
     if args.export_system:

@@ -8,6 +8,9 @@ of relaxations. Collapsing by a subgroup H (orbits of H on ordered pairs
 as equations, H-conjugacy class representatives as variables) yields the
 condensed system; with H trivial it reproduces the full one.
 
+Systems are stored by column: the full system is its elements' permutation
+matrices. Only the odd-p, Q and Hermite kernels and the export densify.
+
 All solver arithmetic is exact: bitmask vectors over F_2, machine integers
 under numpy for odd p (Python integers once (p-1)^2 no longer fits in
 int64), Fractions over Q and arbitrary-precision integers for the Hermite
@@ -17,6 +20,7 @@ elimination kernel, shared by its solver and its other users.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -26,6 +30,7 @@ import numpy as np
 
 from .perm import (
     GroupEnumeration,
+    GroupTooLarge,
     InvariantViolation,
     Perm,
     conjugation_reps,
@@ -42,26 +47,54 @@ UNKNOWN_BUDGET = "unknown-budget"
 
 @dataclass
 class ExactSystem:
-    """A x = b with exact integer coefficients; column_elements names the element of each column."""
+    """A x = b by column: columns[k] is {row: nonzero coefficient}, column_elements[k] its element."""
 
-    ring: str                          # informational tag: "f_p" / "q" / "z" / "znn"
-    matrix: list[list[int]]
+    columns: list[dict[int, int]]
     rhs: list[int]
     column_elements: list[Perm] | None = field(default=None, repr=False)
 
     @property
     def rows(self) -> int:
-        return len(self.matrix)
+        return len(self.rhs)
 
     @property
     def cols(self) -> int:
-        return len(self.matrix[0]) if self.matrix else 0
+        return len(self.columns)
 
     def __post_init__(self):
-        if len(self.rhs) != self.rows:
-            raise ValueError(f"{len(self.rhs)} right sides for {self.rows} rows")
-        if any(len(r) != self.cols for r in self.matrix):
-            raise ValueError("matrix rows differ in length")
+        if any(not 0 <= r < self.rows for col in self.columns for r in col):
+            raise ValueError(f"a column names a row outside 0..{self.rows - 1}")
+
+    @classmethod
+    def from_rows(cls, matrix: list[list[int]], rhs: list[int]) -> ExactSystem:
+        """The system with these dense rows, which must all have one length, one per right side."""
+        ncols = len(matrix[0]) if matrix else 0
+        if len(rhs) != len(matrix) or any(len(r) != ncols for r in matrix):
+            raise ValueError(f"rows of lengths {sorted({len(r) for r in matrix})} for {len(rhs)} right sides")
+        columns = [{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(ncols)]
+        return cls(columns, list(rhs))
+
+    def select(self, keep: list[int]) -> ExactSystem:
+        """The system on the columns in keep, in that order; the right side is copied."""
+        elements = [self.column_elements[k] for k in keep] if self.column_elements else None
+        return ExactSystem([self.columns[k] for k in keep], list(self.rhs), elements)
+
+
+DENSE_CELL_CAP = 1 << 23  # above the A7-on-pairs system (4.45M cells), below M22's (214M)
+
+
+def _dense(system: ExactSystem, convert=int, array=None):
+    """Rows of [A | b], entries through convert: lists, or the zero array(shape) filled in."""
+    shape = (system.rows, system.cols + 1)
+    if shape[0] * shape[1] > DENSE_CELL_CAP:
+        raise GroupTooLarge(f"a {shape[0]} x {shape[1]} dense array passes the cap of {DENSE_CELL_CAP} cells")
+    out = array(shape) if array else [[convert(0)] * shape[1] for _ in range(shape[0])]
+    for c, col in enumerate(system.columns):
+        for r, a in col.items():
+            out[r][c] = convert(a)
+    for r, b in enumerate(system.rhs):
+        out[r][-1] = convert(b)
+    return out
 
 
 @dataclass
@@ -78,15 +111,15 @@ class SolveOutcome:
 
 
 def verify_witness(system: ExactSystem, witness, modulus: int | None = None) -> bool:
-    """Exact substitution check; mod a prime when modulus is given."""
-    for row, b in zip(system.matrix, system.rhs):
-        acc = sum(a * x for a, x in zip(row, witness))
-        if modulus is None:
-            if acc != b:
-                return False
-        elif (acc - b) % modulus != 0:
-            return False
-    return True
+    """Exact substitution check; mod `modulus` when it is given."""
+    acc = [0] * system.rows
+    for col, x in zip(system.columns, witness):
+        if x:
+            for r, a in col.items():
+                acc[r] += a * x
+    if modulus is None:
+        return acc == list(system.rhs)
+    return all((a - b) % modulus == 0 for a, b in zip(acc, system.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +129,8 @@ def verify_witness(system: ExactSystem, witness, modulus: int | None = None) -> 
 def build_full_system(elements: list[Perm]) -> ExactSystem:
     """One equation per ordered pair of points, one variable per element."""
     n = len(elements[0])
-    ncols = len(elements)
-    matrix = [[0] * ncols for _ in range(n * n)]
-    for k, g in enumerate(elements):
-        for i in range(n):
-            matrix[i * n + g[i]][k] = 1
-    return ExactSystem("z", matrix, [1] * (n * n), list(elements))
+    columns = [{i * n + g[i]: 1 for i in range(n)} for g in elements]
+    return ExactSystem(columns, [1] * (n * n), list(elements))
 
 
 def build_H_system(G: GroupEnumeration, H: GroupEnumeration, check_samples: int = 3) -> ExactSystem:
@@ -122,15 +151,13 @@ def build_H_system(G: GroupEnumeration, H: GroupEnumeration, check_samples: int 
     def a_of(g: Perm) -> list[int]:
         return [sum(1 for (x, y) in orb if g[x] == y) for orb in orbits]
 
-    matrix_cols = []
+    columns = []
     for rep, members in zip(classes.reps, classes.classes):
         col = a_of(rep)
         for other in members[1:check_samples + 1]:
             expect(a_of(other) == col, "coefficient not constant on a conjugation class")
-        matrix_cols.append(col)
-    nrows = len(orbits)
-    matrix = [[matrix_cols[c][r] for c in range(len(matrix_cols))] for r in range(nrows)]
-    return ExactSystem("z", matrix, [len(orb) for orb in orbits], list(classes.reps))
+        columns.append({r: a for r, a in enumerate(col) if a})
+    return ExactSystem(columns, [len(orb) for orb in orbits], list(classes.reps))
 
 
 def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSystem:
@@ -141,30 +168,24 @@ def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSys
     """
     if system.column_elements is None:
         raise ValueError("system carries no column elements")
-    n = len(system.column_elements[0])
-    ident = identity(n)
-    keep = [
-        k
-        for k, g in enumerate(system.column_elements)
-        if g == ident or is_fixed_point_free(g)
-    ]
-    rhs = list(system.rhs)
-    if pin_identity:
-        id_cols = [k for k in keep if system.column_elements[k] == ident]
-        for k in id_cols:
-            for r in range(system.rows):
-                rhs[r] -= system.matrix[r][k]
-        keep = [k for k in keep if k not in id_cols]
-    matrix = [[system.matrix[r][k] for k in keep] for r in range(system.rows)]
-    return ExactSystem(system.ring, matrix, rhs, [system.column_elements[k] for k in keep])
+    elements = system.column_elements
+    ident = identity(len(elements[0]))
+    keep = [k for k, g in enumerate(elements) if g == ident or is_fixed_point_free(g)]
+    pinned = [k for k in keep if pin_identity and elements[k] == ident]
+    restricted = system.select([k for k in keep if k not in pinned])
+    for k in pinned:
+        for r, a in system.columns[k].items():
+            restricted.rhs[r] -= a
+    return restricted
 
 
 def dump_system(system: ExactSystem, path) -> None:
     """Textual dump: 'rows cols', then the matrix rows, then the right side."""
+    rows = _dense(system)
     with open(path, "w") as fh:
         fh.write(f"{system.rows} {system.cols}\n")
-        for row in system.matrix:
-            fh.write(" ".join(str(a) for a in row) + "\n")
+        for row in rows:
+            fh.write(" ".join(str(a) for a in row[:-1]) + "\n")
         fh.write(" ".join(str(b) for b in system.rhs) + "\n")
 
 
@@ -219,8 +240,9 @@ def _solve_mod_2(system: ExactSystem) -> SolveOutcome:
         return SolveOutcome(SOLVABLE, [0] * ncols, {"early_exit_col": -1})
     basis: dict[int, tuple[int, int]] = {}
     res_combo = 0
-    for c, column in enumerate(zip(*system.matrix)):
-        v, combo = _reduce_mod_2(basis, _bitmask(column), 1 << c)
+    for c, column in enumerate(system.columns):
+        mask = sum(1 << r for r, a in column.items() if a & 1)
+        v, combo = _reduce_mod_2(basis, mask, 1 << c)
         if v:
             basis[v.bit_length() - 1] = (v, combo)
             # fold the new basis vector into the reduced residual
@@ -248,10 +270,10 @@ def nullspace_mod_2(rows: list[int], ncols: int) -> list[int]:
     return null[::-1]
 
 
-def _mod_p_array(matrix, p: int) -> np.ndarray:
-    """Matrix entries reduced mod p: int64 while (p-1)^2 fits, else Python ints."""
+def _mod_p_array(system: ExactSystem, p: int) -> np.ndarray:
+    """[A | b] reduced mod p: int64 while (p-1)^2 fits, else Python ints."""
     dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    return np.array(matrix, dtype=dtype) % p
+    return _dense(system, lambda x: x % p, lambda shape: np.zeros(shape, dtype=dtype))
 
 
 def _rref_mod_p(a: np.ndarray, p: int, ncols: int) -> list[int]:
@@ -281,9 +303,7 @@ def _rref_mod_p(a: np.ndarray, p: int, ncols: int) -> list[int]:
 
 
 def _solve_mod_odd(system: ExactSystem, p: int) -> SolveOutcome:
-    a = _mod_p_array(system.matrix, p)
-    b = _mod_p_array(system.rhs, p)
-    aug = np.concatenate([a, b[:, None]], axis=1)
+    aug = _mod_p_array(system, p)
     ncols = system.cols
     pivots = _rref_mod_p(aug, p, ncols)
     r = len(pivots)
@@ -297,8 +317,8 @@ def _solve_mod_odd(system: ExactSystem, p: int) -> SolveOutcome:
 
 def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
     """Basis of {v : M v = 0 (mod p)}, one vector per free column in increasing order."""
-    a = _mod_p_array(matrix, p)
-    ncols = a.shape[1]
+    a = _mod_p_array(ExactSystem.from_rows(matrix, [0] * len(matrix)), p)
+    ncols = a.shape[1] - 1
     pivots = _rref_mod_p(a, p, ncols)
     basis = []
     for f in sorted(set(range(ncols)) - set(pivots)):
@@ -317,7 +337,7 @@ def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
 def _rref_rational(system: ExactSystem):
     """Gauss-Jordan of [A | b] over Q: (nonzero rows, pivots), rows None if inconsistent."""
     nrows, ncols = system.rows, system.cols
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(system.matrix, system.rhs)]
+    aug = _dense(system, Fraction)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -374,16 +394,17 @@ def solve_integer(system: ExactSystem) -> SolveOutcome:
         pre = solve_mod_p(system, 2)
         if pre.status == INFEASIBLE:
             return SolveOutcome(INFEASIBLE, None, {"prescreen": "mod-2 infeasible"})
-    status, witness, notes = _hermite_solve(system.matrix, system.rhs)
+    status, witness, notes = _hermite_solve(system)
     if status == SOLVABLE and not verify_witness(system, witness):
         raise InvariantViolation("integer witness fails substitution")
     return SolveOutcome(status, witness, notes)
 
 
-def _hermite_solve(matrix: list[list[int]], rhs: list[int]):
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if matrix else 0
-    cols = [[matrix[i][j] for i in range(nrows)] for j in range(ncols)]
+def _hermite_solve(system: ExactSystem):
+    nrows, ncols, rhs = system.rows, system.cols, system.rhs
+    if ncols * (nrows + ncols) > DENSE_CELL_CAP:
+        raise GroupTooLarge(f"a {nrows} x {ncols} Hermite staircase and its U pass the cap of {DENSE_CELL_CAP} cells")
+    cols = [[col.get(i, 0) for i in range(nrows)] for col in system.columns]
     u = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]  # u[j] tracks column j
     pivot_of: list[tuple[int, int]] = []  # (row, staircase column)
     r = 0
@@ -583,12 +604,7 @@ def random_restriction_probe(
     rng = random.Random(seed)
     for trial in range(trials):
         chosen = sorted(rng.sample(range(system.cols), keep))
-        sub = ExactSystem(
-            system.ring,
-            [[row[j] for j in chosen] for row in system.matrix],
-            list(system.rhs),
-            [system.column_elements[j] for j in chosen] if system.column_elements else None,
-        )
+        sub = system.select(chosen)
         outcome = solve_nonneg_integer(sub) if nonneg else solve_integer(sub)
         if outcome.status == SOLVABLE:
             full = [0] * system.cols
@@ -609,9 +625,6 @@ def lemma_down_check(G: GroupEnumeration, U: GroupEnumeration, V: GroupEnumerati
     for u in U.elements:
         if u not in V.index():
             raise ValueError("U is not contained in V")
-    for v in V.elements:
-        if v not in G.index():
-            raise ValueError("V is not contained in G")
     sys_u = build_H_system(G, U)
     sys_v = build_H_system(G, V)
     out_u = solve_integer(sys_u)
@@ -626,26 +639,15 @@ def lemma_down_check(G: GroupEnumeration, U: GroupEnumeration, V: GroupEnumerati
     }
 
 
-def _coprime(a: int, b: int) -> bool:
-    while b:
-        a, b = b, a % b
-    return a == 1
-
-
 EXHAUSTIVE_MOD_CAP = 65_536
 
 
 def _solvable_mod_m(system: ExactSystem, m: int) -> str:
     """Exhaustive search over (Z/m)^cols; 'skipped' when the space is too big."""
-    import itertools as it
-
     if m ** system.cols > EXHAUSTIVE_MOD_CAP:
         return "skipped"
-    for cand in it.product(range(m), repeat=system.cols):
-        if all(
-            (sum(a * x for a, x in zip(row, cand)) - b) % m == 0
-            for row, b in zip(system.matrix, system.rhs)
-        ):
+    for cand in itertools.product(range(m), repeat=system.cols):
+        if verify_witness(system, cand, modulus=m):
             return SOLVABLE
     return INFEASIBLE
 
@@ -665,7 +667,7 @@ def local_global_check(G: GroupEnumeration, subgroup_by_prime: dict[int, GroupEn
     all_solvable = True
     lift_ok = True
     for p, H in sorted(subgroup_by_prime.items()):
-        if not _coprime(H.order, p):
+        if math.gcd(H.order, p) != 1:
             raise ValueError(f"subgroup of order {H.order} is not a {p}'-subgroup")
         sys_h = build_H_system(G, H)
         out_h = solve_integer(sys_h)

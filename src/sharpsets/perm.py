@@ -19,7 +19,7 @@ class DegreeMismatch(ValueError):
 
 
 class GroupTooLarge(RuntimeError):
-    """Enumeration of a group or an orbit passed its cap; nothing truncated is returned."""
+    """Refused for size: a group, an orbit or a dense array would pass its cap; nothing truncated is returned."""
 
 
 class InvariantViolation(AssertionError):

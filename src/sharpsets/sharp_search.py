@@ -66,8 +66,11 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     Columns are picked by minimum remaining candidate count (ties broken by
     column index) and candidate rows are tried in index order, so the search
     and any witness it returns are deterministic. The node budget makes the
-    cutoff machine independent; exhaustion is reported explicitly.
+    cutoff machine independent; exhaustion is reported explicitly. A
+    budget below 1 is refused: no search could run under it.
     """
+    if budget < 1:
+        raise ValueError(f"budget {budget} is below 1")
     if t == 1:
         elements = G.elements
     else:

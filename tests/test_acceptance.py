@@ -147,7 +147,7 @@ def test_criterion_7_integer_solvers():
             matrix[row] = [scale * a for a in matrix[row]]
             rhs = [rng.randrange(-10, 11) for _ in range(5)]
             rhs[row] = scale * rng.randrange(-5, 5) + rng.randrange(1, scale)
-        system = linsys.ExactSystem("z", matrix, rhs)
+        system = linsys.ExactSystem.from_rows(matrix, rhs)
         out = linsys.solve_integer(system)
         boxed = bounded_solution_exists(matrix, rhs, 10)
         ok &= (out.status == "solvable") == boxed
@@ -164,7 +164,7 @@ def test_criterion_7_integer_solvers():
             rhs_extra = [sum(a * x for a, x in zip(row, x0)) for row in extra]
         else:
             rhs_extra = [rng.randrange(-6, 7) for _ in range(3)]
-        system = linsys.ExactSystem("znn", [[1] * 8] + extra, [total] + rhs_extra)
+        system = linsys.ExactSystem.from_rows([[1] * 8] + extra, [total] + rhs_extra)
         out = linsys.solve_nonneg_integer(system)
 
         def compositions(left, parts):
@@ -206,7 +206,7 @@ def test_criterion_8_collapsed_systems():
         for H in subgroups[name]:
             system = linsys.build_H_system(G, H)  # class constancy asserted inside
             for c in range(system.cols):
-                ok &= sum(system.matrix[r][c] for r in range(system.rows)) == G.degree
+                ok &= sum(system.columns[c].values()) == G.degree
             ok &= sum(system.rhs) == G.degree**2
     one3 = perm.GroupEnumeration(3, [perm.identity(3)], "1")
     one4 = perm.GroupEnumeration(4, [perm.identity(4)], "1")

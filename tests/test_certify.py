@@ -297,7 +297,7 @@ checks = {
         "x", "enumerated", certify.Certificate(1, 1, 2, 4), {1: 4}, True, "refuted"
     ),
 }
-one = linsys.ExactSystem("z", [[1]], [1])
+one = linsys.ExactSystem.from_rows([[1]], [1])
 linsys.verify_witness = lambda *args, **kwargs: False
 checks["mod_p"] = lambda: linsys.solve_mod_p(one, 3)
 checks["rational"] = lambda: linsys.solve_rational(one)

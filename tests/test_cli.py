@@ -207,6 +207,8 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["search-sharp", "--group", str(order_mismatch)],
         ["linsys", "--group", c5, "--t", "9", "--ring", "z"],
         ["search-sharp", "--group", c5, "--t", "0"],
+        ["search-sharp", "--group", c5, "--budget", "0"],
+        ["search-sharp", "--group", c5, "--budget", "-1"],
         ["linsys", "--group", c5, "--t", "0", "--ring", "z"],
         ["design-check", "--v", "7", "--k", "3", "--lambda", "2"],
         ["verify", "alt", "--n", "2"],
@@ -229,6 +231,52 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
     assert report is None
     err = capsys.readouterr().err
     assert err.startswith("refused for size") and "cap of 5000" in err and err.count("\n") == 1
+
+
+def test_dense_cap_refuses_before_allocating(tmp_path, monkeypatch, capsys):
+    # only the solvers that eliminate by rows, and the export, densify; F_2 works on the columns
+    from sharpsets import linsys
+
+    monkeypatch.setattr(linsys, "DENSE_CELL_CAP", 100)
+    c5 = str(shipped_group_path("c5"))
+    for argv in (
+        ["--ring", "q"],
+        ["--ring", "znn"],
+        ["--ring", "z"],
+        ["--ring", "f_p", "--p", "3"],
+        ["--ring", "f_p", "--p", "2", "--export-system", str(tmp_path / "c5.sys")],
+    ):
+        code, report = run_cli(tmp_path, "linsys", "--group", c5, *argv)
+        assert (code, report) == (4, None), argv
+        err = capsys.readouterr().err
+        assert err.startswith("refused for size") and "cap of 100 cells" in err and err.count("\n") == 1, err
+    code, report = run_cli(tmp_path, "linsys", "--group", c5, "--ring", "f_p", "--p", "2")
+    assert code == 0 and report["status"] == "solvable"
+
+
+def test_sp_past_the_orbit_cap_is_refused_at_once(tmp_path, capsys):
+    import time
+
+    for n, q in ((7, 2), (2, 64)):
+        start = time.perf_counter()
+        code, report = run_cli(tmp_path, "verify", "sp", "--n", str(n), "--q", str(q))
+        assert (code, report) == (4, None)
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("refused for size") and "nonsingular lines" in err
+
+
+def test_export_system_format(tmp_path):
+    # c5 is generated by i -> i+1, so its k-th element maps i to i+k; the
+    # row of pair (i, j) holds a 1 in column k exactly when j = i + k mod 5
+    c5 = str(shipped_group_path("c5"))
+    for flags, ks in (([], range(5)), (["--fpf", "--pin-identity"], range(1, 5))):
+        path = tmp_path / "c5.sys"
+        code, _ = run_cli(tmp_path, "linsys", "--group", c5, "--ring", "q", *flags, "--export-system", str(path))
+        assert code == 0
+        rows = [" ".join("1" if (i + k) % 5 == j else "0" for k in ks) for i in range(5) for j in range(5)]
+        rhs = " ".join("0" if flags and i == j else "1" for i in range(5) for j in range(5))
+        assert path.read_text() == "\n".join([f"25 {len(ks)}", *rows, rhs]) + "\n"
 
 
 def test_reports_byte_identical_modulo_timing(tmp_path):

@@ -63,6 +63,30 @@ def test_full_system_c3():
     assert verify_witness(system, [1, 1, 1])
 
 
+def test_full_system_columns_are_permutation_matrices(s4, a6):
+    from sharpsets.sharp_search import build_cover_instance
+
+    _, a6_pairs = induced_action(a6, 2)
+    for enum in (s4, a6_pairs):
+        n = enum.degree
+        system = build_full_system(enum.elements)
+        cover = build_cover_instance(enum.elements)
+        for g, column, cover_row in zip(enum.elements, system.columns, cover.rows):
+            assert column == {i * n + g[i]: 1 for i in range(n)}
+            assert sum(1 << r for r in column) == cover_row
+
+
+def test_system_shape_checks():
+    with pytest.raises(ValueError):
+        ExactSystem.from_rows([[1, 0], [1]], [1, 1])
+    with pytest.raises(ValueError):
+        ExactSystem.from_rows([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError):
+        ExactSystem([{0: 1}, {2: 1}], [1, 1])
+    system = ExactSystem.from_rows([[2, 0], [0, -1]], [1, 1])
+    assert (system.rows, system.cols, system.columns) == (2, 2, [{0: 2}, {1: -1}])
+
+
 def test_full_system_sizes_a6_pairs(a6):
     _, induced = induced_action(a6, 2)
     system = build_full_system(induced.elements)
@@ -81,7 +105,7 @@ def test_H_system_trivial_subgroup_equals_full(s3):
     one = perm.GroupEnumeration(3, [identity(3)], "1")
     collapsed = build_H_system(s3, one)
     full = build_full_system(s3.elements)
-    assert collapsed.matrix == full.matrix
+    assert collapsed.columns == full.columns
     assert collapsed.rhs == full.rhs
 
 
@@ -90,7 +114,7 @@ def test_H_system_s3_with_c2(s3):
     system = build_H_system(s3, h)
     assert sum(system.rhs) == 9
     for c in range(system.cols):
-        assert sum(system.matrix[r][c] for r in range(system.rows)) == 3
+        assert sum(system.columns[c].values()) == 3
 
 
 def test_H_system_row_sums_are_degree(s4):
@@ -98,7 +122,7 @@ def test_H_system_row_sums_are_degree(s4):
     system = build_H_system(s4, h)
     assert sum(system.rhs) == 16
     for c in range(system.cols):
-        assert sum(system.matrix[r][c] for r in range(system.rows)) == 4
+        assert sum(system.columns[c].values()) == 4
 
 
 def test_H_system_requires_containment(s3, s4):
@@ -189,7 +213,7 @@ def test_mod_p_odd_matches_brute_force():
             nrows, ncols = rng.randrange(1, 4), rng.randrange(1, 4)
             matrix = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
             rhs = [rng.randrange(p) for _ in range(nrows)]
-            system = ExactSystem("z", matrix, rhs)
+            system = ExactSystem.from_rows(matrix, rhs)
             brute = any(
                 all(sum(a * x for a, x in zip(row, cand)) % p == b % p for row, b in zip(matrix, rhs))
                 for cand in itertools.product(range(p), repeat=ncols)
@@ -204,7 +228,7 @@ def test_mod_p_beyond_int64_products():
     for _ in range(5):
         matrix = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
         rhs = [rng.randrange(p) for _ in range(6)]
-        system = ExactSystem("z", matrix, rhs)
+        system = ExactSystem.from_rows(matrix, rhs)
         out = solve_mod_p(system, p)
         assert out.status == "solvable" and out.notes["rank"] == 6
         assert verify_witness(system, out.witness, modulus=p)
@@ -238,14 +262,14 @@ def test_nullspaces_match_brute_force():
 
 
 def test_rational_half():
-    system = ExactSystem("q", [[2]], [1])
+    system = ExactSystem.from_rows([[2]], [1])
     out = solve_rational(system)
     assert out.status == "solvable"
     assert out.witness == [Fraction(1, 2)]
 
 
 def test_rational_inconsistent():
-    system = ExactSystem("q", [[1], [1]], [0, 1])
+    system = ExactSystem.from_rows([[1], [1]], [0, 1])
     assert solve_rational(system).status == "infeasible"
 
 
@@ -265,7 +289,7 @@ def test_rational_full_collapse_fast_path(c5, s3, s4, a4, fano_stabilizer):
 
 
 def test_integer_2x_eq_1():
-    system = ExactSystem("z", [[2]], [1])
+    system = ExactSystem.from_rows([[2]], [1])
     assert solve_integer(system).status == "infeasible"
 
 
@@ -297,7 +321,7 @@ def test_integer_agrees_with_bounded_search():
             matrix[row] = [scale * a for a in matrix[row]]
             rhs = [rng.randrange(-10, 11) for _ in range(5)]
             rhs[row] = scale * rng.randrange(-5, 5) + rng.randrange(1, scale)
-        system = ExactSystem("z", matrix, rhs)
+        system = ExactSystem.from_rows(matrix, rhs)
         out = solve_integer(system)
         boxed = bounded_solution_exists(matrix, rhs, 10)
         if out.status == "solvable":
@@ -316,7 +340,7 @@ def test_integer_witness_exactness():
         matrix = [[rng.randrange(-6, 7) for _ in range(ncols)] for _ in range(nrows)]
         x0 = [rng.randrange(-4, 5) for _ in range(ncols)]
         rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
-        system = ExactSystem("z", matrix, rhs)
+        system = ExactSystem.from_rows(matrix, rhs)
         out = solve_integer(system)
         assert out.status == "solvable"
         assert verify_witness(system, out.witness)
@@ -333,7 +357,7 @@ def test_nonneg_c5(c5):
 
 
 def test_nonneg_forced_fraction_infeasible():
-    system = ExactSystem("znn", [[1, 1], [1, -1]], [1, 2])
+    system = ExactSystem.from_rows([[1, 1], [1, -1]], [1, 2])
     assert solve_nonneg_integer(system).status == "infeasible"
 
 
@@ -354,7 +378,7 @@ def test_nonneg_agrees_with_exhaustive_enumeration():
             rhs_extra = [rng.randrange(-6, 7) for _ in range(3)]
         matrix = [[1] * 8] + extra_rows
         rhs = [total] + rhs_extra
-        system = ExactSystem("znn", matrix, rhs)
+        system = ExactSystem.from_rows(matrix, rhs)
         out = solve_nonneg_integer(system)
 
         def compositions(total, parts):
@@ -384,7 +408,7 @@ def test_nonneg_agrees_with_exhaustive_enumeration():
 
 
 def test_nonneg_budget_outcome():
-    system = ExactSystem("znn", [[2, -2]], [1])
+    system = ExactSystem.from_rows([[2, -2]], [1])
     # rationally feasible (x = y + 1/2) but integrally hopeless; the budget
     # must cut the unbounded branching off explicitly
     out = solve_nonneg_integer(system, budget=10)
@@ -403,7 +427,7 @@ def test_ring_monotonicity(c5, c6, s3, s4):
     for _ in range(10):
         matrix = [[rng.randrange(-3, 4) for _ in range(4)] for _ in range(3)]
         rhs = [rng.randrange(-5, 6) for _ in range(3)]
-        systems.append(ExactSystem("z", matrix, rhs))
+        systems.append(ExactSystem.from_rows(matrix, rhs))
     for system in systems:
         nn = solve_nonneg_integer(system).status
         zz = solve_integer(system).status
