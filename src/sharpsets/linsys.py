@@ -9,13 +9,15 @@ as equations, H-conjugacy class representatives as variables) yields the
 condensed system; with H trivial it reproduces the full one.
 
 Systems are stored by column: the full system is its elements' permutation
-matrices. Only the odd-p, Q and Hermite kernels and the export densify.
+matrices. Only the odd-p and Hermite kernels and the export densify; Q and
+Z>=0 work on sparse rows, whose fill-in the dense cap still bounds.
 
 All solver arithmetic is exact: bitmask vectors over F_2, machine integers
 under numpy for odd p (Python integers once (p-1)^2 no longer fits in
 int64), Fractions over Q and arbitrary-precision integers for the Hermite
 normal form over Z. Floating point is never used. Each field has one
-elimination kernel, shared by its solver and its other users.
+elimination kernel, shared by its solver and its other users: over Q one
+sparse pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 """
 
 from __future__ import annotations
@@ -83,11 +85,15 @@ class ExactSystem:
 DENSE_CELL_CAP = 1 << 23  # above the A7-on-pairs system (4.45M cells), below M22's (214M)
 
 
+def _check_cap(shape: tuple[int, int], what: str) -> None:
+    if shape[0] * shape[1] > DENSE_CELL_CAP:
+        raise GroupTooLarge(f"a {shape[0]} x {shape[1]} {what} passes the cap of {DENSE_CELL_CAP} cells")
+
+
 def _dense(system: ExactSystem, convert=int, array=None):
     """Rows of [A | b], entries through convert: lists, or the zero array(shape) filled in."""
     shape = (system.rows, system.cols + 1)
-    if shape[0] * shape[1] > DENSE_CELL_CAP:
-        raise GroupTooLarge(f"a {shape[0]} x {shape[1]} dense array passes the cap of {DENSE_CELL_CAP} cells")
+    _check_cap(shape, "dense array")
     out = array(shape) if array else [[convert(0)] * shape[1] for _ in range(shape[0])]
     for c, col in enumerate(system.columns):
         for r, a in col.items():
@@ -331,33 +337,57 @@ def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Q
+# Q: sparse Fraction rows, one pivot step shared by Gauss-Jordan and the phase-1 simplex
+
+
+RHS = -1  # the key of the right side in a sparse row
+
+
+def _pivot(rows: list[dict], r: int, c: int) -> None:
+    """Scale rows[r] to 1 at column c and clear c from the other rows, updating only those that hold c.
+
+    Rows are {col: Fraction} dicts, the right side under RHS; an update that
+    reaches 0 drops the entry, and a zero pivot row entry changes nothing.
+    """
+    prow = rows[r]
+    inv = 1 / prow[c]
+    if inv != 1:
+        for k in prow:
+            prow[k] *= inv
+    for row in rows:
+        if row is not prow and row.get(c):
+            f = row[c]
+            for k, v in prow.items():
+                if x := row.get(k, 0) - f * v:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
 
 
 def _rref_rational(system: ExactSystem):
-    """Gauss-Jordan of [A | b] over Q: (nonzero rows, pivots), rows None if inconsistent."""
-    nrows, ncols = system.rows, system.cols
-    aug = _dense(system, Fraction)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+    """Gauss-Jordan of [A | b] over Q: (sparse rows, pivots), rows None if inconsistent.
+
+    rows[i] has its leading 1 at pivots[i]. The reduced row echelon form is
+    unique, so a column may pivot on any row holding it; the sparsest keeps
+    fill-in low. Fill-in can reach every cell, so the dense cap applies.
+    """
+    _check_cap((system.rows, system.cols + 1), "rational elimination")
+    rows = [{RHS: Fraction(b)} if b else {} for b in system.rhs]
+    for c, col in enumerate(system.columns):
+        for r, a in col.items():
+            rows[r][c] = Fraction(a)
+    free = set(range(system.rows))
+    pivots, order = [], []
+    for c in range(system.cols):
+        if candidates := [i for i in free if rows[i].get(c)]:
+            r = min(candidates, key=lambda i: (len(rows[i]), i))
+            _pivot(rows, r, c)
+            free.remove(r)
+            pivots.append(c)
+            order.append(r)
+    if any(RHS in rows[i] for i in free):
         return None, pivots
-    return aug[:r], pivots
+    return [rows[i] for i in order], pivots
 
 
 def solve_rational(system: ExactSystem) -> SolveOutcome:
@@ -367,7 +397,7 @@ def solve_rational(system: ExactSystem) -> SolveOutcome:
         return SolveOutcome(INFEASIBLE, None, {"rank": len(pivots)})
     witness = [Fraction(0)] * system.cols
     for row, c in zip(rows, pivots):
-        witness[c] = row[-1]
+        witness[c] = row.get(RHS, Fraction(0))
     if not verify_witness(system, witness):
         raise InvariantViolation("rational witness fails substitution")
     return SolveOutcome(SOLVABLE, witness, {"rank": len(pivots)})
@@ -470,21 +500,21 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
     Branching is deterministic: the lowest-index fractional variable splits
     into the floor branch first, then the ceiling branch. The budget counts
     explored nodes; exceeding it returns unknown-budget rather than a guess.
+    notes.simplex_pivots counts the Bland pivots over all nodes.
     """
-    rows, _ = _rref_rational(system)
+    rows, pivots = _rref_rational(system)
     if rows is None:
-        return SolveOutcome(INFEASIBLE, None, {"stage": "rational-preprocessing"})
-    a = [row[:-1] for row in rows]
-    b = [row[-1] for row in rows]
+        return SolveOutcome(INFEASIBLE, None, {"stage": "rational-preprocessing", "simplex_pivots": 0})
     ncols = system.cols
     stack = [([Fraction(0)] * ncols, [None] * ncols)]
-    nodes = 0
+    nodes = steps = 0
     while stack:
         lo, hi = stack.pop()
         nodes += 1
         if nodes > budget:
-            return SolveOutcome(UNKNOWN_BUDGET, None, {"nodes": nodes})
-        point = _lp_feasible_point(a, b, lo, hi)
+            return SolveOutcome(UNKNOWN_BUDGET, None, {"nodes": nodes, "simplex_pivots": steps})
+        point, n = _lp_feasible_point(rows, pivots, lo, hi)
+        steps += n
         if point is None:
             continue
         frac_at = next((j for j, x in enumerate(point) if x.denominator != 1), None)
@@ -492,7 +522,7 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
             witness = [int(x) for x in point]
             if any(x < 0 for x in witness) or not verify_witness(system, witness):
                 raise InvariantViolation("non-negative integer witness fails its check")
-            return SolveOutcome(SOLVABLE, witness, {"nodes": nodes})
+            return SolveOutcome(SOLVABLE, witness, {"nodes": nodes, "simplex_pivots": steps})
         v = point[frac_at]
         floor_hi = list(hi)
         floor_hi[frac_at] = Fraction(int(v))  # floor: v is positive here
@@ -500,86 +530,52 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
         ceil_lo[frac_at] = Fraction(int(v) + 1)
         stack.append((ceil_lo, list(hi)))     # explored second
         stack.append((list(lo), floor_hi))    # floor branch first (LIFO)
-    return SolveOutcome(INFEASIBLE, None, {"nodes": nodes})
+    return SolveOutcome(INFEASIBLE, None, {"nodes": nodes, "simplex_pivots": steps})
 
 
-def _lp_feasible_point(a, b, lo, hi):
-    """Phase-1 simplex (Bland's rule, exact Fractions) for A x = b, lo <= x <= hi.
+def _lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
+    """Phase-1 simplex (Bland's rule, exact Fractions) for A x = b, lo <= x <= hi: (x or None, pivots made).
 
-    Returns a feasible x or None. Finite upper bounds become slack rows, so
-    the tableau only ever deals with variables bounded below by zero.
+    A x = b comes in reduced row echelon form, its pivot columns the start
+    basis. x is shifted by lo; a finite upper bound is a slack row x_j + s_j
+    = hi_j - lo_j, less x_j's basic row, so that s_j starts basic. Rows with
+    a negative right side are negated and get an artificial, which is never
+    stored as a column: once it leaves the basis it is dropped.
     """
-    nrows = len(a)
     ncols = len(lo)
-    shift = list(lo)
-    b2 = [bb - sum(ar[j] * shift[j] for j in range(ncols)) for ar, bb in zip(a, b)]
-    rows = [list(ar) for ar in a]
-    ub_rows = []
+    rows = [{**row, RHS: row.get(RHS, 0) - sum(a * lo[k] for k, a in row.items() if k != RHS)} for row in rref]
+    basis = list(pivots)
     for j in range(ncols):
         if hi[j] is not None:
-            cap = hi[j] - lo[j]
-            if cap < 0:
-                return None
-            ub_rows.append((j, cap))
-    m = nrows + len(ub_rows)
-    nslack = len(ub_rows)
-    width = ncols + nslack + m  # x, slacks, artificials
-    tab = []
-    rhs_col = []
-    for i in range(nrows):
-        row = rows[i] + [Fraction(0)] * nslack + [Fraction(0)] * m
-        rr = b2[i]
-        if rr < 0:
-            row = [-x for x in row]
-            rr = -rr
-        row[ncols + nslack + i] = Fraction(1)
-        tab.append(row)
-        rhs_col.append(rr)
-    for s, (j, cap) in enumerate(ub_rows):
-        row = [Fraction(0)] * width
-        row[j] = Fraction(1)
-        row[ncols + s] = Fraction(1)
-        row[ncols + nslack + nrows + s] = Fraction(1)
-        tab.append(row)
-        rhs_col.append(cap)
-    basis = [ncols + nslack + i for i in range(m)]
-    # objective: minimize the sum of artificials
-    cost = [Fraction(0)] * width
-    for k in range(ncols + nslack, width):
-        cost[k] = Fraction(1)
-    # reduced costs z_j - c_j under the artificial basis
-    obj = [sum(tab[i][j] for i in range(m)) - cost[j] for j in range(width)]
-    obj_val = sum(rhs_col)
-    while True:
-        enter = next((j for j in range(width) if obj[j] > 0), None)
-        if enter is None:
-            break
-        ratios = [
-            (rhs_col[i] / tab[i][enter], basis[i], i)
-            for i in range(m)
-            if tab[i][enter] > 0
-        ]
-        expect(bool(ratios), "phase-1 objective is bounded below, a ratio row must exist")
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        rhs_col[leave] /= piv
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-                rhs_col[i] -= f * rhs_col[leave]
-        f = obj[enter]
-        obj = [x - f * y for x, y in zip(obj, tab[leave])]
-        obj_val -= f * rhs_col[leave]
+            basis.append(ncols + len(rows))  # a slack, ranked after every x
+            rows.append({j: Fraction(1), ncols + len(rows): Fraction(1), RHS: hi[j] - lo[j]})
+    for i, j in enumerate(pivots):
+        if hi[j] is not None:
+            _pivot(rows, i, j)  # clears x_j from its slack row
+    m = len(rows)
+    obj = {}
+    for i, row in enumerate(rows):
+        if row.get(RHS, 0) < 0:
+            for k in row:
+                row[k] = -row[k]
+                obj[k] = obj.get(k, 0) + row[k]
+            basis[i] = ncols + m + i  # an artificial, ranked after every slack
+    rows.append(obj)
+    steps = 0
+    while (enter := min((k for k, a in obj.items() if k != RHS and a > 0), default=None)) is not None:
+        candidates = [i for i in range(m) if rows[i].get(enter, 0) > 0]
+        expect(bool(candidates), "phase-1 objective is bounded below, a ratio row must exist")
+        leave = min(candidates, key=lambda i: (rows[i].get(RHS, 0) / rows[i][enter], basis[i]))
+        _pivot(rows, leave, enter)
         basis[leave] = enter
-    if obj_val != 0:
-        return None
-    x = [Fraction(0)] * ncols
+        steps += 1
+    if obj.get(RHS):
+        return None, steps
+    x = list(lo)
     for i, var in enumerate(basis):
         if var < ncols:
-            x[var] = rhs_col[i]
-    return [xx + sh for xx, sh in zip(x, shift)]
+            x[var] += rows[i].get(RHS, 0)
+    return x, steps
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ class InvariantViolation(AssertionError):
 
 
 class GroupFileError(ValueError):
-    """A group file that does not describe permutations of its declared degree."""
+    """A group file that does not describe permutations of its declared degree, or a group of its declared order."""
 
 
 def expect(ok: bool, what: str) -> None:
@@ -129,6 +129,7 @@ class GroupSpec:
     generators: tuple[Perm, ...]
     name: str = ""
     declared_order: int | None = None
+    path: str = ""  # the group file it was read from, if any
 
     def __post_init__(self):
         if not self.generators:
@@ -170,8 +171,8 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
 
     Element order is the BFS insertion order, starting from the identity,
     with generators applied in their listed order; it is reproducible.
-    Raises GroupTooLarge once more than `cap` elements appear, and raises
-    ValueError if the file-declared order disagrees with the closure.
+    Raises GroupTooLarge once more than `cap` elements appear, and
+    GroupFileError naming the file if the declared order disagrees.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -188,8 +189,8 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
                 seen.add(nxt)
                 elements.append(nxt)
     if spec.declared_order is not None and spec.declared_order != len(elements):
-        raise ValueError(
-            f"{spec.name or 'group'}: declared order {spec.declared_order}, "
+        raise GroupFileError(
+            f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, "
             f"enumerated {len(elements)}"
         )
     return GroupEnumeration(spec.degree, elements, spec.name)
@@ -294,7 +295,7 @@ def induced_action(group, t: int):
     action = arrangements(group.degree, t)
     if isinstance(group, GroupSpec):
         gens = tuple(action.cell_perm(g) for g in group.generators)
-        out = GroupSpec(action.size, gens, f"{group.name}^({t})", group.declared_order)
+        out = GroupSpec(action.size, gens, f"{group.name}^({t})", group.declared_order, group.path)
     else:
         elems = [action.cell_perm(g) for g in group.elements]
         out = GroupEnumeration(action.size, elems, f"{group.name}^({t})")
@@ -377,7 +378,7 @@ def load_group(path) -> GroupSpec:
         if degree is None:
             raise ValueError("missing 'n <degree>' header")
         name = os.path.splitext(os.path.basename(str(path)))[0]
-        return GroupSpec(degree, tuple(gens), name, declared)
+        return GroupSpec(degree, tuple(gens), name, declared, str(path))
     except ValueError as exc:
         raise GroupFileError(f"{path}: {exc}") from exc
 

@@ -196,15 +196,17 @@ def test_bad_flags_exit_2(tmp_path, capsys):
             assert (code, report) == (2, None), argv
             err = capsys.readouterr().err
             assert err.startswith("malformed group file:") and err.count("\n") == 1, err
-    # values that parse but are out of range, and a group file whose order
-    # line disagrees with its generator
+    # a group file whose order line disagrees with its generator is malformed too, named by its path
     order_mismatch = tmp_path / "order.grp"
     order_mismatch.write_text("n 3\norder 4\n1 2 0\n")
+    code, report = run_cli(tmp_path, "search-sharp", "--group", str(order_mismatch))
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == f"malformed group file: {order_mismatch}: declared order 4, enumerated 3\n"
+    # values that parse but are out of range
     for argv in (
         ["verify", "sp", "--n", "2", "--q", "3"],
         ["verify", "sp", "--n", "1", "--q", "2"],
         ["verify", "sp", "--n", "2", "--q", "4", "--modulus", "5"],
-        ["search-sharp", "--group", str(order_mismatch)],
         ["linsys", "--group", c5, "--t", "9", "--ring", "z"],
         ["search-sharp", "--group", c5, "--t", "0"],
         ["search-sharp", "--group", c5, "--budget", "0"],

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from sharpsets.linsys import (
     verify_witness,
 )
 from sharpsets.perm import GroupSpec, enumerate_group, from_cycles, identity, induced_action
+from sharpsets.sharp_search import find_sharp_set, verify_sharp_set
 
 
 def bounded_solution_exists(matrix, rhs, bound):
@@ -50,6 +52,47 @@ def bounded_solution_exists(matrix, rhs, bound):
     left_keys = weights @ left
     right_keys = weights @ right
     return bool(np.isin(right_keys, left_keys).any())
+
+
+def dense_rref_rational(system):
+    """Dense Gauss-Jordan of [A | b] over Q, first nonzero row as pivot: the reference for the sparse kernel.
+
+    Returns (nonzero rows as Fraction lists, pivots), rows None if inconsistent.
+    """
+    nrows, ncols = system.rows, system.cols
+    aug = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+    for c, col in enumerate(system.columns):
+        for r, a in col.items():
+            aug[r][c] = Fraction(a)
+    for r, b in enumerate(system.rhs):
+        aug[r][ncols] = Fraction(b)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        sel = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nrows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    if any(aug[i][ncols] != 0 for i in range(r, nrows)):
+        return None, pivots
+    return aug[:r], pivots
+
+
+def sparse_rref_as_dense(system):
+    rows, pivots = linsys._rref_rational(system)
+    if rows is not None:
+        rows = [[row.get(c, 0) for c in range(system.cols)] + [row.get(linsys.RHS, 0)] for row in rows]
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +327,45 @@ def test_rational_full_collapse_fast_path(c5, s3, s4, a4, fano_stabilizer):
         assert direct == collapsed, enum.name
 
 
+def test_sparse_rref_matches_dense_reference():
+    # the reduced row echelon form is unique, so the sparse kernel, which
+    # pivots on the sparsest row, must return the reference's rows and pivots
+    rng = random.Random(606)
+    kinds = {"consistent": 0, "inconsistent": 0, "rank-deficient": 0, "zero-row": 0}
+    for trial in range(200):
+        nrows, ncols = rng.randrange(0, 7), rng.randrange(1, 7)
+        rank = rng.randrange(0, min(nrows, ncols) + 1)
+        basis = [[rng.randrange(-5, 6) for _ in range(ncols)] for _ in range(rank)]
+        matrix = [
+            [sum(rng.randrange(-2, 3) * v[c] for v in basis) for c in range(ncols)] for _ in range(nrows)
+        ]
+        if trial % 3 == 0:
+            rhs = [rng.randrange(-4, 5) for _ in range(nrows)]
+        else:
+            x0 = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(ncols)]
+            scale = math.lcm(*(x.denominator for x in x0))
+            matrix = [[scale * a for a in row] for row in matrix]
+            rhs = [int(sum(a * x for a, x in zip(row, x0))) for row in matrix]
+        if nrows:
+            matrix[rng.randrange(nrows)] = [0] * ncols  # a zero row, its right side kept
+        system = ExactSystem([{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(ncols)], rhs)
+        reference = dense_rref_rational(system)
+        assert sparse_rref_as_dense(system) == reference, trial
+        kinds["inconsistent" if reference[0] is None else "consistent"] += 1
+        kinds["rank-deficient"] += len(reference[1]) < min(nrows, ncols)
+        kinds["zero-row"] += nrows == 0 or (reference[0] is not None and len(reference[0]) < nrows)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_sparse_rref_matches_dense_reference_on_pairs(s4, s5):
+    for enum, rank in ((s4, None), (s5, 78)):
+        _, pairs = induced_action(enum, 2)
+        system = build_full_system(pairs.elements)
+        rows, pivots = sparse_rref_as_dense(system)
+        assert (rows, pivots) == dense_rref_rational(system)
+        assert rank is None or len(pivots) == rank
+
+
 # ---------------------------------------------------------------------------
 # Z solver
 
@@ -405,6 +487,44 @@ def test_nonneg_agrees_with_exhaustive_enumeration():
         else:
             infeasible += 1
     assert solvable >= 15 and infeasible >= 10
+
+
+@pytest.mark.parametrize("pin", [False, True])
+def test_nonneg_full_system_is_the_sharp_set_search(c5, c6, s3, s4, s5, pin):
+    # every x_g of a full system sits in a row whose right side is 1 (with the
+    # identity pinned: every fixed-point-free x_g), so each Z>=0 solution is
+    # 0/1 and its support a sharply transitive set: the two oracles agree
+    found = 0
+    for enum, t in itertools.product((c5, c6, s3, s4, s5), (1, 2)):
+        group = induced_action(enum, t)[1] if t > 1 else enum
+        system = build_full_system(group.elements)
+        if pin:
+            system = restrict_to_fpf(system, pin_identity=True)
+        out = solve_nonneg_integer(system)
+        search = find_sharp_set(enum, t)
+        assert (out.status == "solvable") == (search.status == "found"), (enum.name, t)
+        assert out.status in ("solvable", "infeasible") and out.notes["simplex_pivots"] >= 0
+        if out.status == "solvable":
+            assert set(out.witness) <= {0, 1}
+            support = [x for x, g in zip(out.witness, system.column_elements) if x]
+            chosen = [group.index()[g] for x, g in zip(out.witness, system.column_elements) if x]
+            if pin:
+                chosen.append(group.index()[identity(group.degree)])
+            assert len(support) + pin == group.degree
+            assert verify_sharp_set(enum, chosen, t), (enum.name, t)
+            found += 1
+    assert found == 8  # C5 and C6 are not transitive on ordered pairs
+
+
+def test_nonneg_notes_count_simplex_pivots(s4):
+    # S4 on its 4 points branches once, and both nodes pivot
+    system = build_full_system(s4.elements)
+    first, again = solve_nonneg_integer(system), solve_nonneg_integer(system)
+    assert first.notes == again.notes == {"nodes": 2, "simplex_pivots": 13}
+    assert first.witness == again.witness
+    # rational preprocessing settles it before any simplex runs
+    assert solve_nonneg_integer(ExactSystem.from_rows([[1], [1]], [0, 1])).notes == {
+        "stage": "rational-preprocessing", "simplex_pivots": 0}
 
 
 def test_nonneg_budget_outcome():
