@@ -15,6 +15,7 @@ a mathematical reason recorded as an assumption in the report.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 from . import designs, geometry, gf, linsys
@@ -257,8 +258,6 @@ def certificate_search(
     for size in range(1, max_c + 1):
         if len(candidates) >= budget:
             break
-        import math
-
         if math.comb(n, size) + len(candidates) > budget:
             break
         for combo in itertools.combinations(range(n), size):

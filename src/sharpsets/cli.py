@@ -12,9 +12,9 @@ group file whose order line disagrees with its generators, an unsupported
 parameters with one stderr line and no report. A missing data file exits
 3, and input refused for size 4, likewise: a group or orbit too large to
 enumerate, an sp case past the orbit cap, or a linear system past
-linsys.DENSE_CELL_CAP cells (systems are stored by column; the odd-p and Z
-solvers and `--export-system` densify, and the sparse Q and Z>=0 rows can
-fill in that far). The
+linsys.DENSE_CELL_CAP cells (systems are stored by column; the Z solver and
+`--export-system` densify, and the packed odd-p rows and the sparse Q and
+Z>=0 rows can fill in that far). The
 quadric's polarization is checked on every pair of an F_2-basis, complete
 because both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in
 seconds in both actions. A failed

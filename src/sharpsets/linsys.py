@@ -9,15 +9,16 @@ as equations, H-conjugacy class representatives as variables) yields the
 condensed system; with H trivial it reproduces the full one.
 
 Systems are stored by column: the full system is its elements' permutation
-matrices. Only the odd-p and Hermite kernels and the export densify; Q and
-Z>=0 work on sparse rows, whose fill-in the dense cap still bounds.
+matrices. Only the Hermite kernel and the export densify; odd p, Q and Z>=0
+work on packed or sparse rows, whose fill-in the dense cap still bounds.
 
-All solver arithmetic is exact: bitmask vectors over F_2, machine integers
-under numpy for odd p (Python integers once (p-1)^2 no longer fits in
-int64), Fractions over Q and arbitrary-precision integers for the Hermite
-normal form over Z. Floating point is never used. Each field has one
-elimination kernel, shared by its solver and its other users: over Q one
-sparse pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
+All solver arithmetic is exact: bitmask vectors over F_2, rows packed into
+one Python integer for odd p (a field of p.bit_length() + 1 bits per entry,
+added mod p all at once), Fractions over Q and arbitrary-precision integers
+for the Hermite normal form over Z. Floating point is never used. Each
+field has one elimination kernel, shared by its solver and its other users:
+one packed echelon basis serves the odd-p solver and nullspace, and over Q
+one sparse pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from .perm import (
     GroupEnumeration,
@@ -82,25 +81,12 @@ class ExactSystem:
         return ExactSystem([self.columns[k] for k in keep], list(self.rhs), elements)
 
 
-DENSE_CELL_CAP = 1 << 23  # above the A7-on-pairs system (4.45M cells), below M22's (214M)
+DENSE_CELL_CAP = 1 << 23  # dense cells, or packed or sparse rows' fill-in: above A7 on pairs (4.45M), below M22 (214M)
 
 
 def _check_cap(shape: tuple[int, int], what: str) -> None:
     if shape[0] * shape[1] > DENSE_CELL_CAP:
         raise GroupTooLarge(f"a {shape[0]} x {shape[1]} {what} passes the cap of {DENSE_CELL_CAP} cells")
-
-
-def _dense(system: ExactSystem, convert=int, array=None):
-    """Rows of [A | b], entries through convert: lists, or the zero array(shape) filled in."""
-    shape = (system.rows, system.cols + 1)
-    _check_cap(shape, "dense array")
-    out = array(shape) if array else [[convert(0)] * shape[1] for _ in range(shape[0])]
-    for c, col in enumerate(system.columns):
-        for r, a in col.items():
-            out[r][c] = convert(a)
-    for r, b in enumerate(system.rhs):
-        out[r][-1] = convert(b)
-    return out
 
 
 @dataclass
@@ -187,11 +173,11 @@ def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSys
 
 def dump_system(system: ExactSystem, path) -> None:
     """Textual dump: 'rows cols', then the matrix rows, then the right side."""
-    rows = _dense(system)
+    _check_cap((system.rows, system.cols + 1), "dense array")
     with open(path, "w") as fh:
         fh.write(f"{system.rows} {system.cols}\n")
-        for row in rows:
-            fh.write(" ".join(str(a) for a in row[:-1]) + "\n")
+        for r in range(system.rows):
+            fh.write(" ".join(str(col.get(r, 0)) for col in system.columns) + "\n")
         fh.write(" ".join(str(b) for b in system.rhs) + "\n")
 
 
@@ -208,7 +194,8 @@ def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
 
     p = 2 runs an incremental column-span construction on bitmask vectors
     with an early exit as soon as the right side enters the span; odd p
-    runs dense row reduction (see _rref_mod_p).
+    reduces packed rows to an echelon basis (see _echelon_mod_p), under
+    the dense cap, and back-substitutes with free variables 0.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -276,64 +263,88 @@ def nullspace_mod_2(rows: list[int], ncols: int) -> list[int]:
     return null[::-1]
 
 
-def _mod_p_array(system: ExactSystem, p: int) -> np.ndarray:
-    """[A | b] reduced mod p: int64 while (p-1)^2 fits, else Python ints."""
-    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    return _dense(system, lambda x: x % p, lambda shape: np.zeros(shape, dtype=dtype))
+def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
+    """Row-incremental echelon basis of [A | b] mod p: {lead: packed row scaled to 1 there}.
 
-
-def _rref_mod_p(a: np.ndarray, p: int, ncols: int) -> list[int]:
-    """Gauss-Jordan mod p of `a` (entries in [0, p)) in place; returns the pivots, all < ncols.
-
-    Rows are updated one by one: an np.outer update was measured slower on the A7 mod-3 system.
+    A row is one int, entry j in bits [j*w, (j+1)*w), w = p.bit_length() + 1
+    (a guard bit), b in field cols. It is reduced at its lead, its lowest
+    nonzero field, until it vanishes or opens a new lead. The leads are the
+    pivots of the reduced row echelon form (a lead at cols: inconsistent).
+    A row adds mod p at once: s = x + y, less p in every field where s + 2^k
+    - p carries into bit k; x - e*b is x + (p-e)*b, summed from the basis
+    row's doublings 2^i*b, each made on first use. The dense cap bounds fill-in.
     """
-    nrows = a.shape[0]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        sel = r + int(nz[0])
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        for i in np.nonzero(a[:, c])[0]:
-            if i != r:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+    _check_cap((system.rows, system.cols + 1), "packed F_p elimination")
+    k, w = p.bit_length(), p.bit_length() + 1
+    rows = [(b % p) << (system.cols * w) for b in system.rhs]
+    for c, col in enumerate(system.columns):
+        for r, a in col.items():
+            rows[r] |= (a % p) << (c * w)
+    mask = (1 << w) - 1
+    ones = ((1 << (w * (system.cols + 1))) - 1) // mask
+    carry = ones * ((1 << k) - p)
+
+    def add_multiple(x: int, doubles: list[int], m: int) -> int:
+        """x + m*doubles[0] mod p, extending the doublings as far as m needs."""
+        i = 0
+        while m:
+            if i == len(doubles):
+                s = doubles[-1] << 1
+                doubles.append(s - p * (((s + carry) >> k) & ones))
+            if m & 1:
+                s = x + doubles[i]
+                x = s - p * (((s + carry) >> k) & ones)
+            m >>= 1
+            i += 1
+        return x
+
+    basis: dict[int, list[int]] = {}  # lead -> doublings of its row
+    for x in rows:
+        while x:
+            lead = ((x & -x).bit_length() - 1) // w
+            e = (x >> (lead * w)) & mask
+            if lead not in basis:
+                basis[lead] = [x if e == 1 else add_multiple(0, [x], pow(e, -1, p))]
+                break
+            x = add_multiple(x, basis[lead], p - e)
+    return {lead: doubles[0] for lead, doubles in basis.items()}
+
+
+def _back_substitute(basis: dict[int, int], col: int, p: int, ncols: int) -> list[int]:
+    """x with row . x = row[col] mod p for each basis row, zero off the leads."""
+    w = p.bit_length() + 1
+    mask = (1 << w) - 1
+    x, nonzero = [0] * ncols, []
+    for lead in sorted(basis, reverse=True):
+        row = basis[lead]
+        v = (row >> (col * w)) & mask
+        for c in nonzero:
+            v -= ((row >> (c * w)) & mask) * x[c]
+        if v := v % p:
+            x[lead] = v
+            nonzero.append(lead)
+    return x
 
 
 def _solve_mod_odd(system: ExactSystem, p: int) -> SolveOutcome:
-    aug = _mod_p_array(system, p)
     ncols = system.cols
-    pivots = _rref_mod_p(aug, p, ncols)
-    r = len(pivots)
-    if aug[r:, ncols].any():
-        return SolveOutcome(INFEASIBLE, None, {"rank": r})
-    witness = [0] * ncols
-    for i, c in enumerate(pivots):
-        witness[c] = int(aug[i, ncols])
-    return SolveOutcome(SOLVABLE, witness, {"rank": r})
+    basis = _echelon_mod_p(system, p)
+    if ncols in basis:
+        return SolveOutcome(INFEASIBLE, None, {"rank": len(basis) - 1})
+    return SolveOutcome(SOLVABLE, _back_substitute(basis, ncols, p, ncols), {"rank": len(basis)})
 
 
 def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
     """Basis of {v : M v = 0 (mod p)}, one vector per free column in increasing order."""
-    a = _mod_p_array(ExactSystem.from_rows(matrix, [0] * len(matrix)), p)
-    ncols = a.shape[1] - 1
-    pivots = _rref_mod_p(a, p, ncols)
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = int(-a[i, f] % p)
-        basis.append(v)
-    return basis
+    ncols = len(matrix[0]) if matrix else 0
+    basis = _echelon_mod_p(ExactSystem.from_rows(matrix, [0] * len(matrix)), p)
+    null = []
+    for f in range(ncols):
+        if f not in basis:
+            v = [-x % p for x in _back_substitute(basis, f, p, ncols)]
+            v[f] = 1
+            null.append(v)
+    return null
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +452,12 @@ def _hermite_solve(system: ExactSystem):
     for i in range(nrows):
         if r == ncols:
             break
-        while True:
-            nz = [j for j in range(r, ncols) if cols[j][i] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                j = nz[0]
-                break
+        while len(nz := [j for j in range(r, ncols) if cols[j][i] != 0]) > 1:
             jmin = min(nz, key=lambda j: (abs(cols[j][i]), j))
             for j in nz:
-                if j == jmin:
-                    continue
-                q = cols[j][i] // cols[jmin][i]
-                if q:
+                if j != jmin and (q := cols[j][i] // cols[jmin][i]):
                     cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
                     u[j] = [a - q * b for a, b in zip(u[j], u[jmin])]
-        nz = [j for j in range(r, ncols) if cols[j][i] != 0]
         if not nz:
             continue
         j = nz[0]

@@ -133,6 +133,21 @@ def test_selftest_ok(tmp_path):
     jsonschema.validate(report, SCHEMA)
 
 
+def test_cli_import_leaves_numpy_out():
+    # no module of the package needs numpy, so the command line never pays for importing it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sharpsets
+
+    src = str(Path(sharpsets.__file__).resolve().parents[1])
+    script = "import sys\nimport sharpsets.cli\nsys.exit('numpy' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0
+
+
 def test_selftest_fails_under_python_O(tmp_path):
     # with multiplication in GF(2^m) broken, the checks must fail with a reason
     # even though python -O strips every assert

@@ -95,6 +95,65 @@ def sparse_rref_as_dense(system):
     return rows, pivots
 
 
+def dense_rref_mod_p(system, p):
+    """Gauss-Jordan of [A | b] mod p on a NumPy array, first nonzero row as pivot: the reference for the packed kernel.
+
+    Entries are int64 while (p-1)^2 fits, else Python ints. Returns (reduced array, pivots), all pivots < cols.
+    """
+    import numpy as np
+
+    a = np.zeros((system.rows, system.cols + 1), dtype=np.int64 if (p - 1) ** 2 < 2**63 else object)
+    for c, col in enumerate(system.columns):
+        for r, x in col.items():
+            a[r, c] = x % p
+    for r, b in enumerate(system.rhs):
+        a[r, -1] = b % p
+    pivots = []
+    r = 0
+    for c in range(system.cols):
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        sel = r + int(nz[0])
+        if sel != r:
+            a[[r, sel]] = a[[sel, r]]
+        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
+        for i in np.nonzero(a[:, c])[0]:
+            if i != r:
+                a[i] = (a[i] - a[i, c] * a[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == system.rows:
+            break
+    return a, pivots
+
+
+def reference_mod_p(system, p):
+    """(status, rank, witness, nullspace basis of A) read off dense_rref_mod_p, free variables 0."""
+    a, pivots = dense_rref_mod_p(system, p)
+    ncols, rank = system.cols, len(pivots)
+    null = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = int(-a[i, f] % p)
+        null.append(v)
+    if a[rank:, ncols].any():
+        return "infeasible", rank, None, null
+    witness = [0] * ncols
+    for i, c in enumerate(pivots):
+        witness[c] = int(a[i, ncols])
+    return "solvable", rank, witness, null
+
+
+def packed_mod_p(system, p):
+    """The same four answers from solve_mod_p and nullspace_mod_p."""
+    out = solve_mod_p(system, p)
+    matrix = [[col.get(r, 0) for col in system.columns] for r in range(system.rows)]
+    return out.status, out.notes["rank"], out.witness, linsys.nullspace_mod_p(matrix, p)
+
+
 # ---------------------------------------------------------------------------
 # Construction
 
@@ -364,6 +423,44 @@ def test_sparse_rref_matches_dense_reference_on_pairs(s4, s5):
         rows, pivots = sparse_rref_as_dense(system)
         assert (rows, pivots) == dense_rref_rational(system)
         assert rank is None or len(pivots) == rank
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 4294967311])
+def test_packed_mod_p_matches_dense_reference(p):
+    # the reduced row echelon form is unique, so the packed echelon basis and
+    # its back-substitution must give the reference's status, rank, witness
+    # (free variables 0) and nullspace basis
+    rng = random.Random(p)
+    kinds = {"solvable": 0, "infeasible": 0, "rank-deficient": 0, "zero-row": 0}
+    for trial in range(200):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+        rank = rng.randrange(0, min(nrows, ncols) + 1)
+        basis = [[rng.randrange(-p, p) for _ in range(ncols)] for _ in range(rank)]
+        matrix = [
+            [sum(rng.randrange(-2, 3) * v[c] for v in basis) for c in range(ncols)] for _ in range(nrows)
+        ]
+        if trial % 4 == 0:
+            matrix[rng.randrange(nrows)] = [0] * ncols
+        if trial % 3 == 0:
+            rhs = [rng.randrange(-p, p) for _ in range(nrows)]
+        else:
+            x0 = [rng.randrange(-p, p) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        system = ExactSystem([{r: row[c] for r, row in enumerate(matrix) if row[c]} for c in range(ncols)], rhs)
+        reference = reference_mod_p(system, p)
+        assert packed_mod_p(system, p) == reference, trial
+        kinds[reference[0]] += 1
+        kinds["rank-deficient"] += reference[1] < min(nrows, ncols)
+        kinds["zero-row"] += any(not any(row) for row in matrix)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_packed_mod_p_matches_dense_reference_on_pairs(s4, s5):
+    for enum in (s4, s5):
+        _, pairs = induced_action(enum, 2)
+        system = build_full_system(pairs.elements)
+        for p in (3, 5):
+            assert packed_mod_p(system, p) == reference_mod_p(system, p), (enum.name, p)
 
 
 # ---------------------------------------------------------------------------
