@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from operator import itemgetter
 
 from . import designs, geometry, gf, linsys
 from .perm import (
@@ -134,11 +136,17 @@ def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: 
         raise ValueError(f"certificate domain {cert.domain} != group degree {G.degree}")
     p = cert.p
     side_ok = (cert.b_size * cert.c_size) % p != 0
-    spectrum: dict[int, int] = {}
-    b_set, c_set = cert.b_set, cert.c_set
-    for g in G.elements:
-        size = (b_set & apply_to_set(g, c_set)).bit_count()
-        spectrum[size] = spectrum.get(size, 0) + 1
+    # |B & C^g| counts the x in C with g[x] in B; when C is more than half
+    # the points, it is |B| minus the count over the complement of C.
+    n = G.degree
+    in_c = 2 * cert.c_size <= n
+    side = [x for x in range(n) if (cert.c_set >> x & 1) == in_c]
+    in_b = frozenset(x for x in range(n) if cert.b_set >> x & 1)
+    if side:  # the repeated point keeps one point's images a tuple; the set ignores it
+        counts = Counter(map(len, map(in_b.intersection, map(itemgetter(*side, side[0]), G.elements))))
+    else:  # C is every point
+        counts = {0: G.order}
+    spectrum = {k if in_c else cert.b_size - k: m for k, m in counts.items()}
     refuted = side_ok and all(s % p == 0 for s in spectrum)
     return VerificationReport(
         case=case or G.name,

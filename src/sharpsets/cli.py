@@ -8,8 +8,9 @@ generators, each checked against a census. A completed run exits 0 whether
 the conclusion is refuted or inconclusive. Every bad value on the command
 line exits 2: bad flags through argparse, and a malformed group file, a
 group file whose order line disagrees with its generators, an unsupported
-`--n`, `--q`, `--modulus`, `--t` or `--budget`, or impossible design
-parameters with one stderr line and no report. A missing data file exits
+`--n`, `--q`, `--modulus`, `--t` or `--budget`, a `--p` past
+linsys.PRIME_BOUND, or impossible design parameters with one stderr line
+and no report. A missing data file exits
 3, and input refused for size 4, likewise: a group or orbit too large to
 enumerate, an sp case past the orbit cap, or a linear system past
 linsys.DENSE_CELL_CAP cells (systems are stored by column; the Z solver and
@@ -58,9 +59,12 @@ def probe(text: str) -> dict[str, int]:
 
 
 def prime(text: str) -> int:
-    """A prime for --ring f_p; argparse turns a ValueError here into exit 2."""
+    """A prime for --ring f_p; argparse turns a ValueError here into exit 2.
+
+    A p from linsys.PRIME_BOUND up passes, and `linsys` refuses it as bad input.
+    """
     p = int(text)
-    if not linsys.is_prime(p):
+    if p < linsys.PRIME_BOUND and not linsys.is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p
 
@@ -211,6 +215,8 @@ def _cmd_search(args) -> dict:
 
 
 def _cmd_linsys(args) -> dict:
+    if args.ring == "f_p":
+        linsys.is_prime(args.p)  # a p past linsys.PRIME_BOUND is refused before any work
     spec = load_group(args.group)
     G = enumerate_group(spec)
     if args.t != 1:

@@ -23,8 +23,6 @@ one sparse pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 
 from __future__ import annotations
 
-import itertools
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -185,8 +183,31 @@ def dump_system(system: ExactSystem, path) -> None:
 # F_p
 
 
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981  # Miller-Rabin on the primes 2..41 is exact below it
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin, exact for p < PRIME_BOUND (Sorenson & Webster 2015).
+
+    Raises ValueError for a larger p, whose primality it cannot decide.
+    """
+    if p >= PRIME_BOUND:
+        raise ValueError(f"p = {p} is not below {PRIME_BOUND}, where primality is decided exactly")
+    if p < 2 or p in _WITNESSES:
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in _WITNESSES:
+        x = pow(a, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):  # a strong probable prime reaches -1 among the squarings
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
+            return False
+    return True
 
 
 def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
@@ -611,84 +632,3 @@ def random_restriction_probe(
                 raise InvariantViolation("probe witness fails substitution on the full system")
             return SolveOutcome(SOLVABLE, full, {"trial": trial, "kept": chosen})
     return SolveOutcome(UNKNOWN_BUDGET, None, {"trials": trials})
-
-
-# ---------------------------------------------------------------------------
-# Empirical checks of the subgroup-collapse statements
-
-
-def lemma_down_check(G: GroupEnumeration, U: GroupEnumeration, V: GroupEnumeration) -> dict:
-    """If the U-collapsed system solves over Z, the V-collapsed one must too."""
-    for u in U.elements:
-        if u not in V.index():
-            raise ValueError("U is not contained in V")
-    sys_u = build_H_system(G, U)
-    sys_v = build_H_system(G, V)
-    out_u = solve_integer(sys_u)
-    out_v = solve_integer(sys_v)
-    holds = not (out_u.status == SOLVABLE and out_v.status != SOLVABLE)
-    return {
-        "U_status": out_u.status,
-        "V_status": out_v.status,
-        "implication_holds": holds,
-        "U_vars": sys_u.cols,
-        "V_vars": sys_v.cols,
-    }
-
-
-EXHAUSTIVE_MOD_CAP = 65_536
-
-
-def _solvable_mod_m(system: ExactSystem, m: int) -> str:
-    """Exhaustive search over (Z/m)^cols; 'skipped' when the space is too big."""
-    if m ** system.cols > EXHAUSTIVE_MOD_CAP:
-        return "skipped"
-    for cand in itertools.product(range(m), repeat=system.cols):
-        if verify_witness(system, cand, modulus=m):
-            return SOLVABLE
-    return INFEASIBLE
-
-
-def local_global_check(G: GroupEnumeration, subgroup_by_prime: dict[int, GroupEnumeration]) -> dict:
-    """Instance test of the local-global criterion for integral solvability.
-
-    Compares integral solvability of the full system with integral
-    solvability of each collapsed system for the supplied p'-subgroups
-    (the two must agree when the supplied family covers every prime), and
-    additionally tests the lifting consequence: collapsed solvability over
-    Z/p and, on tiny systems, over Z/p^2, must propagate to the full system.
-    """
-    full = build_full_system(G.elements)
-    out_full = solve_integer(full)
-    per_prime = {}
-    all_solvable = True
-    lift_ok = True
-    for p, H in sorted(subgroup_by_prime.items()):
-        if math.gcd(H.order, p) != 1:
-            raise ValueError(f"subgroup of order {H.order} is not a {p}'-subgroup")
-        sys_h = build_H_system(G, H)
-        out_h = solve_integer(sys_h)
-        all_solvable &= out_h.status == SOLVABLE
-        entry = {"H_order": H.order, "H_status": out_h.status}
-        # lifting consequence over F_p
-        h_mod_p = solve_mod_p(sys_h, p).status
-        full_mod_p = solve_mod_p(full, p).status
-        entry["H_mod_p"] = h_mod_p
-        entry["full_mod_p"] = full_mod_p
-        if h_mod_p == SOLVABLE and full_mod_p != SOLVABLE:
-            lift_ok = False
-        # finite shadow over Z/p^2 on tiny systems
-        h_mod_p2 = _solvable_mod_m(sys_h, p * p)
-        full_mod_p2 = _solvable_mod_m(full, p * p)
-        entry["H_mod_p2"] = h_mod_p2
-        entry["full_mod_p2"] = full_mod_p2
-        if h_mod_p2 == SOLVABLE and full_mod_p2 == INFEASIBLE:
-            lift_ok = False
-        per_prime[p] = entry
-    equivalence = (out_full.status == SOLVABLE) == all_solvable
-    return {
-        "full_status": out_full.status,
-        "per_prime": per_prime,
-        "equivalence_holds": equivalence,
-        "lift_consequence_holds": lift_ok,
-    }

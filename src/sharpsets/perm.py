@@ -173,16 +173,30 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
     with generators applied in their listed order; it is reproducible.
     Raises GroupTooLarge once more than `cap` elements appear, and
     GroupFileError naming the file if the declared order disagrees.
+
+    Up to degree 256 the closure holds each element as image bytes: the
+    product x -> gen[cur[x]] is one cur.translate(table) call, table being
+    the generator's images padded to 256 entries, and bytes cache their
+    hash, so the set lookup and add hash nothing twice. Degrees above 256
+    use tuples. Either way the BFS order is the same, and the elements are
+    returned as tuples.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    start = identity(spec.degree)
+    n = spec.degree
+    if n <= 256:
+        start = bytes(range(n))
+        gens = [bytes(g) + bytes(range(n, 256)) for g in spec.generators]
+        product = bytes.translate
+    else:
+        start = identity(n)
+        gens = [g.__getitem__ for g in spec.generators]
+        product = lambda cur, gen: tuple(map(gen, cur))
     seen = {start}
     elements = [start]
-    gens = spec.generators
     for cur in elements:  # the list grows while it is walked: a BFS queue
         for gen in gens:
-            nxt = tuple(map(gen.__getitem__, cur))
+            nxt = product(cur, gen)
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise GroupTooLarge(f"enumerating {spec.name or 'a group'} passed the cap of {cap} elements")
@@ -193,7 +207,10 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
             f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, "
             f"enumerated {len(elements)}"
         )
-    return GroupEnumeration(spec.degree, elements, spec.name)
+    del seen
+    for i, g in enumerate(elements):  # each bytes element is freed as its tuple is made
+        elements[i] = tuple(g)
+    return GroupEnumeration(n, elements, spec.name)
 
 
 def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:

@@ -8,6 +8,7 @@ import itertools
 import random
 import time
 
+from oracles import lemma_down_check, local_global_check
 from test_linsys import bounded_solution_exists
 
 from sharpsets import certify, designs, geometry, gf, linsys, perm, sharp_search
@@ -210,15 +211,15 @@ def test_criterion_8_collapsed_systems():
             ok &= sum(system.rhs) == G.degree**2
     one3 = perm.GroupEnumeration(3, [perm.identity(3)], "1")
     one4 = perm.GroupEnumeration(4, [perm.identity(4)], "1")
-    ok &= linsys.lemma_down_check(s3, one3, subgroups["S3"][0])["implication_holds"]
-    ok &= linsys.lemma_down_check(s4, subgroups["S4"][0], subgroups["S4"][1])["implication_holds"]
-    ok &= linsys.lemma_down_check(a4, subgroups["A4"][0], build(4, "V4", [(0, 1), (2, 3)], [(0, 2), (1, 3)]))[
+    ok &= lemma_down_check(s3, one3, subgroups["S3"][0])["implication_holds"]
+    ok &= lemma_down_check(s4, subgroups["S4"][0], subgroups["S4"][1])["implication_holds"]
+    ok &= lemma_down_check(a4, subgroups["A4"][0], build(4, "V4", [(0, 1), (2, 3)], [(0, 2), (1, 3)]))[
         "implication_holds"
     ]
-    ok &= linsys.lemma_down_check(s4, one4, subgroups["S4"][1])["implication_holds"]
-    lg_s3 = linsys.local_global_check(s3, {2: subgroups["S3"][0], 3: subgroups["S3"][1]})
-    lg_s4 = linsys.local_global_check(s4, {3: subgroups["S4"][1], 2: build(4, "C3", [(0, 1, 2)])})
-    lg_a4 = linsys.local_global_check(a4, {2: subgroups["A4"][1], 3: subgroups["A4"][0]})
+    ok &= lemma_down_check(s4, one4, subgroups["S4"][1])["implication_holds"]
+    lg_s3 = local_global_check(s3, {2: subgroups["S3"][0], 3: subgroups["S3"][1]})
+    lg_s4 = local_global_check(s4, {3: subgroups["S4"][1], 2: build(4, "C3", [(0, 1, 2)])})
+    lg_a4 = local_global_check(a4, {2: subgroups["A4"][1], 3: subgroups["A4"][0]})
     for rep in (lg_s3, lg_s4, lg_a4):
         ok &= rep["equivalence_holds"] and rep["lift_consequence_holds"]
     elapsed = time.perf_counter() - t0

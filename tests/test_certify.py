@@ -80,6 +80,23 @@ def test_enumerated_sp42():
     assert set(report.spectrum) <= {0, 2}
 
 
+@pytest.mark.parametrize("c_size", [1, 14, 15, 16, 29, 30])
+def test_enumerated_spectrum_matches_brute_force(a6, c_size):
+    # the walk counts over C or over its complement, whichever is smaller; 30 cells put the switch at 15/16
+    _, induced = induced_action(a6, 2)
+    rng = random.Random(c_size)
+    for _ in range(3):
+        b_set = sum(1 << x for x in rng.sample(range(30), rng.randint(1, 30)))
+        c_set = sum(1 << x for x in rng.sample(range(30), c_size))
+        brute = {}
+        for g in induced.elements:
+            size = (b_set & perm.apply_to_set(g, c_set)).bit_count()
+            brute[size] = brute.get(size, 0) + 1
+        report = verify_certificate_enumerated(induced, Certificate(b_set, c_set, 3, 30))
+        assert report.spectrum == brute
+        assert list(report.spectrum) == list(brute)  # first-seen order, as the walk meets the elements
+
+
 def test_enumerated_inconclusive_for_regular_group(c5):
     cert = Certificate(0b1, 0b1, 2, 5)
     report = verify_certificate_enumerated(c5, cert)

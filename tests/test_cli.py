@@ -236,6 +236,18 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         assert err.startswith("bad input:") and err.count("\n") == 1, err
 
 
+def test_large_prime_is_decided_at_once_or_refused(tmp_path, capsys):
+    c5 = str(shipped_group_path("c5"))
+    code, report = run_cli(tmp_path, "linsys", "--group", c5, "--ring", "f_p", "--p", str(2**61 - 1))
+    assert code == 0 and report["status"] == "solvable" and report["p"] == 2**61 - 1
+    # past the bound where Miller-Rabin on the primes to 41 is exact: one bad-input line, no traceback
+    (tmp_path / "report.json").unlink()
+    code, report = run_cli(tmp_path, "linsys", "--group", c5, "--ring", "f_p", "--p", str(2**89 - 1))
+    assert (code, report) == (2, None)
+    err = capsys.readouterr().err
+    assert err.startswith("bad input:") and err.count("\n") == 1, err
+
+
 def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsys):
     # S22 contains the sharply transitive C22, so no report may say refuted
     from sharpsets import certify, perm

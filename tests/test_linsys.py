@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from oracles import lemma_down_check, local_global_check
 
 from sharpsets import linsys, perm
 from sharpsets.linsys import (
@@ -11,8 +13,6 @@ from sharpsets.linsys import (
     build_full_system,
     build_H_system,
     dump_system,
-    lemma_down_check,
-    local_global_check,
     random_restriction_probe,
     restrict_to_fpf,
     solve_integer,
@@ -306,6 +306,22 @@ def test_mod_p_various_primes(c6):
 def test_mod_p_rejects_composite(c5):
     with pytest.raises(ValueError):
         solve_mod_p(build_full_system(c5.elements), 4)
+
+
+def test_is_prime_is_exact_below_its_bound():
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(10**5) if linsys.is_prime(p) != trial_division(p)] == []
+    # Carmichael numbers, the least strong pseudoprime to the bases 2, 3, 5, 7, and the least to every prime to 37
+    for n in (561, 41041, 3215031751, 318665857834031151167461):
+        assert not linsys.is_prime(n)
+    start = time.perf_counter()
+    assert linsys.is_prime(2**61 - 1)
+    assert time.perf_counter() - start < 0.01
+    assert not linsys.is_prime(linsys.PRIME_BOUND - 1)
+    with pytest.raises(ValueError, match="decided exactly"):
+        linsys.is_prime(linsys.PRIME_BOUND)
 
 
 def test_mod_p_odd_matches_brute_force():

@@ -1,10 +1,11 @@
 import itertools
 import random
 import re
+from importlib import resources
 
 import pytest
 
-from sharpsets import perm
+from sharpsets import geometry, gf, perm
 from sharpsets.perm import (
     GroupSpec,
     arrangements,
@@ -104,6 +105,63 @@ def test_enumerate_declared_order_mismatch():
 def test_enumeration_deterministic(s4):
     again = enumerate_group(GroupSpec(4, (from_cycles(4, (0, 1)), from_cycles(4, (0, 1, 2, 3))), "S4"))
     assert again.elements == s4.elements
+
+
+def reference_enumeration(spec):
+    """The plain BFS closure over tuples: the order enumerate_group must keep."""
+    start = identity(spec.degree)
+    seen = {start}
+    elements = [start]
+    for cur in elements:
+        for gen in spec.generators:
+            nxt = tuple(map(gen.__getitem__, cur))
+            if nxt not in seen:
+                seen.add(nxt)
+                elements.append(nxt)
+    return elements
+
+
+def shipped(name):
+    return perm.load_group(resources.files("sharpsets").joinpath(f"data/groups/{name}.grp"))
+
+
+def sp22_projective():
+    space = geometry.symplectic_space(2, gf.field_for_q(2))
+    return geometry.symplectic_generators(space, "projective")
+
+
+ENUMERATION_CASES = {
+    "A6": (lambda: GroupSpec(6, (from_cycles(6, (0, 1, 2)), from_cycles(6, (1, 2, 3, 4, 5))), "A6"), 360),
+    "A7": (lambda: GroupSpec(7, (from_cycles(7, (0, 1, 2)), from_cycles(7, (2, 3, 4, 5, 6))), "A7"), 2520),
+    "S6": (lambda: GroupSpec(6, (from_cycles(6, (0, 1)), from_cycles(6, (0, 1, 2, 3, 4, 5))), "S6"), 720),
+    "c5.grp": (lambda: shipped("c5"), 5),
+    "s5.grp": (lambda: shipped("s5"), 120),
+    "sp(2,2)": (sp22_projective, 720),
+    "C256": (lambda: GroupSpec(256, (from_cycles(256, tuple(range(256))),), "C256"), 256),  # bytes, at the boundary
+    "C300": (lambda: GroupSpec(300, (from_cycles(300, tuple(range(300))),), "C300"), 300),  # tuples
+}
+
+
+@pytest.mark.parametrize("case", ENUMERATION_CASES)
+def test_enumeration_matches_tuple_reference(case):
+    build, order = ENUMERATION_CASES[case]
+    spec = build()
+    enum = enumerate_group(spec)
+    assert enum.order == order
+    assert enum.elements == reference_enumeration(spec)
+    assert all(type(g) is tuple for g in enum.elements)
+
+
+@pytest.mark.parametrize("case", ["S6", "C256", "C300"])
+def test_enumeration_refusals_on_both_paths(case):
+    build, order = ENUMERATION_CASES[case]
+    spec = build()
+    assert enumerate_group(spec, cap=order).order == order
+    with pytest.raises(perm.GroupTooLarge, match=f"^enumerating {spec.name} passed the cap of {order - 1} elements$"):
+        enumerate_group(spec, cap=order - 1)
+    wrong = GroupSpec(spec.degree, spec.generators, spec.name, declared_order=order + 1)
+    with pytest.raises(perm.GroupFileError, match=f"^{spec.name}: declared order {order + 1}, enumerated {order}$"):
+        enumerate_group(wrong)
 
 
 def test_group_axioms_small(c5, s3, s4, a6):
