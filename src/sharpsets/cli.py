@@ -10,12 +10,14 @@ line exits 2: bad flags through argparse, and a malformed group file, a
 group file whose order line disagrees with its generators, an unsupported
 `--n`, `--q`, `--modulus`, `--t` or `--budget`, a `--p` past
 linsys.PRIME_BOUND, or impossible design parameters with one stderr line
-and no report. A missing data file exits
+and no report; a `--p` with a `--ring` other than f_p goes through the
+parser. A missing data file exits
 3, and input refused for size 4, likewise: a group or orbit too large to
-enumerate, an sp case past the orbit cap, or a linear system past
+enumerate, an sp case past the orbit cap, a linear system past
 linsys.DENSE_CELL_CAP cells (systems are stored by column; the Z solver and
 `--export-system` densify, and the packed odd-p rows and the sparse Q and
-Z>=0 rows can fill in that far). The
+Z>=0 rows can fill in that far), or a `search-sharp` whose packed
+exact-cover table, |G| x N^2 fields, would pass that cap. The
 quadric's polarization is checked on every pair of an F_2-basis, complete
 because both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in
 seconds in both actions. A failed
@@ -127,8 +129,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "linsys" and args.ring == "f_p" and not args.p:
+    if args.command == "linsys" and args.ring == "f_p" and args.p is None:
         parser.error("--ring f_p needs --p")
+    if args.command == "linsys" and args.ring != "f_p" and args.p is not None:
+        parser.error(f"--p is for --ring f_p only, not --ring {args.ring}")
     commands = {
         "verify": _cmd_verify,
         "design-check": _cmd_design_check,

@@ -10,8 +10,14 @@ on t-arrangements, so one search core handles every arity.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 
+from .linsys import _check_cap
 from .perm import GroupEnumeration, Perm, expect, induced_action
 
 FOUND = "found"
@@ -19,14 +25,20 @@ NONE_EXHAUSTIVE = "none-exhaustive"
 UNKNOWN_BUDGET = "unknown-budget"
 
 DEFAULT_BUDGET = 10**8
+ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass
 class CoverInstance:
-    """Exact-cover matrix: rows[i] is the column bitset covered by element i."""
+    """Exact-cover matrix: rows[i] is the column bitset covered by element i,
+    columns[j] the row bitset of column j, and units[i] a 1 in the `width`-bit
+    field of each of row i's columns."""
 
     n_cells: int
     rows: list[int]
+    columns: list[int]
+    units: list[int]
+    width: int
 
     @property
     def n_columns(self) -> int:
@@ -38,13 +50,16 @@ class CoverInstance:
 
 def build_cover_instance(elements: list[Perm]) -> CoverInstance:
     n = len(elements[0])
-    rows = []
-    for g in elements:
-        mask = 0
+    rows, columns = [], [0] * (n * n)
+    for ri, g in enumerate(elements):
+        rows.append(sum(1 << (c * n + g[c]) for c in range(n)))
         for c in range(n):
-            mask |= 1 << (c * n + g[c])
-        rows.append(mask)
-    return CoverInstance(n, rows)
+            columns[c * n + g[c]] |= 1 << ri
+    width = 8  # whole bytes, with the all-ones field above every live-row count
+    while max(map(int.bit_count, columns)) >= (1 << width) - 1:
+        width *= 2
+    units = [sum(1 << width * (c * n + g[c]) for c in range(n)) for g in elements]
+    return CoverInstance(n, rows, columns, units, width)
 
 
 @dataclass
@@ -63,63 +78,57 @@ class SearchResult:
 def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Depth-first exact cover with a fewest-candidates column heuristic.
 
-    Columns are picked by minimum remaining candidate count (ties broken by
-    column index) and candidate rows are tried in index order, so the search
-    and any witness it returns are deterministic. The node budget makes the
-    cutoff machine independent; exhaustion is reported explicitly. A
-    budget below 1 is refused: no search could run under it.
+    A node carries `alive`, the rows sharing no column with a chosen row;
+    `counts`, each column's live rows in a packed field; and `covered`, all
+    ones in each covered field. A chosen row subtracts the units of the rows
+    it kills, so backtracking is a return. The column, found in C on the
+    bytes of `counts | covered`, is the lowest-index one with at most one
+    live row, else the lowest-index one of fewest; rows go in index order,
+    so the search and its witness are deterministic. The node budget (at
+    least 1) makes the cutoff machine independent. The units hold |G| x N^2
+    fields, so past linsys.DENSE_CELL_CAP GroupTooLarge comes first.
     """
     if budget < 1:
         raise ValueError(f"budget {budget} is below 1")
+    _check_cap((G.order, math.perm(G.degree, max(t, 0)) ** 2), "exact-cover table")  # induced_action refuses a bad t
     if t == 1:
         elements = G.elements
     else:
         _, induced = induced_action(G, t)
         elements = induced.elements
     inst = build_cover_instance(elements)
-    n = inst.n_cells
-    col_rows: list[list[int]] = [[] for _ in range(inst.n_columns)]
-    for ri, mask in enumerate(inst.rows):
-        m = mask
-        while m:
-            low = m & -m
-            col_rows[low.bit_length() - 1].append(ri)
-            m ^= low
-    rows = inst.rows
-    full = (1 << inst.n_columns) - 1
+    n, columns, units, width = inst.n_cells, inst.columns, inst.units, inst.width
+    size, ones, pattern = inst.n_columns * width // 8, (1 << width) - 1, f"0{len(units)}b"
+    read = bytes if width == 8 else struct.Struct(f"<{inst.n_columns}{'H' if width == 16 else 'I'}").unpack
 
     nodes = 0
     chosen: list[int] = []
 
-    def search(covered: int) -> bool:
+    def search(counts: int, covered: int, alive: int) -> bool:
         nonlocal nodes
-        if covered == full:
+        if len(chosen) == n:  # n disjoint rows of n columns each
             return True
-        best = None
-        scan = full & ~covered
-        while scan:
-            low = scan & -scan
-            col = low.bit_length() - 1
-            scan ^= low
-            cands = [ri for ri in col_rows[col] if not rows[ri] & covered]
-            if best is None or len(cands) < len(best):
-                best = cands
-                if not cands:
-                    return False
-                if len(cands) == 1:
-                    break
-        for ri in best:
+        view = read((counts | covered).to_bytes(size, "little"))
+        fewest = next(v for v in count() if v in view)
+        if fewest == 0 and 1 not in view[: view.index(0)]:
+            return False  # the first column of at most one live row has none
+        cands = columns[view.index(max(fewest, 1))] & alive
+        while cands:
+            ri = (cands & -cands).bit_length() - 1
+            cands ^= 1 << ri
             nodes += 1
             if nodes > budget:
                 raise _Budget
+            kill = alive & reduce(or_, [columns[c * n + d] for c, d in enumerate(elements[ri])])
+            killed = format(kill, pattern)[::-1].encode().translate(ZERO_ONE)  # one 0/1 byte per row
             chosen.append(ri)
-            if search(covered | rows[ri]):
+            if search(counts - sum(compress(units, killed)), covered | units[ri] * ones, alive & ~kill):
                 return True
             chosen.pop()
         return False
 
     try:
-        ok = search(0)
+        ok = search(sum(units), 0, (1 << len(units)) - 1)
     except _Budget:
         return SearchResult(UNKNOWN_BUDGET, None, nodes)
     if not ok:

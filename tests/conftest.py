@@ -70,6 +70,16 @@ def a6():
 
 
 @pytest.fixture(scope="session")
+def s6():
+    return make_group(6, "S6", [(0, 1)], [(0, 1, 2, 3, 4, 5)])
+
+
+@pytest.fixture(scope="session")
+def s7():
+    return make_group(7, "S7", [(0, 1)], [(0, 1, 2, 3, 4, 5, 6)])
+
+
+@pytest.fixture(scope="session")
 def fano_stabilizer():
     """Order-24 point stabilizer of the Fano plane's automorphism group on 6 points."""
     blocks = [frozenset({i % 7, (1 + i) % 7, (3 + i) % 7}) for i in range(7)]

@@ -1,9 +1,11 @@
-"""Empirical checks of the subgroup-collapse statements, used only by the tests.
+"""Empirical checks and reference kernels, used only by the tests.
 
 lemma_down_check tests the descent lemma between two collapsed systems;
 local_global_check tests the local-global criterion for integral
 solvability, with its lifting consequence over Z/p and, on tiny systems,
-over Z/p^2.
+over Z/p^2. reference_find_sharp_set is the exact-cover search that rescans
+every uncovered column at each node, kept to pin the packed-count kernel of
+sharp_search.find_sharp_set to the same nodes and witnesses.
 """
 
 import itertools
@@ -19,7 +21,8 @@ from sharpsets.linsys import (
     solve_mod_p,
     verify_witness,
 )
-from sharpsets.perm import GroupEnumeration
+from sharpsets.perm import GroupEnumeration, induced_action
+from sharpsets.sharp_search import FOUND, NONE_EXHAUSTIVE, UNKNOWN_BUDGET, SearchResult, SharpSet
 
 
 def lemma_down_check(G: GroupEnumeration, U: GroupEnumeration, V: GroupEnumeration) -> dict:
@@ -97,3 +100,64 @@ def local_global_check(G: GroupEnumeration, subgroup_by_prime: dict[int, GroupEn
         "equivalence_holds": equivalence,
         "lift_consequence_holds": lift_ok,
     }
+
+
+def reference_find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = 10**8) -> SearchResult:
+    """Exact cover by full column rescan at every node.
+
+    Each node filters every uncovered column's rows against the covered
+    mask and takes the fewest-candidates column: ties go to the lowest
+    index, and the scan stops at the first column with at most one
+    candidate. Rows are tried in index order; `nodes > budget` stops it.
+    """
+    elements = G.elements if t == 1 else induced_action(G, t)[1].elements
+    n = len(elements[0])
+    rows = [sum(1 << (c * n + g[c]) for c in range(n)) for g in elements]
+    col_rows: list[list[int]] = [[] for _ in range(n * n)]
+    for ri, mask in enumerate(rows):
+        m = mask
+        while m:
+            low = m & -m
+            col_rows[low.bit_length() - 1].append(ri)
+            m ^= low
+    full = (1 << (n * n)) - 1
+    nodes = 0
+    chosen: list[int] = []
+
+    class Budget(Exception):
+        pass
+
+    def search(covered: int) -> bool:
+        nonlocal nodes
+        if covered == full:
+            return True
+        best = None
+        scan = full & ~covered
+        while scan:
+            low = scan & -scan
+            col = low.bit_length() - 1
+            scan ^= low
+            cands = [ri for ri in col_rows[col] if not rows[ri] & covered]
+            if best is None or len(cands) < len(best):
+                best = cands
+                if not cands:
+                    return False
+                if len(cands) == 1:
+                    break
+        for ri in best:
+            nodes += 1
+            if nodes > budget:
+                raise Budget
+            chosen.append(ri)
+            if search(covered | rows[ri]):
+                return True
+            chosen.pop()
+        return False
+
+    try:
+        ok = search(0)
+    except Budget:
+        return SearchResult(UNKNOWN_BUDGET, None, nodes)
+    if not ok:
+        return SearchResult(NONE_EXHAUSTIVE, None, nodes)
+    return SearchResult(FOUND, SharpSet(tuple(sorted(chosen)), t), nodes)

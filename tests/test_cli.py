@@ -192,6 +192,9 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["linsys", "--group", c5, "--ring", "f_p", "--p", "1"],
         ["linsys", "--group", c5, "--ring", "z", "--probe", "keep"],
         ["linsys", "--group", c5, "--ring", "z", "--probe", "keep=x"],
+        ["linsys", "--group", c5, "--ring", "q", "--p", "7"],
+        ["linsys", "--group", c5, "--ring", "z", "--p", "7"],
+        ["linsys", "--group", c5, "--ring", "znn", "--p", "618970019642690137449562111"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -260,6 +263,19 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
     assert report is None
     err = capsys.readouterr().err
     assert err.startswith("refused for size") and "cap of 5000" in err and err.count("\n") == 1
+
+
+def test_search_past_the_cell_cap_is_refused(tmp_path, capsys):
+    # the packed units of M22 at t=1 would hold 443,520 x 22^2 fields; refused before any is built
+    import time
+
+    m22 = str(shipped_group_path("m22"))
+    start = time.perf_counter()
+    code, report = run_cli(tmp_path, "search-sharp", "--group", m22, "--t", "1", "--budget", "30")
+    assert (code, report) == (4, None)
+    assert time.perf_counter() - start < 20
+    err = capsys.readouterr().err
+    assert err.startswith("refused for size") and "443520 x 484 exact-cover table" in err and err.count("\n") == 1, err
 
 
 def test_dense_cap_refuses_before_allocating(tmp_path, monkeypatch, capsys):

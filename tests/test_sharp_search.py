@@ -1,3 +1,6 @@
+import pytest
+from oracles import reference_find_sharp_set
+
 from sharpsets import linsys
 from sharpsets.sharp_search import (
     FOUND,
@@ -104,3 +107,25 @@ def test_doublecount_holds_for_every_found_witness(c5, c6, s3, s4, a4, s5):
             c_set = rng.randrange(1, 1 << n)
             rep = doublecount_check(witness, b_set, c_set)
             assert rep.sharply_transitive and rep.equal
+
+
+@pytest.mark.parametrize(
+    "group, t",
+    [("c5", 1), ("c6", 1), ("s3", 1), ("s4", 1), ("a4", 1), ("fano_stabilizer", 1),
+     ("s4", 2), ("s5", 2), ("a6", 2), ("s6", 2), ("s7", 1)],
+)
+def test_packed_counts_match_the_rescan_kernel(request, group, t):
+    # same status, node count and witness as the full column rescan; S6 pairs
+    # is the 9,000-node exhaustive run, and S7's 720-row columns need 16-bit fields
+    enum = request.getfixturevalue(group)
+    result = find_sharp_set(enum, t)
+    assert result == reference_find_sharp_set(enum, t)
+    if group == "s6":
+        assert (result.status, result.nodes) == (NONE_EXHAUSTIVE, 9000)
+    if group == "s7":
+        assert build_cover_instance(enum.elements).width == 16
+
+
+def test_packed_counts_match_the_rescan_kernel_under_every_budget(s5):
+    for budget in range(1, 41):
+        assert find_sharp_set(s5, 2, budget) == reference_find_sharp_set(s5, 2, budget), budget
