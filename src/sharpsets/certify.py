@@ -198,6 +198,9 @@ def verify_certificate_family(
 # ---------------------------------------------------------------------------
 # Certificate discovery
 
+EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # (B, C) pairs scanned in full before sampling candidates
+SPAN_VECTOR_LIMIT = 1 << 16  # span vectors tried per candidate C
+
 
 def certificate_search(
     G: GroupEnumeration,
@@ -207,7 +210,6 @@ def certificate_search(
     *,
     budget: int = 20000,
     action=None,
-    exhaustive_pair_limit: int = 1 << 20,
 ) -> Certificate | None:
     """Search for a valid certificate (B, C) for the prime p, or report none.
 
@@ -230,7 +232,7 @@ def certificate_search(
         report = verify_certificate_enumerated(G, cert)
         return cert if report.conclusion == REFUTED else None
 
-    if (1 << n) * (1 << n) <= exhaustive_pair_limit:
+    if (1 << n) * (1 << n) <= EXHAUSTIVE_PAIR_LIMIT:
         # full scan in lexicographic order of the (B, C) bitmask pair
         orbits: dict[int, list[int]] = {}
         for c_set in range(1, 1 << n):
@@ -283,7 +285,7 @@ def certificate_search(
             basis = linsys.nullspace_mod_2(images, n)
         else:
             basis = linsys.nullspace_mod_p([[img >> j & 1 for j in range(n)] for img in images], p)
-        for b_set in _zero_one_vectors(basis, n, p, limit=1 << 16):
+        for b_set in _zero_one_vectors(basis, n, p):
             if 0 < b_set.bit_count() <= max_b and b_set.bit_count() % p != 0:
                 found = finish(b_set, c_set)
                 if found:
@@ -291,13 +293,13 @@ def certificate_search(
     return None
 
 
-def _zero_one_vectors(basis, ncols: int, p: int, limit: int):
+def _zero_one_vectors(basis, ncols: int, p: int):
     """All 0/1 vectors (as bitmasks) in the span of the basis, up to a cap."""
     if not basis:
         return
     dim = len(basis)
-    if p**dim > limit:
-        basis = basis[: max(1, int(limit).bit_length() // max(1, p.bit_length()))]
+    if p**dim > SPAN_VECTOR_LIMIT:
+        basis = basis[: max(1, SPAN_VECTOR_LIMIT.bit_length() // max(1, p.bit_length()))]
         dim = len(basis)
     if p == 2:
         for coeffs in range(1, 1 << dim):

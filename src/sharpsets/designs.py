@@ -404,99 +404,32 @@ def _gf23_power_map() -> Perm:
     return tuple(images)
 
 
-def complete_design_automorphism(design: Design, prescribed: dict[int, int], fixed: tuple[int, ...] = ()) -> Perm | None:
-    """Extend a partial point map to a design automorphism, or report none.
-
-    Depth-first completion in point order, images tried ascending. The prune
-    uses the Steiner structure: for each 4-subset of already-mapped points,
-    the mapped part of its (unique) block must land inside the block of the
-    image 4-subset. Deterministic, so repeated calls return the same map.
-    """
-    block_of: dict[tuple[int, ...], int] = {}
-    pts_of = {b: design.block_points(b) for b in design.blocks}
-    for b in design.blocks:
-        for sub in itertools.combinations(pts_of[b], 4):
-            block_of[sub] = b
-
-    img = [-1] * design.v
-    used = [False] * design.v
-    for x in fixed:
-        img[x] = x
-        used[x] = True
-    for x, y in prescribed.items():
-        if img[x] != -1 or used[y]:
-            raise ValueError("prescribed images clash")
-        img[x] = y
-        used[y] = True
-    todo = [x for x in range(design.v) if img[x] == -1]
-
-    def consistent(x: int) -> bool:
-        mapped = [p for p in range(design.v) if img[p] != -1]
-        for trip in itertools.combinations([p for p in mapped if p != x], 3):
-            sub = tuple(sorted(trip + (x,)))
-            target = block_of[tuple(sorted(img[p] for p in sub))]
-            for p in pts_of[block_of[sub]]:
-                if img[p] != -1 and not target >> img[p] & 1:
-                    return False
-        return True
-
-    for x in list(prescribed) + list(fixed):
-        if not consistent(x):
-            return None
-
-    def dfs(k: int) -> bool:
-        if k == len(todo):
-            return True
-        x = todo[k]
-        for y in range(design.v):
-            if used[y]:
-                continue
-            img[x] = y
-            used[y] = True
-            if consistent(x) and dfs(k + 1):
-                return True
-            img[x] = -1
-            used[y] = False
-        return False
-
-    if not dfs(0):
-        return None
-    g = tuple(img)
-    expect(is_design_automorphism(design, g), "the completed map is not a design automorphism")
-    return g
-
-
 def witt_stabilizer_generators(design: Design | None = None, special_point: int = 22) -> GroupSpec:
     """Generators of the stabilizer of one point in the design's automorphism group.
 
-    Two coordinate maps of GF(23) fix 0 and preserve the quadratic-residue
-    code: multiplication by 2 and the cube-based power map. Conjugating by a
-    shift moves their common fixed point onto the chosen special point. They
-    only generate a metacyclic group of order 55, so a third automorphism,
-    found by deterministic backtracking with the images of three points
-    prescribed, is added; the closure of the three then has order 443520,
-    which is validated whenever the group is enumerated.
+    Three maps of GF(23) preserve the quadratic-residue code: the shift
+    x+1, multiplication by 2 and the cube-based power map pi; the last two
+    fix 0. By Schreier's lemma, with the shifts as coset representatives,
+    the stabilizer of 0 in the group the three generate is generated by
+    products of them that fix 0. Two such products are 2x and pi, and
+    adding the Schreier generator x -> pi(x+1) - pi(1) already gives all
+    of it: the closure of the three has order 443520, which is validated
+    whenever the group is enumerated. A shift conjugation moves their
+    common fixed point 0 onto the chosen special point.
     """
     if design is None:
         design = golay_witt_design()
     shift = _gf23_shift_map((0 - special_point) % 23)  # special_point -> 0
     shift_back = inverse(shift)
-    gens = []
-    for base in (_gf23_scale_map(2), _gf23_power_map()):
-        g = compose(compose(shift, base), shift_back)
-        expect(g[special_point] == special_point, "the map moves the special point")
-        expect(is_design_automorphism(design, g), "map does not preserve the block set")
-        gens.append(g)
-    low = sorted(p for p in range(design.v) if p != special_point)[:3]
-    extra = complete_design_automorphism(
-        design, {low[0]: low[1], low[1]: low[2], low[2]: low[0]}, fixed=(special_point,)
-    )
-    expect(extra is not None, "the stabilizer acts transitively on point triples")
-    gens.append(extra)
+    pi = _gf23_power_map()
+    schreier = tuple((pi[(y + 1) % 23] - pi[1]) % 23 for y in range(23))
     keep = [x for x in range(design.v) if x != special_point]
     relabel = {x: i for i, x in enumerate(keep)}
     restricted = []
-    for g in gens:
+    for base in (_gf23_scale_map(2), pi, schreier):
+        g = compose(compose(shift, base), shift_back)
+        expect(g[special_point] == special_point, "the map moves the special point")
+        expect(is_design_automorphism(design, g), "map does not preserve the block set")
         r = tuple(relabel[g[x]] for x in keep)
         expect(is_permutation(r), "a restricted generator is not a permutation")
         restricted.append(r)

@@ -123,7 +123,10 @@ def build_full_system(elements: list[Perm]) -> ExactSystem:
     return ExactSystem(columns, [1] * (n * n), list(elements))
 
 
-def build_H_system(G: GroupEnumeration, H: GroupEnumeration, check_samples: int = 3) -> ExactSystem:
+CLASS_CHECK_SAMPLES = 3  # class members whose coefficients build_H_system re-checks
+
+
+def build_H_system(G: GroupEnumeration, H: GroupEnumeration) -> ExactSystem:
     """Collapse the full system by a subgroup H.
 
     Equations: orbits of H on ordered point pairs, right side the orbit
@@ -135,7 +138,7 @@ def build_H_system(G: GroupEnumeration, H: GroupEnumeration, check_samples: int 
     n = G.degree
     if H.degree != n:
         raise ValueError("G and H act on different point sets")
-    orbits = orbits_on_pairs(H, n)
+    orbits = orbits_on_pairs(H)
     classes = conjugation_reps(G, H)
 
     def a_of(g: Perm) -> list[int]:
@@ -144,7 +147,7 @@ def build_H_system(G: GroupEnumeration, H: GroupEnumeration, check_samples: int 
     columns = []
     for rep, members in zip(classes.reps, classes.classes):
         col = a_of(rep)
-        for other in members[1:check_samples + 1]:
+        for other in members[1:CLASS_CHECK_SAMPLES + 1]:
             expect(a_of(other) == col, "coefficient not constant on a conjugation class")
         columns.append({r: a for r, a in enumerate(col) if a})
     return ExactSystem(columns, [len(orb) for orb in orbits], list(classes.reps))

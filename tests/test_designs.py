@@ -251,12 +251,23 @@ def test_stabilizer_derivation_for_other_special_point(witt):
     assert enum.order == 443520
 
 
-def test_automorphism_completion_finds_nothing_impossible(witt):
-    # four points of one block forced into a second block, plus a fifth point
-    # of the first block forced outside that second block: cannot extend
-    src = witt.block_points(witt.blocks[0])[:5]
-    target_block = witt.blocks[1]
-    dst = witt.block_points(target_block)[:4]
-    outside = next(p for p in range(23) if not target_block >> p & 1 and p not in dst)
-    prescribed = dict(zip(src, dst + [outside]))
-    assert designs.complete_design_automorphism(witt, prescribed) is None
+@pytest.mark.parametrize("special_point", range(23))
+def test_stabilizer_derivation_at_every_point(witt, special_point):
+    # each derived generator is the restriction of a design automorphism that
+    # fixes the special point; the orbit of C is the family-mode census
+    spec = designs.witt_stabilizer_generators(witt, special_point=special_point)
+    keep = [x for x in range(23) if x != special_point]
+    for r in spec.generators:
+        lift = [special_point] * 23
+        for i, x in enumerate(keep):
+            lift[x] = keep[r[i]]
+        assert designs.is_design_automorphism(witt, tuple(lift))
+
+    def restrict(block):
+        return sum(1 << i for i, x in enumerate(keep) if block >> x & 1)
+
+    points = (1 << 22) - 1
+    census = {points ^ restrict(b) for b in blocks_avoiding(witt, special_point)}
+    c_set = min(census)
+    assert len(census) == 176
+    assert set(perm.set_orbit(spec.generators, c_set)) == census

@@ -287,6 +287,19 @@ def test_conjugation_orbit_counting(s3):
     assert sum(classes.sizes) == s3.order
 
 
+def test_conjugation_classes_list_members_in_enumeration_order(s3, s4):
+    c2 = enumerate_group(GroupSpec(4, (from_cycles(4, (0, 1)),), "C2"))
+    for G, H in ((s4, c2), (s3, s3)):
+        classes = conjugation_reps(G, H)
+        scanned = []
+        for rep in classes.reps:
+            orbit = {compose(compose(inverse(h), rep), h) for h in H.elements}
+            scanned.append([x for x in G.elements if x in orbit])
+        assert classes.classes == scanned
+        assert [members[0] for members in classes.classes] == classes.reps
+        assert [len(members) for members in classes.classes] == classes.sizes
+
+
 def test_conjugation_requires_containment(s3, s4):
     with pytest.raises(ValueError):
         conjugation_reps(s3, s4)
