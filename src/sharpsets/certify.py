@@ -18,7 +18,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from . import designs, geometry, gf, linsys
 from .perm import (
@@ -298,30 +298,19 @@ def _zero_one_vectors(basis, ncols: int, p: int):
     if not basis:
         return
     dim = len(basis)
-    if p**dim > SPAN_VECTOR_LIMIT:
-        basis = basis[: max(1, SPAN_VECTOR_LIMIT.bit_length() // max(1, p.bit_length()))]
-        dim = len(basis)
+    while dim > 1 and p**dim > SPAN_VECTOR_LIMIT:  # the largest span under the cap, so never fewer for more
+        dim -= 1
+    basis = basis[:dim]
     if p == 2:
-        for coeffs in range(1, 1 << dim):
-            v = 0
-            cc = coeffs
-            i = 0
-            while cc:
-                if cc & 1:
-                    v ^= basis[i]
-                i += 1
-                cc >>= 1
-            yield v
+        span = [0]  # span[k] is the sum of the basis vectors at the bits of k
+        for b in basis:
+            span += [v ^ b for v in span]
+        yield from span[1:]
     else:
-        for combo in itertools.product(range(p), repeat=dim):
-            if not any(combo):
-                continue
-            vec = [0] * ncols
-            for coef, bvec in zip(combo, basis):
-                if coef:
-                    for j in range(ncols):
-                        vec[j] = (vec[j] + coef * bvec[j]) % p
-            if all(x in (0, 1) for x in vec):
+        columns = list(zip(*basis))
+        for combo in itertools.product(range(p), repeat=dim):  # combo[i] is basis[i]'s coefficient
+            vec = [sum(map(mul, combo, col)) % p for col in columns]
+            if any(combo) and set(vec) <= {0, 1}:
                 yield sum(1 << j for j, x in enumerate(vec) if x)
 
 

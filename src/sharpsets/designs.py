@@ -448,32 +448,9 @@ def write_design(design: Design, path) -> None:
             fh.write(" ".join(str(p) for p in design.block_points(block)) + "\n")
 
 
-def read_design(path, name="") -> Design:
-    with open(path) as fh:
-        v, k, b = (int(x) for x in fh.readline().split())
-        blocks = []
-        for _ in range(b):
-            pts = [int(x) for x in fh.readline().split()]
-            mask = 0
-            for p in pts:
-                mask |= 1 << p
-            blocks.append(mask)
-    return Design(v, k, tuple(blocks), name)
-
-
 def write_graph(graph: Graph, path) -> None:
     """Line 1: vertex count; then one adjacency row per line as a bit string."""
     with open(path, "w") as fh:
         fh.write(f"{graph.n}\n")
         for row in graph.adj:
             fh.write("".join("1" if row >> j & 1 else "0" for j in range(graph.n)) + "\n")
-
-
-def read_graph(path) -> Graph:
-    with open(path) as fh:
-        n = int(fh.readline())
-        adj = []
-        for _ in range(n):
-            bits = fh.readline().strip()
-            adj.append(sum(1 << j for j, c in enumerate(bits) if c == "1"))
-    return Graph(n, tuple(adj))

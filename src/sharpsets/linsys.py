@@ -14,11 +14,12 @@ work on packed or sparse rows, whose fill-in the dense cap still bounds.
 
 All solver arithmetic is exact: bitmask vectors over F_2, rows packed into
 one Python integer for odd p (a field of p.bit_length() + 1 bits per entry,
-added mod p all at once), Fractions over Q and arbitrary-precision integers
-for the Hermite normal form over Z. Floating point is never used. Each
-field has one elimination kernel, shared by its solver and its other users:
-one packed echelon basis serves the odd-p solver and nullspace, and over Q
-one sparse pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
+added mod p all at once), fraction-free integer rows over Q (Edmonds,
+Bareiss) and arbitrary-precision integers for the Hermite normal form over
+Z. Floating point is never used. Each field has one elimination kernel,
+shared by its solver and its other users: one packed echelon basis serves
+the odd-p solver and nullspace, and over Q one sparse integer pivot step
+serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .perm import (
     GroupEnumeration,
@@ -372,45 +374,56 @@ def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Q: sparse Fraction rows, one pivot step shared by Gauss-Jordan and the phase-1 simplex
+# Q: sparse integer rows, one pivot step shared by Gauss-Jordan and the phase-1 simplex
 
 
 RHS = -1  # the key of the right side in a sparse row
 
 
 def _pivot(rows: list[dict], r: int, c: int) -> None:
-    """Scale rows[r] to 1 at column c and clear c from the other rows, updating only those that hold c.
+    """Make rows[r] primitive and positive at column c, and clear c from the other rows that hold it.
 
-    Rows are {col: Fraction} dicts, the right side under RHS; an update that
-    reaches 0 drops the entry, and a zero pivot row entry changes nothing.
+    Rows are {col: int} dicts, the right side under RHS, each standing for
+    itself times any positive rational. A row holding c becomes (a*row -
+    f*prow) / gcd(a, f), a = prow[c] and f = row[c], then is divided by the
+    gcd of its entries; an entry that reaches 0 is dropped. Each row so stays
+    a positive multiple of the Fraction row that scaling prow to 1 would give.
     """
     prow = rows[r]
-    inv = 1 / prow[c]
-    if inv != 1:
+    if (d := gcd(*prow.values()) * (1 if prow[c] > 0 else -1)) != 1:
         for k in prow:
-            prow[k] *= inv
+            prow[k] //= d
+    a = prow[c]
     for row in rows:
-        if row is not prow and row.get(c):
-            f = row[c]
+        if row is not prow and (f := row.get(c)):
+            g = gcd(a, f)
+            if (s := a // g) != 1:
+                for k in row:
+                    row[k] *= s
+            f //= g
             for k, v in prow.items():
                 if x := row.get(k, 0) - f * v:
                     row[k] = x
                 else:
                     row.pop(k, None)
+            if (e := gcd(*row.values())) > 1:
+                for k in row:
+                    row[k] //= e
 
 
-def _rref_rational(system: ExactSystem):
-    """Gauss-Jordan of [A | b] over Q: (sparse rows, pivots), rows None if inconsistent.
+def _rref_integer(system: ExactSystem):
+    """Gauss-Jordan of [A | b] over Q on integer rows: (rows, pivots), rows None if inconsistent.
 
-    rows[i] has its leading 1 at pivots[i]. The reduced row echelon form is
-    unique, so a column may pivot on any row holding it; the sparsest keeps
-    fill-in low. Fill-in can reach every cell, so the dense cap applies.
+    rows[i] is positive at pivots[i]. The reduced row echelon form is unique
+    up to row scales, so a column may pivot on any row holding it; the
+    sparsest keeps fill-in low. Fill-in can reach every cell, so the dense
+    cap applies.
     """
     _check_cap((system.rows, system.cols + 1), "rational elimination")
-    rows = [{RHS: Fraction(b)} if b else {} for b in system.rhs]
+    rows = [{RHS: b} if b else {} for b in system.rhs]
     for c, col in enumerate(system.columns):
         for r, a in col.items():
-            rows[r][c] = Fraction(a)
+            rows[r][c] = a
     free = set(range(system.rows))
     pivots, order = [], []
     for c in range(system.cols):
@@ -425,14 +438,20 @@ def _rref_rational(system: ExactSystem):
     return [rows[i] for i in order], pivots
 
 
+def _rref_rational(system: ExactSystem):
+    """The reduced row echelon form of [A | b] over Q: _rref_integer's rows as Fractions with a leading 1."""
+    rows, pivots = _rref_integer(system)
+    return rows and [{k: Fraction(v, row[c]) for k, v in row.items()} for row, c in zip(rows, pivots)], pivots
+
+
 def solve_rational(system: ExactSystem) -> SolveOutcome:
     """Exact Gaussian elimination over the rationals; free variables are set to 0."""
-    rows, pivots = _rref_rational(system)
+    rows, pivots = _rref_integer(system)
     if rows is None:
         return SolveOutcome(INFEASIBLE, None, {"rank": len(pivots)})
     witness = [Fraction(0)] * system.cols
     for row, c in zip(rows, pivots):
-        witness[c] = row.get(RHS, Fraction(0))
+        witness[c] = Fraction(row.get(RHS, 0), row[c])
     if not verify_witness(system, witness):
         raise InvariantViolation("rational witness fails substitution")
     return SolveOutcome(SOLVABLE, witness, {"rank": len(pivots)})
@@ -527,11 +546,11 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
     explored nodes; exceeding it returns unknown-budget rather than a guess.
     notes.simplex_pivots counts the Bland pivots over all nodes.
     """
-    rows, pivots = _rref_rational(system)
+    rows, pivots = _rref_integer(system)
     if rows is None:
         return SolveOutcome(INFEASIBLE, None, {"stage": "rational-preprocessing", "simplex_pivots": 0})
     ncols = system.cols
-    stack = [([Fraction(0)] * ncols, [None] * ncols)]
+    stack = [([0] * ncols, [None] * ncols)]
     nodes = steps = 0
     while stack:
         lo, hi = stack.pop()
@@ -550,22 +569,27 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
             return SolveOutcome(SOLVABLE, witness, {"nodes": nodes, "simplex_pivots": steps})
         v = point[frac_at]
         floor_hi = list(hi)
-        floor_hi[frac_at] = Fraction(int(v))  # floor: v is positive here
+        floor_hi[frac_at] = int(v)  # floor: v is positive here
         ceil_lo = list(lo)
-        ceil_lo[frac_at] = Fraction(int(v) + 1)
+        ceil_lo[frac_at] = int(v) + 1
         stack.append((ceil_lo, list(hi)))     # explored second
         stack.append((list(lo), floor_hi))    # floor branch first (LIFO)
     return SolveOutcome(INFEASIBLE, None, {"nodes": nodes, "simplex_pivots": steps})
 
 
 def _lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
-    """Phase-1 simplex (Bland's rule, exact Fractions) for A x = b, lo <= x <= hi: (x or None, pivots made).
+    """Phase-1 simplex (Bland's rule, integer rows) for A x = b, lo <= x <= hi: (x or None, pivots made).
 
-    A x = b comes in reduced row echelon form, its pivot columns the start
+    A x = b comes as _rref_integer's rows, its pivot columns the start
     basis. x is shifted by lo; a finite upper bound is a slack row x_j + s_j
     = hi_j - lo_j, less x_j's basic row, so that s_j starts basic. Rows with
     a negative right side are negated and get an artificial, which is never
-    stored as a column: once it leaves the basis it is dropped.
+    stored as a column: once it leaves the basis it is dropped. The
+    objective sums the negated rows, each divided by the coefficient of its
+    start basic variable (times their lcm, to stay integral), as rows scaled
+    to 1 there would: weighted otherwise, Bland's rule pivots elsewhere. The
+    ratio test's Fraction(rhs, entry) and a basic value, right side over
+    coefficient, do not depend on a row's scale.
     """
     ncols = len(lo)
     rows = [{**row, RHS: row.get(RHS, 0) - sum(a * lo[k] for k, a in row.items() if k != RHS)} for row in rref]
@@ -573,24 +597,26 @@ def _lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
     for j in range(ncols):
         if hi[j] is not None:
             basis.append(ncols + len(rows))  # a slack, ranked after every x
-            rows.append({j: Fraction(1), ncols + len(rows): Fraction(1), RHS: hi[j] - lo[j]})
+            rows.append({j: 1, ncols + len(rows): 1, RHS: hi[j] - lo[j]})
     for i, j in enumerate(pivots):
         if hi[j] is not None:
             _pivot(rows, i, j)  # clears x_j from its slack row
     m = len(rows)
+    negated = [i for i, row in enumerate(rows) if row.get(RHS, 0) < 0]
+    scale = lcm(*(rows[i][basis[i]] for i in negated))
     obj = {}
-    for i, row in enumerate(rows):
-        if row.get(RHS, 0) < 0:
-            for k in row:
-                row[k] = -row[k]
-                obj[k] = obj.get(k, 0) + row[k]
-            basis[i] = ncols + m + i  # an artificial, ranked after every slack
+    for i in negated:
+        w = scale // rows[i][basis[i]]
+        for k, v in rows[i].items():
+            rows[i][k] = -v
+            obj[k] = obj.get(k, 0) - w * v
+        basis[i] = ncols + m + i  # an artificial, ranked after every slack
     rows.append(obj)
     steps = 0
     while (enter := min((k for k, a in obj.items() if k != RHS and a > 0), default=None)) is not None:
         candidates = [i for i in range(m) if rows[i].get(enter, 0) > 0]
         expect(bool(candidates), "phase-1 objective is bounded below, a ratio row must exist")
-        leave = min(candidates, key=lambda i: (rows[i].get(RHS, 0) / rows[i][enter], basis[i]))
+        leave = min(candidates, key=lambda i: (Fraction(rows[i].get(RHS, 0), rows[i][enter]), basis[i]))
         _pivot(rows, leave, enter)
         basis[leave] = enter
         steps += 1
@@ -599,7 +625,7 @@ def _lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
     x = list(lo)
     for i, var in enumerate(basis):
         if var < ncols:
-            x[var] += rows[i].get(RHS, 0)
+            x[var] += Fraction(rows[i].get(RHS, 0), rows[i][var])
     return x, steps
 
 

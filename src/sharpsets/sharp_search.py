@@ -58,7 +58,9 @@ def build_cover_instance(elements: list[Perm]) -> CoverInstance:
     width = 8  # whole bytes, with the all-ones field above every live-row count
     while max(map(int.bit_count, columns)) >= (1 << width) - 1:
         width *= 2
-    units = [sum(1 << width * (c * n + g[c]) for c in range(n)) for g in elements]
+    step = width // 8  # bytes per field; a unit is n blocks of n fields, block c holding a 1 in field g[c]
+    blocks = [bytes(j * step) + b"\1" + bytes((n - j) * step - 1) for j in range(n)]
+    units = [int.from_bytes(b"".join(map(blocks.__getitem__, g)), "little") for g in elements]
     return CoverInstance(n, rows, columns, units, width)
 
 

@@ -6,15 +6,25 @@ solvability, with its lifting consequence over Z/p and, on tiny systems,
 over Z/p^2. reference_find_sharp_set is the exact-cover search that rescans
 every uncovered column at each node, kept to pin the packed-count kernel of
 sharp_search.find_sharp_set to the same nodes and witnesses.
+reference_solve_rational and reference_solve_nonneg_integer run the
+Fraction-row kernel (one pivot step scaling the pivot row to 1, shared by
+Gauss-Jordan and the phase-1 simplex) that the integer-row kernel of
+linsys replaced, kept to pin it to the same ranks, witnesses, nodes and
+simplex pivots. read_design and read_graph read back the files that
+designs.write_design and designs.write_graph export.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
+from sharpsets.designs import Design, Graph
 from sharpsets.linsys import (
     INFEASIBLE,
+    RHS,
     SOLVABLE,
     ExactSystem,
+    SolveOutcome,
     build_full_system,
     build_H_system,
     solve_integer,
@@ -161,3 +171,137 @@ def reference_find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = 10**
     if not ok:
         return SearchResult(NONE_EXHAUSTIVE, None, nodes)
     return SearchResult(FOUND, SharpSet(tuple(sorted(chosen)), t), nodes)
+
+
+def _fraction_pivot(rows: list[dict], r: int, c: int) -> None:
+    """Scale rows[r] to 1 at column c and clear c from the other rows that hold it ({col: Fraction} rows)."""
+    prow = rows[r]
+    inv = 1 / prow[c]
+    if inv != 1:
+        for k in prow:
+            prow[k] *= inv
+    for row in rows:
+        if row is not prow and row.get(c):
+            f = row[c]
+            for k, v in prow.items():
+                if x := row.get(k, 0) - f * v:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+
+
+def reference_rref_rational(system: ExactSystem):
+    """Gauss-Jordan of [A | b] over Q on Fraction rows, sparsest row first: (rows, pivots), rows None if inconsistent."""
+    rows = [{RHS: Fraction(b)} if b else {} for b in system.rhs]
+    for c, col in enumerate(system.columns):
+        for r, a in col.items():
+            rows[r][c] = Fraction(a)
+    free = set(range(system.rows))
+    pivots, order = [], []
+    for c in range(system.cols):
+        if candidates := [i for i in free if rows[i].get(c)]:
+            r = min(candidates, key=lambda i: (len(rows[i]), i))
+            _fraction_pivot(rows, r, c)
+            free.remove(r)
+            pivots.append(c)
+            order.append(r)
+    if any(RHS in rows[i] for i in free):
+        return None, pivots
+    return [rows[i] for i in order], pivots
+
+
+def reference_solve_rational(system: ExactSystem) -> SolveOutcome:
+    """solve_rational on Fraction rows: free variables 0."""
+    rows, pivots = reference_rref_rational(system)
+    if rows is None:
+        return SolveOutcome(INFEASIBLE, None, {"rank": len(pivots)})
+    witness = [Fraction(0)] * system.cols
+    for row, c in zip(rows, pivots):
+        witness[c] = row.get(RHS, Fraction(0))
+    assert verify_witness(system, witness)
+    return SolveOutcome(SOLVABLE, witness, {"rank": len(pivots)})
+
+
+def reference_solve_nonneg_integer(system: ExactSystem, budget: int) -> SolveOutcome:
+    """solve_nonneg_integer on Fraction rows: the same floor-first branching, budget and notes."""
+    rows, pivots = reference_rref_rational(system)
+    if rows is None:
+        return SolveOutcome(INFEASIBLE, None, {"stage": "rational-preprocessing", "simplex_pivots": 0})
+    ncols = system.cols
+    stack = [([Fraction(0)] * ncols, [None] * ncols)]
+    nodes = steps = 0
+    while stack:
+        lo, hi = stack.pop()
+        nodes += 1
+        if nodes > budget:
+            return SolveOutcome(UNKNOWN_BUDGET, None, {"nodes": nodes, "simplex_pivots": steps})
+        point, n = _reference_lp_feasible_point(rows, pivots, lo, hi)
+        steps += n
+        if point is None:
+            continue
+        frac_at = next((j for j, x in enumerate(point) if x.denominator != 1), None)
+        if frac_at is None:
+            witness = [int(x) for x in point]
+            assert min(witness, default=0) >= 0 and verify_witness(system, witness)
+            return SolveOutcome(SOLVABLE, witness, {"nodes": nodes, "simplex_pivots": steps})
+        v = point[frac_at]
+        floor_hi = list(hi)
+        floor_hi[frac_at] = Fraction(int(v))
+        ceil_lo = list(lo)
+        ceil_lo[frac_at] = Fraction(int(v) + 1)
+        stack.append((ceil_lo, list(hi)))
+        stack.append((list(lo), floor_hi))
+    return SolveOutcome(INFEASIBLE, None, {"nodes": nodes, "simplex_pivots": steps})
+
+
+def _reference_lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
+    """Phase-1 simplex on Fraction rows, Bland's rule; each start row has a 1 at its basic variable."""
+    ncols = len(lo)
+    rows = [{**row, RHS: row.get(RHS, 0) - sum(a * lo[k] for k, a in row.items() if k != RHS)} for row in rref]
+    basis = list(pivots)
+    for j in range(ncols):
+        if hi[j] is not None:
+            basis.append(ncols + len(rows))
+            rows.append({j: Fraction(1), ncols + len(rows): Fraction(1), RHS: hi[j] - lo[j]})
+    for i, j in enumerate(pivots):
+        if hi[j] is not None:
+            _fraction_pivot(rows, i, j)
+    m = len(rows)
+    obj = {}
+    for i, row in enumerate(rows):
+        if row.get(RHS, 0) < 0:
+            for k in row:
+                row[k] = -row[k]
+                obj[k] = obj.get(k, 0) + row[k]
+            basis[i] = ncols + m + i
+    rows.append(obj)
+    steps = 0
+    while (enter := min((k for k, a in obj.items() if k != RHS and a > 0), default=None)) is not None:
+        candidates = [i for i in range(m) if rows[i].get(enter, 0) > 0]
+        leave = min(candidates, key=lambda i: (rows[i].get(RHS, 0) / rows[i][enter], basis[i]))
+        _fraction_pivot(rows, leave, enter)
+        basis[leave] = enter
+        steps += 1
+    if obj.get(RHS):
+        return None, steps
+    x = list(lo)
+    for i, var in enumerate(basis):
+        if var < ncols:
+            x[var] += rows[i].get(RHS, 0)
+    return x, steps
+
+
+def read_design(path, name="") -> Design:
+    """The design in a designs.write_design file: 'v k b', then one block per line as 0-based points."""
+    with open(path) as fh:
+        v, k, b = (int(x) for x in fh.readline().split())
+        blocks = [sum(1 << int(x) for x in fh.readline().split()) for _ in range(b)]
+    return Design(v, k, tuple(blocks), name)
+
+
+def read_graph(path) -> Graph:
+    """The graph in a designs.write_graph file: the vertex count, then one 0/1 adjacency row per line."""
+    with open(path) as fh:
+        n = int(fh.readline())
+        adj = [sum(1 << j for j, c in enumerate(fh.readline().strip()) if c == "1") for _ in range(n)]
+    return Graph(n, tuple(adj))

@@ -278,6 +278,18 @@ def test_search_none_for_s3(s3):
     assert certificate_search(s3, 2) is None
 
 
+def test_span_vector_cap_is_monotone_in_the_dimension():
+    # past SPAN_VECTOR_LIMIT the basis is cut to the largest span under it
+    # (2^16 for p = 2, 3^10 for p = 3), so a larger nullspace never yields fewer B
+    for p, dims in ((2, (15, 16, 17, 20)), (3, (10, 11, 12))):
+        counts = []
+        for dim in dims:
+            basis = [1 << i for i in range(dim)] if p == 2 else [[int(i == j) for j in range(dim)] for i in range(dim)]
+            counts.append(sum(1 for _ in certify._zero_one_vectors(basis, dim, p)))
+        assert counts == sorted(counts), (p, counts)
+        assert counts[-1] == (1 << {2: 16, 3: 10}[p]) - 1, (p, counts)  # every 0/1 vector of the kept span
+
+
 def test_no_certificate_for_groups_with_sharp_sets(c5, c6, s3, s4, a4):
     # groups where the exact-cover oracle finds a sharply transitive set can
     # never carry a valid certificate

@@ -354,7 +354,7 @@ def test_export_design_matches_construction(tmp_path):
     design_path = tmp_path / "w23.dsn"
     code, report = run_cli(tmp_path, "verify", "m22", "--export-design", str(design_path))
     assert code == 0
-    from sharpsets import designs
+    from oracles import read_design
 
-    again = designs.read_design(design_path)
+    again = read_design(design_path)
     assert again.v == 23 and again.k == 7 and again.b == 253

@@ -5,7 +5,12 @@ import time
 from fractions import Fraction
 
 import pytest
-from oracles import lemma_down_check, local_global_check
+from oracles import (
+    lemma_down_check,
+    local_global_check,
+    reference_solve_nonneg_integer,
+    reference_solve_rational,
+)
 
 from sharpsets import linsys, perm
 from sharpsets.linsys import (
@@ -646,6 +651,62 @@ def test_nonneg_budget_outcome():
     # must cut the unbounded branching off explicitly
     out = solve_nonneg_integer(system, budget=10)
     assert out.status in ("unknown-budget", "infeasible")
+
+
+# ---------------------------------------------------------------------------
+# Integer rows against the Fraction-row reference kernel
+
+
+def assert_matches_fraction_reference(system, budget, label):
+    # integer rows are positive multiples of the Fraction rows, so every
+    # pivot, ratio test and branch must coincide: status, witness, rank,
+    # nodes and simplex pivots
+    out = solve_nonneg_integer(system, budget)
+    assert out.as_dict() == reference_solve_nonneg_integer(system, budget).as_dict(), label
+    assert solve_rational(system).as_dict() == reference_solve_rational(system).as_dict(), label
+    return out
+
+
+def test_integer_rows_match_fraction_reference_on_random_systems():
+    rng = random.Random(1968)
+    seen = {"solvable": 0, "infeasible": 0, "unknown-budget": 0, "branched": 0, "pivoted": 0}
+    for trial in range(400):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(2, 7)
+        matrix = [[rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 3:
+            x0 = [rng.randrange(0, 3) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        else:
+            rhs = [rng.randrange(-6, 7) for _ in range(nrows)]
+        if trial % 5 == 0:
+            matrix[0] = [2 * a for a in matrix[-1]]  # rank-deficient, the right side left as it is
+        out = assert_matches_fraction_reference(ExactSystem.from_rows(matrix, rhs), rng.randrange(1, 41), trial)
+        seen[out.status] += 1
+        seen["branched"] += out.notes.get("nodes", 0) > 1
+        seen["pivoted"] += out.notes["simplex_pivots"] > 0
+    assert min(seen.values()) >= 20, seen
+
+
+def test_integer_rows_match_fraction_reference_on_pairs(s4, s5):
+    for enum, pin in ((s4, False), (s5, False), (s4, True)):
+        system = build_full_system(induced_action(enum, 2)[1].elements)
+        if pin:
+            system = restrict_to_fpf(system, pin_identity=True)
+        out = assert_matches_fraction_reference(system, linsys.DEFAULT_BNB_BUDGET, (enum.name, pin))
+        assert out.status == "solvable"
+
+
+def test_integer_rref_rows_are_primitive_and_positive_at_their_pivot():
+    # the gcd divisions keep entries small, and the sign at the pivot is
+    # what the ratio test and the basic values read
+    rng = random.Random(1967)
+    for trial in range(100):
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 7)
+        matrix = [[3 * rng.randrange(-4, 5) for _ in range(ncols)] for _ in range(nrows)]
+        rhs = [3 * rng.randrange(-2, 3) for _ in range(nrows)]
+        rows, pivots = linsys._rref_integer(ExactSystem.from_rows(matrix, rhs))
+        for row, c in zip(rows or [], pivots):
+            assert row[c] > 0 and math.gcd(*row.values()) == 1, trial
 
 
 # ---------------------------------------------------------------------------
