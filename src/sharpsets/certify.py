@@ -31,6 +31,7 @@ from .perm import (
     enumerate_group,
     expect,
     induced_action,
+    is_sharply_transitive,
     load_group,
     set_orbit,
 )
@@ -115,12 +116,7 @@ def doublecount_check(S: list[Perm], b_set: int, c_set: int) -> DoublecountRepor
     pair of points connected by exactly one member); if it fails, the report
     flags it and makes no claim about the identity.
     """
-    n = len(S[0])
-    coverage = [[0] * n for _ in range(n)]
-    for g in S:
-        for x in range(n):
-            coverage[x][g[x]] += 1
-    sharp = all(coverage[x][y] == 1 for x in range(n) for y in range(n))
+    sharp = is_sharply_transitive(S, len(S[0]))
     lhs = sum((b_set & apply_to_set(g, c_set)).bit_count() for g in S)
     rhs = b_set.bit_count() * c_set.bit_count()
     return DoublecountReport(sharp, lhs, rhs, sharp and lhs == rhs)
@@ -281,16 +277,25 @@ def certificate_search(
         if c_set.bit_count() % p == 0:
             continue
         images = sorted({apply_to_set(g, c_set) for g in G.elements})
-        if p == 2:
-            basis = linsys.nullspace_mod_2(images, n)
-        else:
-            basis = linsys.nullspace_mod_p([[img >> j & 1 for j in range(n)] for img in images], p)
-        for b_set in _zero_one_vectors(basis, n, p):
+        for b_set in _zero_one_vectors(_orthogonal_basis(images, n, p), n, p):
             if 0 < b_set.bit_count() <= max_b and b_set.bit_count() % p != 0:
                 found = finish(b_set, c_set)
                 if found:
                     return found
     return None
+
+
+def _orthogonal_basis(images: list[int], n: int, p: int) -> list:
+    """Basis of the vectors orthogonal mod p to every image, one per free column.
+
+    For p = 2 the vectors are bitmasks and the columns go in from the highest
+    index down: the span walk is capped, so the basis decides which B it meets.
+    """
+    order = range(n)[::-1] if p == 2 else range(n)
+    basis = linsys.nullspace_mod_p([[img >> j & 1 for j in order] for img in images], p)
+    if p == 2:
+        return [sum(x << j for j, x in zip(order, v)) for v in reversed(basis)]
+    return basis
 
 
 def _zero_one_vectors(basis, ncols: int, p: int):

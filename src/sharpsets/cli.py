@@ -11,18 +11,20 @@ group file whose order line disagrees with its generators, an unsupported
 `--n`, `--q`, `--modulus`, `--t` or `--budget`, a `--p` past
 linsys.PRIME_BOUND, or impossible design parameters with one stderr line
 and no report; a `--p` with a `--ring` other than f_p goes through the
-parser. A missing data file exits
-3, and input refused for size 4, likewise: a group or orbit too large to
-enumerate, an sp case past the orbit cap, a linear system past
+parser. A file that cannot be read or written (a missing group file, a
+directory given as a path, an `--out` or `--export-*` path in a missing
+directory) exits 3 with one stderr line and no report, the report's own
+file included. Input refused for size exits 4, likewise: a group or orbit
+too large to enumerate, an sp case past the orbit cap, a linear system past
 linsys.DENSE_CELL_CAP cells (systems are stored by column; the Z solver and
 `--export-system` densify, and the packed odd-p rows and the sparse Q and
-Z>=0 rows can fill in that far), or a `search-sharp` whose packed
-exact-cover table, |G| x N^2 fields, would pass that cap. The
-quadric's polarization is checked on every pair of an F_2-basis, complete
-because both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in
-seconds in both actions. A failed
-`selftest` check carries an `error` field and makes the run exit 1. Random
-probes take their seed from `--probe`; there is no `--seed` flag.
+Z>=0 rows can fill in that far; F_2's one-bit rows are not capped), or a
+`search-sharp` whose packed exact-cover table, |G| x N^2 fields, would pass
+that cap. The quadric's polarization is checked on every pair of an
+F_2-basis, complete because both sides are biadditive, so sp (2,8), (3,4)
+and (5,2) run in seconds in both actions. A failed `selftest` check carries
+an `error` field and makes the run exit 1. Random probes take their seed
+from `--probe`; there is no `--seed` flag.
 """
 
 from __future__ import annotations
@@ -143,20 +145,20 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         report = commands[args.command](args)
+        report["elapsed_ms"] = (time.perf_counter() - t0) * 1e3
+        _write_report(report, args.out)
     except GroupFileError as exc:
         print(f"malformed group file: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # every input check raises one
         print(f"bad input: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing data file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return 3
     except GroupTooLarge as exc:
         print(f"refused for size: {exc}", file=sys.stderr)
         return 4
-    report["elapsed_ms"] = (time.perf_counter() - t0) * 1e3
-    _write_report(report, args.out)
     if report.get("case") == "selftest" and report["conclusion"] != "ok":
         return 1
     return 0

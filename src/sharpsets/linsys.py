@@ -9,17 +9,19 @@ as equations, H-conjugacy class representatives as variables) yields the
 condensed system; with H trivial it reproduces the full one.
 
 Systems are stored by column: the full system is its elements' permutation
-matrices. Only the Hermite kernel and the export densify; odd p, Q and Z>=0
-work on packed or sparse rows, whose fill-in the dense cap still bounds.
+matrices. Only the Hermite kernel and the export densify; F_p, Q and Z>=0
+work on packed or sparse rows, whose fill-in the dense cap bounds, except
+over F_2, whose one-bit rows take less memory than the columns they come from.
 
-All solver arithmetic is exact: bitmask vectors over F_2, rows packed into
-one Python integer for odd p (a field of p.bit_length() + 1 bits per entry,
-added mod p all at once), fraction-free integer rows over Q (Edmonds,
-Bareiss) and arbitrary-precision integers for the Hermite normal form over
-Z. Floating point is never used. Each field has one elimination kernel,
-shared by its solver and its other users: one packed echelon basis serves
-the odd-p solver and nullspace, and over Q one sparse integer pivot step
-serves Gauss-Jordan and the Z>=0 phase-1 simplex.
+All solver arithmetic is exact: rows packed into one Python integer over
+F_p (one bit per entry for p = 2, added by xor; else a field of
+p.bit_length() + 1 bits, added mod p all at once), fraction-free integer
+rows over Q (Edmonds, Bareiss) and arbitrary-precision integers for the
+Hermite normal form over Z. Floating point is never used. Each field has
+one elimination kernel, shared by its solver and its other users: one
+packed echelon basis serves the F_p solver and nullspace for every prime,
+and over Q one sparse integer pivot step serves Gauss-Jordan and the Z>=0
+phase-1 simplex.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import xor
 
 from .perm import (
     GroupEnumeration,
@@ -218,90 +221,39 @@ def is_prime(p: int) -> bool:
 def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
     """Exact solvability over F_p, with a witness when solvable.
 
-    p = 2 runs an incremental column-span construction on bitmask vectors
-    with an early exit as soon as the right side enters the span; odd p
-    reduces packed rows to an echelon basis (see _echelon_mod_p), under
-    the dense cap, and back-substitutes with free variables 0.
+    Packed rows are reduced to an echelon basis (see _echelon_mod_p), under
+    the dense cap for odd p, and back-substituted with free variables 0.
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    outcome = _solve_mod_2(system) if p == 2 else _solve_mod_odd(system, p)
+    outcome = _solve_mod_p(system, p)
     if outcome.status == SOLVABLE and not verify_witness(system, outcome.witness, modulus=p):
         raise InvariantViolation(f"mod-{p} witness fails substitution")
     outcome.notes["p"] = p
     return outcome
 
 
-def _bitmask(values) -> int:
-    """Pack values mod 2 into an int, bit r holding the r-th value."""
-    return sum(1 << r for r, x in enumerate(values) if x & 1)
-
-
-def _reduce_mod_2(basis: dict[int, tuple[int, int]], v: int, combo: int) -> tuple[int, int]:
-    """Reduce v against an F_2 echelon basis {top bit: (vector, column combination)}.
-
-    combo is the column combination v stands for and is reduced alongside.
-    """
-    while v:
-        top = v.bit_length() - 1
-        if top not in basis:
-            break
-        bv, bc = basis[top]
-        v ^= bv
-        combo ^= bc
-    return v, combo
-
-
-def _solve_mod_2(system: ExactSystem) -> SolveOutcome:
-    ncols = system.cols
-    residual = _bitmask(system.rhs)
-    if residual == 0:
-        return SolveOutcome(SOLVABLE, [0] * ncols, {"early_exit_col": -1})
-    basis: dict[int, tuple[int, int]] = {}
-    res_combo = 0
-    for c, column in enumerate(system.columns):
-        mask = sum(1 << r for r, a in column.items() if a & 1)
-        v, combo = _reduce_mod_2(basis, mask, 1 << c)
-        if v:
-            basis[v.bit_length() - 1] = (v, combo)
-            # fold the new basis vector into the reduced residual
-            residual, res_combo = _reduce_mod_2(basis, residual, res_combo)
-            if residual == 0:
-                witness = [(res_combo >> k) & 1 for k in range(ncols)]
-                return SolveOutcome(SOLVABLE, witness, {"early_exit_col": c})
-    return SolveOutcome(INFEASIBLE, None, {"rank": len(basis)})
-
-
-def nullspace_mod_2(rows: list[int], ncols: int) -> list[int]:
-    """Basis of {v : M v = 0 (mod 2)} for bitmask rows of M, as bitmasks.
-
-    Columns go in from the highest index down, and each one that reduces to
-    0 gives its combination: the reduced echelon basis, by free column.
-    """
-    basis: dict[int, tuple[int, int]] = {}
-    null = []
-    for j in reversed(range(ncols)):
-        v, combo = _reduce_mod_2(basis, _bitmask(row >> j for row in rows), 1 << j)
-        if v:
-            basis[v.bit_length() - 1] = (v, combo)
-        else:
-            null.append(combo)
-    return null[::-1]
+def _width(p: int) -> int:
+    """Bits per packed entry: one for p = 2, else p.bit_length() and a guard bit."""
+    return 1 if p == 2 else p.bit_length() + 1
 
 
 def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     """Row-incremental echelon basis of [A | b] mod p: {lead: packed row scaled to 1 there}.
 
-    A row is one int, entry j in bits [j*w, (j+1)*w), w = p.bit_length() + 1
-    (a guard bit), b in field cols. It is reduced at its lead, its lowest
-    nonzero field, until it vanishes or opens a new lead. The leads are the
-    pivots of the reduced row echelon form (a lead at cols: inconsistent).
-    A row adds mod p at once: s = x + y, less p in every field where s + 2^k
-    - p carries into bit k; x - e*b is x + (p-e)*b, summed from the basis
-    row's doublings 2^i*b, each made on first use. The dense cap bounds fill-in.
+    A row is one int, entry j in bits [j*w, (j+1)*w), w = _width(p), b in
+    field cols. It is reduced at its lead, its lowest nonzero field, until it
+    vanishes or opens a new lead. The leads are the pivots of the reduced row
+    echelon form (a lead at cols: inconsistent). A row adds mod p at once:
+    xor for p = 2; else s = x + y, less p in every field where s + 2^k - p
+    carries into bit k. x - e*b is x + (p-e)*b: one add when p - e = 1, as
+    always for p = 2, else summed from the basis row's doublings 2^i*b, each
+    made on first use. The dense cap bounds fill-in for odd p; one-bit rows
+    take less memory than the columns they come from, so p = 2 is not capped.
     """
-    _check_cap((system.rows, system.cols + 1), "packed F_p elimination")
-    k, w = p.bit_length(), p.bit_length() + 1
+    if p != 2:
+        _check_cap((system.rows, system.cols + 1), "packed F_p elimination")
+    k, w = p.bit_length(), _width(p)
     rows = [(b % p) << (system.cols * w) for b in system.rhs]
     for c, col in enumerate(system.columns):
         for r, a in col.items():
@@ -310,16 +262,20 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     ones = ((1 << (w * (system.cols + 1))) - 1) // mask
     carry = ones * ((1 << k) - p)
 
+    def add_packed(x: int, y: int) -> int:
+        s = x + y
+        return s - p * (((s + carry) >> k) & ones)
+
+    add = xor if p == 2 else add_packed
+
     def add_multiple(x: int, doubles: list[int], m: int) -> int:
         """x + m*doubles[0] mod p, extending the doublings as far as m needs."""
         i = 0
         while m:
             if i == len(doubles):
-                s = doubles[-1] << 1
-                doubles.append(s - p * (((s + carry) >> k) & ones))
+                doubles.append(add(doubles[-1], doubles[-1]))
             if m & 1:
-                s = x + doubles[i]
-                x = s - p * (((s + carry) >> k) & ones)
+                x = add(x, doubles[i])
             m >>= 1
             i += 1
         return x
@@ -329,16 +285,16 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
         while x:
             lead = ((x & -x).bit_length() - 1) // w
             e = (x >> (lead * w)) & mask
-            if lead not in basis:
+            if (doubles := basis.get(lead)) is None:
                 basis[lead] = [x if e == 1 else add_multiple(0, [x], pow(e, -1, p))]
                 break
-            x = add_multiple(x, basis[lead], p - e)
+            x = add(x, doubles[0]) if e == p - 1 else add_multiple(x, doubles, p - e)
     return {lead: doubles[0] for lead, doubles in basis.items()}
 
 
 def _back_substitute(basis: dict[int, int], col: int, p: int, ncols: int) -> list[int]:
     """x with row . x = row[col] mod p for each basis row, zero off the leads."""
-    w = p.bit_length() + 1
+    w = _width(p)
     mask = (1 << w) - 1
     x, nonzero = [0] * ncols, []
     for lead in sorted(basis, reverse=True):
@@ -352,7 +308,7 @@ def _back_substitute(basis: dict[int, int], col: int, p: int, ncols: int) -> lis
     return x
 
 
-def _solve_mod_odd(system: ExactSystem, p: int) -> SolveOutcome:
+def _solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
     ncols = system.cols
     basis = _echelon_mod_p(system, p)
     if ncols in basis:

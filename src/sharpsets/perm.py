@@ -121,6 +121,11 @@ def is_fixed_point_free(g: Perm) -> bool:
     return all(y != x for x, y in enumerate(g))
 
 
+def is_sharply_transitive(elements: list[Perm], degree: int) -> bool:
+    """Exactly one element maps x to y for every ordered pair of points: degree elements, each point's images distinct."""
+    return len(elements) == degree and all(len(set(images)) == degree for images in zip(*elements))
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A permutation group given by generators on {0, ..., degree-1}."""

@@ -18,7 +18,7 @@ from itertools import compress, count
 from operator import or_
 
 from .linsys import _check_cap
-from .perm import GroupEnumeration, Perm, expect, induced_action
+from .perm import GroupEnumeration, Perm, expect, induced_action, is_sharply_transitive
 
 FOUND = "found"
 NONE_EXHAUSTIVE = "none-exhaustive"
@@ -151,12 +151,4 @@ def verify_sharp_set(G: GroupEnumeration, indices, t: int = 1) -> bool:
     else:
         _, induced = induced_action(G, t)
         elements = induced.elements
-    sel = [elements[i] for i in indices]
-    n = len(elements[0])
-    if len(sel) != n:
-        return False
-    count = [[0] * n for _ in range(n)]
-    for g in sel:
-        for c in range(n):
-            count[c][g[c]] += 1
-    return all(count[c][d] == 1 for c in range(n) for d in range(n))
+    return is_sharply_transitive([elements[i] for i in indices], len(elements[0]))

@@ -10,8 +10,11 @@ reference_solve_rational and reference_solve_nonneg_integer run the
 Fraction-row kernel (one pivot step scaling the pivot row to 1, shared by
 Gauss-Jordan and the phase-1 simplex) that the integer-row kernel of
 linsys replaced, kept to pin it to the same ranks, witnesses, nodes and
-simplex pivots. read_design and read_graph read back the files that
-designs.write_design and designs.write_graph export.
+simplex pivots. reference_nullspace_mod_2 is the column-incremental F_2
+nullspace on bitmasks that the packed echelon basis of linsys replaced,
+kept to pin the F_2 basis of certify's certificate search. read_design and
+read_graph read back the files that designs.write_design and
+designs.write_graph export.
 """
 
 import itertools
@@ -289,6 +292,29 @@ def _reference_lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
         if var < ncols:
             x[var] += rows[i].get(RHS, 0)
     return x, steps
+
+
+def reference_nullspace_mod_2(rows: list[int], ncols: int) -> list[int]:
+    """Basis of {v : M v = 0 (mod 2)} for bitmask rows of M, as bitmasks.
+
+    Columns go in from the highest index down, each reduced against an
+    echelon basis {top bit: (vector, column combination)}, its combination
+    reduced alongside; a column that reduces to 0 gives its combination: the
+    reduced echelon basis, by free column.
+    """
+    basis: dict[int, tuple[int, int]] = {}
+    null = []
+    for j in reversed(range(ncols)):
+        v, combo = sum(1 << r for r, row in enumerate(rows) if row >> j & 1), 1 << j
+        while v and (top := v.bit_length() - 1) in basis:
+            bv, bc = basis[top]
+            v ^= bv
+            combo ^= bc
+        if v:
+            basis[v.bit_length() - 1] = (v, combo)
+        else:
+            null.append(combo)
+    return null[::-1]
 
 
 def read_design(path, name="") -> Design:

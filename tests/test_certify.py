@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from oracles import reference_nullspace_mod_2
 
 from sharpsets import certify, geometry, gf, linsys, perm, sharp_search
 from sharpsets.certify import (
@@ -276,6 +277,20 @@ def test_search_none_for_c5(c5):
 
 def test_search_none_for_s3(s3):
     assert certificate_search(s3, 2) is None
+
+
+def test_f2_basis_matches_the_column_incremental_reference():
+    # the span walk is capped, so the basis order decides which B it meets:
+    # the packed kernel must give the column-incremental basis, vector by vector
+    rng = random.Random(12)
+    free = 0
+    for trial in range(1200):
+        ncols = rng.randrange(1, 13)
+        rows = [rng.getrandbits(ncols) for _ in range(rng.randrange(1, 10))]
+        basis = certify._orthogonal_basis(rows, ncols, 2)
+        assert basis == reference_nullspace_mod_2(rows, ncols), trial
+        free += bool(basis)
+    assert free >= 400, free
 
 
 def test_span_vector_cap_is_monotone_in_the_dimension():

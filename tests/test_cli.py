@@ -183,6 +183,20 @@ def test_missing_group_file_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("case", ["group-is-a-directory", "export-is-a-directory", "out-in-a-missing-directory"])
+def test_unusable_file_exit_3(tmp_path, capsys, case):
+    # the last case fails only after the whole run, when the report is written
+    c5 = str(shipped_group_path("c5"))
+    argv = {
+        "group-is-a-directory": ["search-sharp", "--group", str(tmp_path)],
+        "export-is-a-directory": ["linsys", "--group", c5, "--ring", "q", "--export-system", str(tmp_path)],
+        "out-in-a-missing-directory": ["linsys", "--group", c5, "--ring", "q", "--out", str(tmp_path / "no" / "r.json")],
+    }[case]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("file error: ") and err.count("\n") == 1, err
+
+
 def test_bad_flags_exit_2(tmp_path, capsys):
     c5 = str(shipped_group_path("c5"))
     for argv in (

@@ -20,6 +20,7 @@ from sharpsets.perm import (
     inverse,
     inversions,
     is_fixed_point_free,
+    is_sharply_transitive,
     orbits_on_pairs,
     parity,
 )
@@ -309,6 +310,28 @@ def test_fixed_point_free():
     assert not is_fixed_point_free(identity(3))
     assert is_fixed_point_free(from_cycles(4, (0, 1), (2, 3)))
     assert not is_fixed_point_free(from_cycles(3, (0, 1)))
+
+
+def test_sharply_transitive_is_the_coverage_table(s4):
+    # every ordered pair joined by exactly one element: translates of the two
+    # regular subgroups, with a member swapped for a random element or not,
+    # and random lists of every size, repeats included
+    rng = random.Random(8)
+    regular = [enumerate_group(GroupSpec(4, gens)).elements for gens in (
+        (from_cycles(4, (0, 1, 2, 3)),), (from_cycles(4, (0, 1), (2, 3)), from_cycles(4, (0, 2), (1, 3))))]
+    kinds = {True: 0, False: 0}
+    for trial in range(400):
+        g = rng.choice(s4.elements)
+        subset = [compose(g, h) for h in rng.choice(regular)]
+        if trial % 2:
+            subset[rng.randrange(4)] = rng.choice(s4.elements)
+        if trial % 5 == 0:
+            subset = [rng.choice(s4.elements) for _ in range(rng.randrange(0, 6))]
+        coverage = [[sum(h[x] == y for h in subset) for y in range(4)] for x in range(4)]
+        sharp = all(c == 1 for row in coverage for c in row)
+        assert is_sharply_transitive(subset, 4) == sharp, subset
+        kinds[sharp] += 1
+    assert min(kinds.values()) >= 100, kinds
 
 
 def test_group_file_roundtrip(tmp_path):
