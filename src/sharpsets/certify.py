@@ -14,11 +14,9 @@ a mathematical reason recorded as an assumption in the report.
 
 from __future__ import annotations
 
-import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from operator import itemgetter, mul
+from operator import itemgetter
 
 from . import designs, geometry, gf, linsys
 from .perm import (
@@ -189,134 +187,6 @@ def verify_certificate_family(
         conclusion=REFUTED if refuted else INCONCLUSIVE,
         assumptions=(closure_witness,),
     )
-
-
-# ---------------------------------------------------------------------------
-# Certificate discovery
-
-EXHAUSTIVE_PAIR_LIMIT = 1 << 20  # (B, C) pairs scanned in full before sampling candidates
-SPAN_VECTOR_LIMIT = 1 << 16  # span vectors tried per candidate C
-
-
-def certificate_search(
-    G: GroupEnumeration,
-    p: int,
-    max_b: int | None = None,
-    max_c: int | None = None,
-    *,
-    budget: int = 20000,
-    action=None,
-) -> Certificate | None:
-    """Search for a valid certificate (B, C) for the prime p, or report none.
-
-    On domains small enough that every (B, C) pair fits in the budget the
-    scan is exhaustive, so a None answer is a proof of nonexistence within
-    the size bounds. On larger domains candidate sets C are drawn from a
-    deterministic pool (coordinate comparisons of arrangement cells when an
-    ArrangementAction is supplied, then small subsets); for each C the valid
-    B are exactly the 0/1 vectors orthogonal mod p to every image C^g, so
-    they are read off a nullspace basis instead of guessed.
-    """
-    n = G.degree
-    max_b = n if max_b is None else max_b
-    max_c = n if max_c is None else max_c
-
-    def finish(b_set: int, c_set: int) -> Certificate | None:
-        if (b_set.bit_count() * c_set.bit_count()) % p == 0:
-            return None
-        cert = Certificate(b_set, c_set, p, n)
-        report = verify_certificate_enumerated(G, cert)
-        return cert if report.conclusion == REFUTED else None
-
-    if (1 << n) * (1 << n) <= EXHAUSTIVE_PAIR_LIMIT:
-        # full scan in lexicographic order of the (B, C) bitmask pair
-        orbits: dict[int, list[int]] = {}
-        for c_set in range(1, 1 << n):
-            if c_set.bit_count() > max_c or c_set.bit_count() % p == 0:
-                continue
-            images = sorted({apply_to_set(g, c_set) for g in G.elements})
-            orbits[c_set] = images
-        for b_set in range(1, 1 << n):
-            if b_set.bit_count() > max_b or b_set.bit_count() % p == 0:
-                continue
-            for c_set, images in orbits.items():
-                if all((b_set & img).bit_count() % p == 0 for img in images):
-                    found = finish(b_set, c_set)
-                    if found:
-                        return found
-        return None
-
-    candidates: list[int] = []
-    seen = set()
-
-    def push(c_set: int):
-        if c_set and c_set not in seen and c_set.bit_count() <= max_c:
-            seen.add(c_set)
-            candidates.append(c_set)
-
-    if action is not None:
-        # natural structured subsets of tuple cells: coordinate comparisons
-        for a, b in itertools.combinations(range(action.t), 2):
-            lt = sum(1 << i for i, cell in enumerate(action.cells) if cell[a] < cell[b])
-            gt = sum(1 << i for i, cell in enumerate(action.cells) if cell[a] > cell[b])
-            push(lt)
-            push(gt)
-    for size in range(1, max_c + 1):
-        if len(candidates) >= budget:
-            break
-        if math.comb(n, size) + len(candidates) > budget:
-            break
-        for combo in itertools.combinations(range(n), size):
-            push(sum(1 << x for x in combo))
-
-    examined = 0
-    for c_set in candidates:
-        if examined >= budget:
-            return None
-        examined += 1
-        if c_set.bit_count() % p == 0:
-            continue
-        images = sorted({apply_to_set(g, c_set) for g in G.elements})
-        for b_set in _zero_one_vectors(_orthogonal_basis(images, n, p), n, p):
-            if 0 < b_set.bit_count() <= max_b and b_set.bit_count() % p != 0:
-                found = finish(b_set, c_set)
-                if found:
-                    return found
-    return None
-
-
-def _orthogonal_basis(images: list[int], n: int, p: int) -> list:
-    """Basis of the vectors orthogonal mod p to every image, one per free column.
-
-    For p = 2 the vectors are bitmasks and the columns go in from the highest
-    index down: the span walk is capped, so the basis decides which B it meets.
-    """
-    order = range(n)[::-1] if p == 2 else range(n)
-    basis = linsys.nullspace_mod_p([[img >> j & 1 for j in order] for img in images], p)
-    if p == 2:
-        return [sum(x << j for j, x in zip(order, v)) for v in reversed(basis)]
-    return basis
-
-
-def _zero_one_vectors(basis, ncols: int, p: int):
-    """All 0/1 vectors (as bitmasks) in the span of the basis, up to a cap."""
-    if not basis:
-        return
-    dim = len(basis)
-    while dim > 1 and p**dim > SPAN_VECTOR_LIMIT:  # the largest span under the cap, so never fewer for more
-        dim -= 1
-    basis = basis[:dim]
-    if p == 2:
-        span = [0]  # span[k] is the sum of the basis vectors at the bits of k
-        for b in basis:
-            span += [v ^ b for v in span]
-        yield from span[1:]
-    else:
-        columns = list(zip(*basis))
-        for combo in itertools.product(range(p), repeat=dim):  # combo[i] is basis[i]'s coefficient
-            vec = [sum(map(mul, combo, col)) % p for col in columns]
-            if any(combo) and set(vec) <= {0, 1}:
-                yield sum(1 << j for j, x in enumerate(vec) if x)
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,8 @@ def main(argv=None) -> int:
     except GroupTooLarge as exc:
         print(f"refused for size: {exc}", file=sys.stderr)
         return 4
+    if args.command == "search-sharp":  # only once the report is written, so a file error stays one line
+        print(_search_summary(report), file=sys.stderr)
     if report.get("case") == "selftest" and report["conclusion"] != "ok":
         return 1
     return 0
@@ -202,22 +204,21 @@ def _cmd_search(args) -> dict:
     spec = load_group(args.group)
     G = enumerate_group(spec)
     result = sharp_search.find_sharp_set(G, args.t, args.budget)
-    witness = list(result.sharp_set.element_indices) if result.sharp_set else None
-    if witness is not None:
-        summary = " ".join(str(i) for i in witness)
-    elif result.status == sharp_search.NONE_EXHAUSTIVE:
-        summary = "NONE (exhaustive)"
-    else:
-        summary = "UNKNOWN (budget)"
-    print(summary, file=sys.stderr)
     return {
         "case": "search-sharp",
         "group": spec.name,
         "status": result.status,
         "t": args.t,
-        "witness": witness,
+        "witness": list(result.sharp_set.element_indices) if result.sharp_set else None,
         "nodes": result.nodes,
     }
+
+
+def _search_summary(report: dict) -> str:
+    """The stderr line of a search-sharp run: the witness indices, or why there are none."""
+    if report["witness"] is not None:
+        return " ".join(map(str, report["witness"]))
+    return "NONE (exhaustive)" if report["status"] == sharp_search.NONE_EXHAUSTIVE else "UNKNOWN (budget)"
 
 
 def _cmd_linsys(args) -> dict:

@@ -1,8 +1,12 @@
 """Permutations, finite permutation groups from generators, induced actions.
 
-A permutation of degree n is a tuple of images: g[x] is the image of x,
-also written x^g. Composition acts left to right, x^(ab) = (x^a)^b, so
-compose(a, b) means "apply a, then b".
+A permutation of degree n is its sequence of images: g[x] is the image
+of x, also written x^g. Composition acts left to right, x^(ab) = (x^a)^b,
+so compose(a, b) means "apply a, then b". Every permutation this module
+makes or stores has its degree's Perm type, bytes up to degree 256 and a
+tuple of ints above, so elements compare and hash alike wherever they
+came from; functions that take permutations from callers accept any int
+sequence and convert it with as_perm.
 """
 
 from __future__ import annotations
@@ -10,8 +14,18 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-Perm = tuple[int, ...]
+Perm = bytes | tuple[int, ...]  # bytes up to degree 256, a tuple above
+
+
+def perm_type(n: int) -> type:
+    return bytes if n <= 256 else tuple
+
+
+def as_perm(images) -> Perm:
+    """The images as the Perm type of their degree; a Perm comes back as it is."""
+    return perm_type(len(images))(images)
 
 
 class DegreeMismatch(ValueError):
@@ -47,21 +61,21 @@ def is_permutation(images) -> bool:
 
 
 def identity(n: int) -> Perm:
-    return tuple(range(n))
+    return as_perm(range(n))
 
 
 def compose(a: Perm, b: Perm) -> Perm:
     """The product ab with x^(ab) = (x^a)^b."""
     if len(a) != len(b):
         raise DegreeMismatch(f"degree {len(a)} vs {len(b)}")
-    return tuple(map(b.__getitem__, a))
+    return perm_type(len(a))(map(b.__getitem__, a))
 
 
 def inverse(g: Perm) -> Perm:
     inv = [0] * len(g)
     for x, y in enumerate(g):
         inv[y] = x
-    return tuple(inv)
+    return as_perm(inv)
 
 
 def apply_to_set(g: Perm, point_set: int) -> int:
@@ -80,10 +94,9 @@ def from_cycles(n: int, *cycles) -> Perm:
     for cyc in cycles:
         for i, x in enumerate(cyc):
             images[x] = cyc[(i + 1) % len(cyc)]
-    g = tuple(images)
-    if not is_permutation(g):
+    if not is_permutation(images):
         raise ValueError(f"cycles {cycles} are not disjoint on {n} points")
-    return g
+    return as_perm(images)
 
 
 def cycle_type(g: Perm) -> tuple[int, ...]:
@@ -128,7 +141,7 @@ def is_sharply_transitive(elements: list[Perm], degree: int) -> bool:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A permutation group given by generators on {0, ..., degree-1}."""
+    """A permutation group given by generators on {0, ..., degree-1}; any int sequences, stored as Perms."""
 
     degree: int
     generators: tuple[Perm, ...]
@@ -144,6 +157,7 @@ class GroupSpec:
                 raise DegreeMismatch(f"generator of length {len(g)}, degree {self.degree}")
             if not is_permutation(g):
                 raise ValueError(f"not a permutation: {g}")
+        object.__setattr__(self, "generators", tuple(map(as_perm, self.generators)))
 
 
 @dataclass
@@ -159,13 +173,26 @@ class GroupEnumeration:
     def order(self) -> int:
         return len(self.elements)
 
-    def index(self) -> dict[Perm, int]:
+    def index(self) -> PermIndex:
         if self._index is None:
-            self._index = {g: i for i, g in enumerate(self.elements)}
+            self._index = PermIndex((g, i) for i, g in enumerate(self.elements))
         return self._index
 
-    def __contains__(self, g: Perm) -> bool:
+    def __contains__(self, g) -> bool:
         return g in self.index()
+
+
+class PermIndex(dict):
+    """Element -> position; a key given as another int sequence is looked up as its Perm."""
+
+    def __missing__(self, g):
+        key = as_perm(g)
+        if key is g:
+            raise KeyError(g)
+        return self[key]
+
+    def __contains__(self, g) -> bool:
+        return dict.__contains__(self, as_perm(g))
 
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
@@ -179,42 +206,38 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
     Raises GroupTooLarge once more than `cap` elements appear, and
     GroupFileError naming the file if the declared order disagrees.
 
-    Up to degree 256 the closure holds each element as image bytes: the
-    product x -> gen[cur[x]] is one cur.translate(table) call, table being
-    the generator's images padded to 256 entries, and bytes cache their
-    hash, so the set lookup and add hash nothing twice. Degrees above 256
-    use tuples. Either way the BFS order is the same, and the elements are
-    returned as tuples.
+    Elements are kept and returned as the degree's Perm type. Up to degree
+    256 that is image bytes: the product x -> gen[cur[x]] is one
+    cur.translate(table) call, table being the generator's images padded
+    to 256 entries, and bytes cache their hash, so the set lookup and add
+    hash nothing twice. Degrees above 256 use tuples, in the same BFS order.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     n = spec.degree
     if n <= 256:
-        start = bytes(range(n))
-        gens = [bytes(g) + bytes(range(n, 256)) for g in spec.generators]
+        gens = [g + bytes(range(n, 256)) for g in spec.generators]
         product = bytes.translate
     else:
-        start = identity(n)
         gens = [g.__getitem__ for g in spec.generators]
         product = lambda cur, gen: tuple(map(gen, cur))
+    start = identity(n)
     seen = {start}
     elements = [start]
+    add, append = seen.add, elements.append
     for cur in elements:  # the list grows while it is walked: a BFS queue
         for gen in gens:
             nxt = product(cur, gen)
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise GroupTooLarge(f"enumerating {spec.name or 'a group'} passed the cap of {cap} elements")
-                seen.add(nxt)
-                elements.append(nxt)
+                add(nxt)
+                append(nxt)
     if spec.declared_order is not None and spec.declared_order != len(elements):
         raise GroupFileError(
             f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, "
             f"enumerated {len(elements)}"
         )
-    del seen
-    for i, g in enumerate(elements):  # each bytes element is freed as its tuple is made
-        elements[i] = tuple(g)
     return GroupEnumeration(n, elements, spec.name)
 
 
@@ -238,8 +261,8 @@ def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
 
 def enumeration_from_elements(degree, elements, name="", check=True) -> GroupEnumeration:
-    """Wrap an explicit element list; with check=True verify it is a group."""
-    elements = list(elements)
+    """Wrap an explicit list of int sequences as Perms; with check=True verify it is a group."""
+    elements = list(map(as_perm, elements))
     enum = GroupEnumeration(degree, elements, name)
     if check:
         eset = set(elements)
@@ -293,22 +316,25 @@ class ArrangementAction:
     t: int
     cells: tuple[tuple[int, ...], ...] = field(repr=False)
     index: dict = field(repr=False)
+    images: tuple = field(repr=False)  # images[i](g) is the tuple g maps cells[i] to, for t >= 2
 
     @property
     def size(self) -> int:
         return len(self.cells)
 
     def cell_perm(self, g: Perm) -> Perm:
-        """The permutation of cell indices induced by g."""
+        """The permutation of cell indices induced by g; for t = 1 the cells are the points, so it is g."""
+        if self.t == 1:
+            return as_perm(g)
         idx = self.index
-        return tuple(idx[tuple(g[x] for x in cell)] for cell in self.cells)
+        return as_perm([idx[image(g)] for image in self.images])
 
 
 def arrangements(n: int, t: int) -> ArrangementAction:
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= {n}, got t={t}")
     cells = tuple(itertools.permutations(range(n), t))
-    return ArrangementAction(n, t, cells, {c: i for i, c in enumerate(cells)})
+    return ArrangementAction(n, t, cells, {c: i for i, c in enumerate(cells)}, tuple(itemgetter(*c) for c in cells))
 
 
 def induced_action(group, t: int):

@@ -60,6 +60,16 @@ def test_search_sharp_report(tmp_path):
     jsonschema.validate(report, SCHEMA)
 
 
+def test_search_summary_follows_the_written_report(tmp_path, capsys):
+    trivial = tmp_path / "one.grp"
+    trivial.write_text("n 2\n0 1\n")
+    for group, summary in ((shipped_group_path("c5"), "0 1 2 3 4"), (trivial, "NONE (exhaustive)")):
+        code, report = run_cli(tmp_path, "search-sharp", "--group", str(group))
+        out, err = capsys.readouterr()
+        assert code == 0 and report["status"] in ("found", "none-exhaustive")
+        assert out == "" and err == summary + "\n"
+
+
 def test_linsys_report(tmp_path):
     code, report = run_cli(tmp_path, "linsys", "--group", str(shipped_group_path("c5")), "--ring", "z")
     assert code == 0
@@ -183,14 +193,18 @@ def test_missing_group_file_exit_3(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("case", ["group-is-a-directory", "export-is-a-directory", "out-in-a-missing-directory"])
+@pytest.mark.parametrize(
+    "case", ["group-is-a-directory", "export-is-a-directory", "out-in-a-missing-directory", "search-out-in-a-missing-directory"]
+)
 def test_unusable_file_exit_3(tmp_path, capsys, case):
-    # the last case fails only after the whole run, when the report is written
+    # the last two cases fail only after the whole run, when the report is
+    # written; the search prints no summary line for a report it could not write
     c5 = str(shipped_group_path("c5"))
     argv = {
         "group-is-a-directory": ["search-sharp", "--group", str(tmp_path)],
         "export-is-a-directory": ["linsys", "--group", c5, "--ring", "q", "--export-system", str(tmp_path)],
         "out-in-a-missing-directory": ["linsys", "--group", c5, "--ring", "q", "--out", str(tmp_path / "no" / "r.json")],
+        "search-out-in-a-missing-directory": ["search-sharp", "--group", c5, "--out", str(tmp_path / "no" / "r.json")],
     }[case]
     assert main(argv) == 3
     out, err = capsys.readouterr()

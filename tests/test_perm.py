@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -38,7 +39,7 @@ def test_compose_left_to_right_by_point_application():
     b = from_cycles(3, (1, 2))
     expected = tuple(b[a[x]] for x in range(3))
     assert expected == (2, 0, 1)  # the 3-cycle 0->2->1->0 under this convention
-    assert compose(a, b) == expected
+    assert tuple(compose(a, b)) == expected
 
 
 def test_compose_inverse_gives_identity():
@@ -66,6 +67,13 @@ def test_enumerate_s6():
 def test_enumerate_m22(m22_enum):
     # well-known order of the degree-22 stabilizer, cross-checked before use
     assert m22_enum.order == 443520
+
+
+def test_m22_enumeration_order_is_pinned(m22_enum):
+    # search witnesses, linsys columns and the spectrum's key order all follow
+    # the BFS order of the shipped generators; this digest is of that order
+    digest = hashlib.sha256(b"".join(bytes(g) for g in m22_enum.elements)).hexdigest()
+    assert digest == "f2bca64f7ec77fd746a6e81bb7dd05c8c1edd739dbf24700e13df2d1fe99445d"
 
 
 def test_apply_to_set():
@@ -110,7 +118,7 @@ def test_enumeration_deterministic(s4):
 
 def reference_enumeration(spec):
     """The plain BFS closure over tuples: the order enumerate_group must keep."""
-    start = identity(spec.degree)
+    start = tuple(range(spec.degree))
     seen = {start}
     elements = [start]
     for cur in elements:
@@ -149,8 +157,32 @@ def test_enumeration_matches_tuple_reference(case):
     spec = build()
     enum = enumerate_group(spec)
     assert enum.order == order
-    assert enum.elements == reference_enumeration(spec)
-    assert all(type(g) is tuple for g in enum.elements)
+    assert [tuple(g) for g in enum.elements] == reference_enumeration(spec)
+    assert all(type(g) is (bytes if spec.degree <= 256 else tuple) for g in enum.elements)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_every_constructor_returns_the_degree_type(n):
+    # bytes never equals a tuple, so one Perm type per degree is what keeps
+    # set lookups, index() and identity comparisons from missing silently
+    kind = bytes if n <= 256 else tuple
+    a, b = from_cycles(n, (0, 1)), from_cycles(n, (2, 3, n - 1))
+    spec = GroupSpec(n, (tuple(a), list(b)), "C2xC3")
+    G = enumerate_group(spec)
+    action, on_cells = induced_action(spec, 1)
+    _, enum_on_cells = induced_action(G, 1)
+    wrapped = perm.enumeration_from_elements(n, [tuple(g) for g in G.elements])
+    made = [identity(n), compose(a, b), inverse(b), a, *spec.generators, *G.elements, action.cell_perm(a)]
+    made += [*on_cells.generators, *enum_on_cells.elements, *wrapped.elements]
+    assert all(type(g) is kind for g in made)
+    assert G.order == 6 and wrapped.elements == G.elements and spec.generators == (a, b)
+    for gen in (tuple(a), tuple(b), list(b)):
+        assert gen in G and gen in G.index()
+        if not isinstance(gen, list):  # a list is unhashable, as a dict key
+            assert G.elements[G.index()[gen]] == kind(gen)
+    assert tuple(compose(a, a)) in G and tuple(from_cycles(n, (0, 2))) not in G
+    with pytest.raises(KeyError):
+        G.index()[tuple(from_cycles(n, (0, 2)))]
 
 
 @pytest.mark.parametrize("case", ["S6", "C256", "C300"])
@@ -365,5 +397,5 @@ def test_group_file_comments(tmp_path):
     path = tmp_path / "c3.grp"
     path.write_text("# cyclic of order 3\nn 3\norder 3\n1 2 0  # the generator\n")
     spec = perm.load_group(path)
-    assert spec.generators == ((1, 2, 0),)
+    assert spec.generators == (bytes((1, 2, 0)),)
     assert enumerate_group(spec).order == 3

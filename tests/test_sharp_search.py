@@ -1,5 +1,5 @@
 import pytest
-from oracles import reference_find_sharp_set
+from oracles import certificate_search, reference_find_sharp_set
 
 from sharpsets import linsys
 from sharpsets.sharp_search import (
@@ -73,10 +73,8 @@ def test_exhaustive_none_means_no_01_solution(fano_stabilizer):
 def test_exhaustive_none_crosschecked_with_certificate(fano_stabilizer):
     # where the exhaustive search reports none AND a divisibility certificate
     # exists, the system must already be infeasible over that prime field
-    from sharpsets import certify
-
     assert find_sharp_set(fano_stabilizer, 1).status == NONE_EXHAUSTIVE
-    cert = certify.certificate_search(fano_stabilizer, 2)
+    cert = certificate_search(fano_stabilizer, 2)
     assert cert is not None  # frozen: the search finds a (3, 3) pair at p = 2
     system = linsys.build_full_system(fano_stabilizer.elements)
     assert linsys.solve_mod_p(system, cert.p).status == "infeasible"
