@@ -1,21 +1,24 @@
 """Divisibility certificates against sharply transitive sets, and case runners.
 
-A certificate is a pair of point subsets B, C and a prime p with p not
-dividing |B||C| but p dividing |B & C^g| for every group element g. Any
-sharply transitive set S satisfies sum_{g in S} |B & C^g| = |B||C|, which
-is impossible under that divisibility pattern, so a verified certificate
-refutes existence. The identity itself is checked by doublecount_check.
+A certificate is a pair of point subsets B, C and a prime p. Any sharply
+transitive set S satisfies sum_{g in S} |B & C^g| = |B||C| (checked by
+doublecount_check), so one verdict rule decides every report: it is
+refuted exactly when p does not divide |B||C| and p divides every size in
+the spectrum of |B & C^g| over the group. VerificationReport.judge applies
+the rule, and the report's constructor refuses a "refuted" that breaks it.
 
-Two verification modes are provided: "enumerated" walks every group element;
-"family" walks a family of sets holding every image C^g, which is either
-the orbit of C under the group's generators (perm.set_orbit) or closed for
-a mathematical reason recorded as an assumption in the report.
+Both verification modes take a Certificate and end in the judge:
+"enumerated" walks every group element; "family" walks a family of sets
+holding every image C^g, which is either the orbit of C under the group's
+generators (perm.set_orbit) or closed for a mathematical reason recorded
+as an assumption in the report.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from operator import itemgetter
 
 from . import designs, geometry, gf, linsys
@@ -69,16 +72,32 @@ class VerificationReport:
     mode: str
     certificate: Certificate | None
     spectrum: dict[int, int]          # intersection size -> multiplicity
-    side_condition_ok: bool           # p does not divide |B| |C|
     conclusion: str
     assumptions: tuple[str, ...] = ()
     notes: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         if self.conclusion == REFUTED:
-            ok = self.certificate is not None and self.side_condition_ok
-            expect(ok, "refuted requires a certificate with p coprime to |B||C|")
-            expect(all(s % self.certificate.p == 0 for s in self.spectrum), "refuted requires p | every size")
+            expect(self.refutes, "refuted requires a certificate with p coprime to |B||C| and p | every size")
+
+    @classmethod
+    def judge(
+        cls, case: str, mode: str, certificate: Certificate, spectrum: dict[int, int], assumptions: tuple[str, ...]
+    ) -> VerificationReport:
+        """The report on a certificate's spectrum: refuted exactly when the verdict rule holds, else inconclusive."""
+        report = cls(case, mode, certificate, spectrum, INCONCLUSIVE, assumptions)
+        return replace(report, conclusion=REFUTED) if report.refutes else report
+
+    @property
+    def side_condition_ok(self) -> bool:
+        """p does not divide |B| |C|; false when there is no certificate."""
+        cert = self.certificate
+        return cert is not None and (cert.b_size * cert.c_size) % cert.p != 0
+
+    @property
+    def refutes(self) -> bool:
+        """The verdict rule: the side condition holds and p divides every intersection size."""
+        return self.side_condition_ok and all(s % self.certificate.p == 0 for s in self.spectrum)
 
     def as_dict(self) -> dict:
         cert = self.certificate
@@ -128,8 +147,6 @@ def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: 
     """Check p | |B & C^g| for every element of the enumerated group."""
     if cert.domain != G.degree:
         raise ValueError(f"certificate domain {cert.domain} != group degree {G.degree}")
-    p = cert.p
-    side_ok = (cert.b_size * cert.c_size) % p != 0
     # |B & C^g| counts the x in C with g[x] in B; when C is more than half
     # the points, it is |B| minus the count over the complement of C.
     n = G.degree
@@ -141,27 +158,12 @@ def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: 
     else:  # C is every point
         counts = {0: G.order}
     spectrum = {k if in_c else cert.b_size - k: m for k, m in counts.items()}
-    refuted = side_ok and all(s % p == 0 for s in spectrum)
-    return VerificationReport(
-        case=case or G.name,
-        mode="enumerated",
-        certificate=cert,
-        spectrum=spectrum,
-        side_condition_ok=side_ok,
-        conclusion=REFUTED if refuted else INCONCLUSIVE,
-        assumptions=(f"all {G.order} group elements enumerated",),
-    )
+    assumptions = (f"all {G.order} group elements enumerated",)
+    return VerificationReport.judge(case or G.name, "enumerated", cert, spectrum, assumptions)
 
 
 def verify_certificate_family(
-    family: list[int],
-    b_set: int,
-    c_set: int,
-    p: int,
-    *,
-    domain: int,
-    closure_witness: str,
-    case: str = "",
+    family: list[int], cert: Certificate, *, closure_witness: str, case: str = ""
 ) -> VerificationReport:
     """Check p | |B & C'| over a family of sets containing every image C^g.
 
@@ -169,24 +171,10 @@ def verify_certificate_family(
     example that it is an orbit built by perm.set_orbit; it is recorded as
     the report's first assumption and not re-checked here.
     """
-    if c_set not in set(family):
+    if cert.c_set not in set(family):
         raise ValueError("C must be a member of its own family")
-    cert = Certificate(b_set, c_set, p, domain)
-    side_ok = (cert.b_size * cert.c_size) % p != 0
-    spectrum: dict[int, int] = {}
-    for member in family:
-        size = (b_set & member).bit_count()
-        spectrum[size] = spectrum.get(size, 0) + 1
-    refuted = side_ok and all(s % p == 0 for s in spectrum)
-    return VerificationReport(
-        case=case,
-        mode="family",
-        certificate=cert,
-        spectrum=spectrum,
-        side_condition_ok=side_ok,
-        conclusion=REFUTED if refuted else INCONCLUSIVE,
-        assumptions=(closure_witness,),
-    )
+    spectrum = Counter((cert.b_set & member).bit_count() for member in family)
+    return VerificationReport.judge(case, "family", cert, spectrum, (closure_witness,))
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +189,7 @@ def _alt_generators(n: int) -> GroupSpec:
         big = from_cycles(n, tuple(range(n)))
     else:
         big = from_cycles(n, tuple(range(1, n)))
-    order = 1  # 3 * 4 * ... * n == n!/2
-    for i in range(3, n + 1):
-        order *= i
-    return GroupSpec(n, (three, big), name=f"A{n}", declared_order=order)
+    return GroupSpec(n, (three, big), name=f"A{n}", declared_order=math.factorial(n) // 2)
 
 
 def run_case(case: str, **options) -> VerificationReport:
@@ -225,7 +210,7 @@ def run_case(case: str, **options) -> VerificationReport:
     return runners[case](**options)
 
 
-def _run_alt(n: int, **_ignored) -> VerificationReport:
+def _run_alt(n: int) -> VerificationReport:
     """Alternating group acting on ordered pairs; parity certificate with p = 2."""
     if n < 3:
         raise ValueError(f"the alternating case needs n >= 3, got {n}")
@@ -235,7 +220,6 @@ def _run_alt(n: int, **_ignored) -> VerificationReport:
             mode="enumerated",
             certificate=None,
             spectrum={},
-            side_condition_ok=False,
             conclusion=HYPOTHESIS_NOT_MET,
             assumptions=(f"n = {n} is {n % 4} mod 4; the parity argument needs 2 or 3",),
         )
@@ -249,7 +233,7 @@ def _run_alt(n: int, **_ignored) -> VerificationReport:
     return report
 
 
-def _run_m22(group_file=None, enumerated: bool = False, **_ignored) -> VerificationReport:
+def _run_m22(group_file=None, enumerated: bool = False) -> VerificationReport:
     """B = a block avoiding the special point, C = its complement in the 22 points, p = 2.
 
     Every automorphism fixing the special point permutes the 176 blocks
@@ -258,24 +242,20 @@ def _run_m22(group_file=None, enumerated: bool = False, **_ignored) -> Verificat
     """
     design = designs.golay_witt_design()
     avoiding = designs.blocks_avoiding(design, 22)
-    b_set = avoiding[0]
     points = (1 << 22) - 1
-    c_set = points ^ b_set
+    cert = Certificate(avoiding[0], points ^ avoiding[0], 2, 22)
     if enumerated or group_file is not None:
         # a group too large to enumerate raises GroupTooLarge: verifying any
         # other group in its place would report on the wrong group
         spec = load_group(group_file) if group_file else designs.witt_stabilizer_generators(design)
-        return verify_certificate_enumerated(enumerate_group(spec), Certificate(b_set, c_set, 2, 22), case="m22")
+        return verify_certificate_enumerated(enumerate_group(spec), cert, case="m22")
     gens = designs.witt_stabilizer_generators(design).generators
-    family = set_orbit(gens, c_set)
+    family = set_orbit(gens, cert.c_set)
     census = {points ^ block for block in avoiding}
     expect(set(family) == census, f"the orbit of C has {len(family)} sets, not the {len(census)} block complements")
     return verify_certificate_family(
         family,
-        b_set,
-        c_set,
-        2,
-        domain=22,
+        cert,
         closure_witness=(
             f"the family is the orbit of C under the {len(gens)} generators of the point stabilizer; it equals "
             f"the complements of the {len(census)} blocks avoiding the special point, which every automorphism "
@@ -285,7 +265,7 @@ def _run_m22(group_file=None, enumerated: bool = False, **_ignored) -> Verificat
     )
 
 
-def _run_m23(**_ignored) -> VerificationReport:
+def _run_m23() -> VerificationReport:
     """Degree-23 reduction: no sharply 2-transitive set exists.
 
     No new computation: a sharply 2-transitive set on 23 points, restricted
@@ -295,14 +275,12 @@ def _run_m23(**_ignored) -> VerificationReport:
     """
     base = _run_m22()
     expect(base.conclusion == REFUTED, "the m23 reduction rests on the m22 case, which did not refute")
-    report = VerificationReport(
-        case="m23",
-        mode="reduction",
-        certificate=base.certificate,
-        spectrum=base.spectrum,
-        side_condition_ok=base.side_condition_ok,
-        conclusion=REFUTED,
-        assumptions=base.assumptions
+    report = VerificationReport.judge(
+        "m23",
+        "reduction",
+        base.certificate,
+        base.spectrum,
+        base.assumptions
         + (
             "reduction: a sharply 2-transitive set restricted to the stabilizer of a "
             "point is sharply transitive on the remaining 22 points; refuted by m22",
@@ -314,7 +292,7 @@ def _run_m23(**_ignored) -> VerificationReport:
     return report
 
 
-def _run_mclaughlin(**_ignored) -> VerificationReport:
+def _run_mclaughlin() -> VerificationReport:
     """275-vertex graph; B = point vertices, C = a non-adjacent pair's common neighborhood."""
     mcl = designs.mclaughlin_graph()
     g = mcl.graph
@@ -325,10 +303,7 @@ def _run_mclaughlin(**_ignored) -> VerificationReport:
                 family.append(g.adj[i] & g.adj[j])
     report = verify_certificate_family(
         family,
-        mcl.point_vertex_mask,
-        family[0],
-        3,
-        domain=g.n,
+        Certificate(mcl.point_vertex_mask, family[0], 3, g.n),
         closure_witness=(
             "assumed: graph automorphisms map non-adjacent pairs to non-adjacent pairs, hence "
             "common neighborhoods to common neighborhoods"
@@ -350,7 +325,6 @@ def _run_sp(
     action: str = "projective",
     enumerate_group_flag: bool = False,
     modulus: int | None = None,
-    **_ignored,
 ) -> VerificationReport:
     """Symplectic case: B = elliptic quadric, C = a nonsingular line, p = 2.
 
@@ -382,12 +356,10 @@ def _run_sp(
         family = [sum(apply_to_set(m, member) for m in multiples) for member in family]
         b_set, domain = quad.vector_set, space.num_vectors
     case = f"sp(2n={2 * n},q={q},{action})"
+    cert = Certificate(b_set, family[0], 2, domain)
     report = verify_certificate_family(
         family,
-        b_set,
-        family[0],
-        2,
-        domain=domain,
+        cert,
         closure_witness=(
             f"the family is the orbit of C under {len(spec.generators)} transvections and the Frobenius "
             f"map (field automorphisms act coordinatewise); it holds all {census} nonsingular lines, "
@@ -397,7 +369,7 @@ def _run_sp(
     )
     if enumerate_group_flag:
         G = enumerate_group(geometry.symplectic_generators(space, action) if action == "vector" else spec)
-        enum_report = verify_certificate_enumerated(G, report.certificate, case=case)
+        enum_report = verify_certificate_enumerated(G, cert, case=case)
         expect(enum_report.conclusion == report.conclusion, "the enumerated and orbit verdicts differ")
         report.notes["enumerated_order"] = G.order
         report.notes["enumerated_spectrum"] = {str(k): v for k, v in sorted(enum_report.spectrum.items())}

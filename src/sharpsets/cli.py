@@ -224,15 +224,9 @@ def _search_summary(report: dict) -> str:
 def _cmd_linsys(args) -> dict:
     if args.ring == "f_p":
         linsys.is_prime(args.p)  # a p past linsys.PRIME_BOUND is refused before any work
-    spec = load_group(args.group)
-    G = enumerate_group(spec)
-    if args.t != 1:
-        _, G = induced_action(G, args.t)
+    _, G = induced_action(enumerate_group(load_group(args.group)), args.t)
     if args.subgroup:
-        hspec = load_group(args.subgroup)
-        H = enumerate_group(hspec)
-        if args.t != 1:
-            _, H = induced_action(H, args.t)
+        _, H = induced_action(enumerate_group(load_group(args.subgroup)), args.t)
         system = linsys.build_H_system(G, H)
     else:
         system = linsys.build_full_system(G.elements)

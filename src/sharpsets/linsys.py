@@ -66,8 +66,9 @@ class ExactSystem:
         return len(self.columns)
 
     def __post_init__(self):
-        if any(not 0 <= r < self.rows for col in self.columns for r in col):
-            raise ValueError(f"a column names a row outside 0..{self.rows - 1}")
+        rows = len(self.rhs)
+        if any(not 0 <= r < rows for col in self.columns for r in col):
+            raise ValueError(f"a column names a row outside 0..{rows - 1}")
 
     @classmethod
     def from_rows(cls, matrix: list[list[int]], rhs: list[int]) -> ExactSystem:

@@ -93,11 +93,7 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     if budget < 1:
         raise ValueError(f"budget {budget} is below 1")
     _check_cap((G.order, math.perm(G.degree, max(t, 0)) ** 2), "exact-cover table")  # induced_action refuses a bad t
-    if t == 1:
-        elements = G.elements
-    else:
-        _, induced = induced_action(G, t)
-        elements = induced.elements
+    elements = induced_action(G, t)[1].elements
     inst = build_cover_instance(elements)
     n, columns, units, width = inst.n_cells, inst.columns, inst.units, inst.width
     size, ones, pattern = inst.n_columns * width // 8, (1 << width) - 1, f"0{len(units)}b"
@@ -146,9 +142,5 @@ class _Budget(Exception):
 
 def verify_sharp_set(G: GroupEnumeration, indices, t: int = 1) -> bool:
     """Exactly one selected element maps c to c' for every ordered cell pair."""
-    if t == 1:
-        elements = G.elements
-    else:
-        _, induced = induced_action(G, t)
-        elements = induced.elements
+    elements = induced_action(G, t)[1].elements
     return is_sharply_transitive([elements[i] for i in indices], len(elements[0]))

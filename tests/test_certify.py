@@ -143,7 +143,7 @@ def test_family_sp44_projective():
 def test_family_rejects_foreign_c():
     family = [0b0011, 0b0101]
     with pytest.raises(ValueError):
-        verify_certificate_family(family, 0b1, 0b1111, 2, domain=4, closure_witness="x")
+        verify_certificate_family(family, Certificate(0b1, 0b1111, 2, 4), closure_witness="x")
 
 
 @pytest.mark.parametrize("action", ["projective", "vector"])
@@ -323,9 +323,34 @@ def test_report_invariant_guard():
             mode="enumerated",
             certificate=cert,
             spectrum={1: 4},
-            side_condition_ok=True,
             conclusion="refuted",
         )
+
+
+@pytest.mark.parametrize(
+    "cert", [None, Certificate(0b11, 0b1, 2, 4), Certificate(0b111, 0b111, 3, 4), Certificate(0b11, 0b11, 2, 4)]
+)
+def test_refuted_needs_the_side_condition_read_off_the_certificate(cert):
+    # no certificate, or p | |B||C|, with p dividing every size: no "refuted" report, and the judge says inconclusive
+    with pytest.raises(AssertionError):
+        certify.VerificationReport("x", "enumerated", cert, {0: 2, 6: 1}, "refuted")
+    report = certify.VerificationReport.judge("x", "enumerated", cert, {0: 2, 6: 1}, ())
+    assert not report.side_condition_ok
+    assert report.conclusion == "inconclusive"
+
+
+def test_judge_refutes_exactly_under_the_rule():
+    cert = Certificate(0b1, 0b1, 2, 4)  # |B||C| = 1, odd
+    assert certify.VerificationReport.judge("x", "family", cert, {0: 3, 2: 1}, ("a",)).conclusion == "refuted"
+    assert certify.VerificationReport.judge("x", "family", cert, {0: 3, 1: 1}, ("a",)).conclusion == "inconclusive"
+
+
+def test_runners_reject_options_they_do_not_take():
+    # a misspelt option would otherwise skip the enumerated cross-check silently
+    with pytest.raises(TypeError):
+        run_case("sp", n=2, q=2, enumerate_group=True)
+    with pytest.raises(TypeError):
+        run_case("m23", enumerated=True)
 
 
 GUARDS_UNDER_O = """
@@ -336,8 +361,9 @@ from sharpsets.perm import InvariantViolation, enumeration_from_elements
 if __debug__:
     sys.exit("expected to run under python -O")
 checks = {
-    "report": lambda: certify.VerificationReport(
-        "x", "enumerated", certify.Certificate(1, 1, 2, 4), {1: 4}, True, "refuted"
+    "report": lambda: certify.VerificationReport("x", "enumerated", certify.Certificate(1, 1, 2, 4), {1: 4}, "refuted"),
+    "side_condition": lambda: certify.VerificationReport(
+        "x", "enumerated", certify.Certificate(0b11, 0b1, 2, 4), {0: 2, 2: 1}, "refuted"
     ),
 }
 one = linsys.ExactSystem.from_rows([[1]], [1])
@@ -360,14 +386,14 @@ def m22_census():  # the orbit of C loses one member
 
 
 def m23():  # the m22 case it rests on does not refute; the patch stays in place
-    certify._run_m22 = lambda **kwargs: certify.VerificationReport("m22", "family", None, {1: 1}, False, "inconclusive")
+    certify._run_m22 = lambda **kwargs: certify.VerificationReport("m22", "family", None, {1: 1}, "inconclusive")
     certify.run_case("m23")
 
 
 checks["m22_census"] = m22_census
 checks["m23"] = m23
 certify.verify_certificate_enumerated = lambda G, cert, case="": certify.VerificationReport(
-    case, "enumerated", cert, {1: 1}, True, "inconclusive"
+    case, "enumerated", cert, {1: 1}, "inconclusive"
 )
 checks["sp_enumerated"] = lambda: certify.run_case("sp", n=2, q=2, enumerate_group_flag=True)
 
@@ -401,7 +427,7 @@ def test_guards_survive_python_O():
         check=True,
     )
     assert out.stdout.split() == [
-        "report", "mod_p", "rational", "integer", "nonneg", "sharp", "m22_census", "m23", "sp_enumerated", "sp_census"
+        "report", "side_condition", "mod_p", "rational", "integer", "nonneg", "sharp", "m22_census", "m23", "sp_enumerated", "sp_census"
     ]
 
 
