@@ -7,11 +7,14 @@ refuted exactly when p does not divide |B||C| and p divides every size in
 the spectrum of |B & C^g| over the group. VerificationReport.judge applies
 the rule, and the report's constructor refuses a "refuted" that breaks it.
 
-Both verification modes take a Certificate and end in the judge:
-"enumerated" walks every group element; "family" walks a family of sets
-holding every image C^g, which is either the orbit of C under the group's
-generators (perm.set_orbit) or closed for a mathematical reason recorded
-as an assumption in the report.
+Both verification modes take a Certificate, whose B and C lie in its
+domain, and end in the judge: "enumerated" walks every group element;
+"family" walks a family of sets holding every image C^g, which is either
+the orbit of C under the group's generators (perm.set_orbit) or closed
+for a mathematical reason recorded as an assumption in the report. Both
+count each size as the popcount of a mask ANDed with one bitset of a
+stream: B with each family member, or C's byte mask with each element's
+B-marks, read off its image bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
-from operator import itemgetter
+from itertools import repeat
 
 from . import designs, geometry, gf, linsys
 from .perm import (
@@ -34,6 +37,7 @@ from .perm import (
     induced_action,
     is_sharply_transitive,
     load_group,
+    perm_type,
     set_orbit,
 )
 
@@ -54,6 +58,8 @@ class Certificate:
     def __post_init__(self):
         if self.b_set == 0 or self.c_set == 0:
             raise ValueError("B and C must be nonempty")
+        if (self.b_set | self.c_set) >> self.domain:
+            raise ValueError(f"B and C must lie in the {self.domain} points of the domain")
         if not linsys.is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
 
@@ -144,20 +150,21 @@ def doublecount_check(S: list[Perm], b_set: int, c_set: int) -> DoublecountRepor
 
 
 def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: str = "") -> VerificationReport:
-    """Check p | |B & C^g| for every element of the enumerated group."""
+    """Check p | |B & C^g| for every element of the enumerated group.
+
+    Byte x of g's B-marks is 1 exactly when g[x] is in B (one translate up to degree 256);
+    read as an int and masked by bit 8x for each x in C, it holds |B & C^g| set bits.
+    """
     if cert.domain != G.degree:
         raise ValueError(f"certificate domain {cert.domain} != group degree {G.degree}")
-    # |B & C^g| counts the x in C with g[x] in B; when C is more than half
-    # the points, it is |B| minus the count over the complement of C.
     n = G.degree
-    in_c = 2 * cert.c_size <= n
-    side = [x for x in range(n) if (cert.c_set >> x & 1) == in_c]
-    in_b = frozenset(x for x in range(n) if cert.b_set >> x & 1)
-    if side:  # the repeated point keeps one point's images a tuple; the set ignores it
-        counts = Counter(map(len, map(in_b.intersection, map(itemgetter(*side, side[0]), G.elements))))
-    else:  # C is every point
-        counts = {0: G.order}
-    spectrum = {k if in_c else cert.b_size - k: m for k, m in counts.items()}
+    marks = bytes(cert.b_set >> x & 1 for x in range(n))
+    at_c = sum(1 << 8 * x for x in range(n) if cert.c_set >> x & 1)
+    if perm_type(n) is bytes:
+        images = map(bytes.translate, G.elements, repeat(marks + bytes(256 - n)))
+    else:
+        images = (bytes(map(marks.__getitem__, g)) for g in G.elements)
+    spectrum = Counter(map(int.bit_count, map(at_c.__and__, map(int.from_bytes, images, repeat("little")))))
     assumptions = (f"all {G.order} group elements enumerated",)
     return VerificationReport.judge(case or G.name, "enumerated", cert, spectrum, assumptions)
 
@@ -173,7 +180,7 @@ def verify_certificate_family(
     """
     if cert.c_set not in set(family):
         raise ValueError("C must be a member of its own family")
-    spectrum = Counter((cert.b_set & member).bit_count() for member in family)
+    spectrum = Counter(map(int.bit_count, map(cert.b_set.__and__, family)))
     return VerificationReport.judge(case, "family", cert, spectrum, (closure_witness,))
 
 
@@ -351,9 +358,7 @@ def _run_sp(
     expect(len(family) == census, f"the orbit of C has {len(family)} lines, the census {census}")
     b_set, domain = quad.projective_set, space.num_proj_points
     if action == "vector":
-        # c * (representative of each point), one map per scalar c != 0: a lifted set is their images' union
-        multiples = [tuple(space.vec_index[space.scale(c, rep)] for rep in space.proj_points) for c in range(1, q)]
-        family = [sum(apply_to_set(m, member) for m in multiples) for member in family]
+        family = [geometry.vector_lift(space, member) for member in family]
         b_set, domain = quad.vector_set, space.num_vectors
     case = f"sp(2n={2 * n},q={q},{action})"
     cert = Certificate(b_set, family[0], 2, domain)

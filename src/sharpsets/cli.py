@@ -11,20 +11,23 @@ group file whose order line disagrees with its generators, an unsupported
 `--n`, `--q`, `--modulus`, `--t` or `--budget`, a `--p` past
 linsys.PRIME_BOUND, or impossible design parameters with one stderr line
 and no report; a `--p` with a `--ring` other than f_p goes through the
-parser. A file that cannot be read or written (a missing group file, a
-directory given as a path, an `--out` or `--export-*` path in a missing
-directory) exits 3 with one stderr line and no report, the report's own
-file included. Input refused for size exits 4, likewise: a group or orbit
-too large to enumerate, an sp case past the orbit cap, a linear system past
-linsys.DENSE_CELL_CAP cells (systems are stored by column; the Z solver and
-`--export-system` densify, and the packed odd-p rows and the sparse Q and
-Z>=0 rows can fill in that far; F_2's one-bit rows are not capped), or a
-`search-sharp` whose packed exact-cover table, |G| x N^2 fields, would pass
-that cap. The quadric's polarization is checked on every pair of an
-F_2-basis, complete because both sides are biadditive, so sp (2,8), (3,4)
-and (5,2) run in seconds in both actions. A failed `selftest` check carries
-an `error` field and makes the run exit 1. Random probes take their seed
-from `--probe`; there is no `--seed` flag.
+parser, and so does a `--probe` with `--ring f_p` or `q`, since the probe
+solves over Z or Z>=0. A file that cannot be read or written (a missing
+group file, a directory given as a path, an `--out` or `--export-*` path
+in a missing directory) exits 3 with one stderr line and no report, the
+report's own file included. Input refused for size exits 4, likewise: a
+group or orbit too large to enumerate (a group whose declared order
+passes the cap is refused before any element is built), an sp case past
+the orbit cap, a linear system past linsys.DENSE_CELL_CAP cells (systems
+are stored by column; the Z solver and `--export-system` densify, and the
+packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
+F_2's one-bit rows are not capped), or a `search-sharp` whose packed
+exact-cover table, |G| x N^2 fields, would pass that cap. The quadric's
+polarization is checked on every pair of an F_2-basis, complete because
+both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in seconds in
+both actions. A failed `selftest` check carries an `error` field and makes
+the run exit 1. Random probes take their seed from `--probe`; there is no
+`--seed` flag.
 """
 
 from __future__ import annotations
@@ -135,6 +138,8 @@ def main(argv=None) -> int:
         parser.error("--ring f_p needs --p")
     if args.command == "linsys" and args.ring != "f_p" and args.p is not None:
         parser.error(f"--p is for --ring f_p only, not --ring {args.ring}")
+    if args.command == "linsys" and args.probe and args.ring not in ("z", "znn"):
+        parser.error(f"--probe solves over Z or Z>=0: it needs --ring z or znn, not --ring {args.ring}")
     commands = {
         "verify": _cmd_verify,
         "design-check": _cmd_design_check,

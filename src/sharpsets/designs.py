@@ -339,36 +339,27 @@ def symmetric_design_refutation(params: SymmetricDesignParams) -> RefutationTrac
     if not ok_b:
         return RefutationTrace(params, steps, "refuted")
 
-    # both integral: k-lam divides k and v-k, hence v; it always divides v-1
-    # because k(v-k) = (v-1)(k-lam); coprimality of v and v-1 forces d = 1
+    # both integral: d = k-lam divides k and v-k, hence v; d^2 divides
+    # k(v-k) = (v-1)d, so d divides v-1 too, hence d = 1, and then
+    # (v-1)(k-1) = k(k-1) forces k = v-1: both steps below always hold
     expect(k * (v - k) == (v - 1) * d, "k(v-k) = (v-1)(k-lambda)")
-    divides_v = (v % d) == 0
-    divides_v1 = ((v - 1) % d) == 0
-    ok_div = divides_v and divides_v1 and d == 1
     steps.append(
         RefutationStep(
             "divisibility-chain",
             f"k-lambda divides both v = {v} and v-1 = {v - 1}, so k-lambda = 1",
-            ok_div,
-            f"k-lambda = {d}"
-            + ("" if ok_div else ", which cannot divide two consecutive integers unless it is 1"),
+            True,
+            f"k-lambda = {d}",
         )
     )
-    if not ok_div:
-        return RefutationTrace(params, steps, "refuted")
-
-    trivial = k == v - 1
     steps.append(
         RefutationStep(
             "nontriviality",
             "k-lambda = 1 forces k = v-1 (the trivial design)",
-            trivial,
+            True,
             f"k = {k}, v-1 = {v - 1}",
         )
     )
-    if trivial:
-        return RefutationTrace(params, steps, "trivial-inapplicable")
-    return RefutationTrace(params, steps, "refuted")
+    return RefutationTrace(params, steps, "trivial-inapplicable")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import gf
 from .gf import FieldSpec
-from .perm import GroupSpec, Perm, expect
+from .perm import GroupSpec, Perm, apply_to_set, expect
 
 Vector = tuple[int, ...]
 
@@ -28,7 +28,7 @@ class SymplecticSpace:
     vec_index: dict = field(repr=False)
     proj_points: list[Vector] = field(repr=False)       # canonical representatives
     proj_index: dict = field(repr=False)                # canonical rep -> projective index
-    proj_of_vec: list[int] = field(repr=False)          # vector index -> projective index
+    scalar_maps: list[tuple[int, ...]] = field(repr=False)  # for c = 1..q-1: projective index -> index of c * rep
 
     @property
     def q(self) -> int:
@@ -72,19 +72,12 @@ def symplectic_space(n: int, field: FieldSpec) -> SymplecticSpace:
     q = field.q
     vectors = [v for v in itertools.product(range(q), repeat=2 * n) if any(v)]
     vec_index = {v: i for i, v in enumerate(vectors)}
-    space = SymplecticSpace(n, field, vectors, vec_index, [], {}, [])
-    proj_points: list[Vector] = []
-    proj_index: dict = {}
-    proj_of_vec = []
-    for v in vectors:
-        rep = space.canonical_rep(v)
-        if rep not in proj_index:
-            proj_index[rep] = len(proj_points)
-            proj_points.append(rep)
-        proj_of_vec.append(proj_index[rep])
-    space.proj_points = proj_points
-    space.proj_index = proj_index
-    space.proj_of_vec = proj_of_vec
+    # lex order meets each point's representative (first nonzero coordinate 1) before its other multiples
+    proj_points = [v for v in vectors if next(filter(None, v)) == 1]
+    proj_index = {rep: i for i, rep in enumerate(proj_points)}
+    space = SymplecticSpace(n, field, vectors, vec_index, proj_points, proj_index, [])
+    space.scalar_maps = [tuple(vec_index.get(space.scale(c, rep)) for rep in proj_points) for c in range(1, q)]
+    expect(set(itertools.chain(*space.scalar_maps)) == set(range(len(vectors))), "c * rep, c != 0, misses a vector")
     expect(len(vectors) == q ** (2 * n) - 1, "vector count")
     expect(len(proj_points) == (q ** (2 * n) - 1) // (q - 1), "projective point count")
     return space
@@ -298,9 +291,8 @@ def frobenius_point_map(space: SymplecticSpace, action: str = "projective") -> P
 
 
 def vector_lift(space: SymplecticSpace, proj_set: int) -> int:
-    """Preimage of a projective point set under the projection of nonzero vectors."""
+    """Preimage of a projective point set under the projection of nonzero vectors: its scalar-map images' union."""
     out = 0
-    for vi, pi in enumerate(space.proj_of_vec):
-        if proj_set >> pi & 1:
-            out |= 1 << vi
+    for scalar_map in space.scalar_maps:
+        out |= apply_to_set(scalar_map, proj_set)
     return out

@@ -203,8 +203,9 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
 
     Element order is the BFS insertion order, starting from the identity,
     with generators applied in their listed order; it is reproducible.
-    Raises GroupTooLarge once more than `cap` elements appear, and
-    GroupFileError naming the file if the declared order disagrees.
+    Raises GroupTooLarge at once if the declared order passes `cap`, else
+    once more than `cap` elements appear, and GroupFileError naming the
+    file if the declared order disagrees.
 
     Elements are kept and returned as the degree's Perm type. Up to degree
     256 that is image bytes: the product x -> gen[cur[x]] is one
@@ -214,6 +215,10 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if spec.declared_order is not None and spec.declared_order > cap:
+        raise GroupTooLarge(
+            f"{spec.path or spec.name or 'a group'} declares order {spec.declared_order}, past the cap of {cap} elements"
+        )
     n = spec.degree
     if n <= 256:
         gens = [g + bytes(range(n, 256)) for g in spec.generators]

@@ -80,21 +80,44 @@ def test_enumerated_sp42():
     assert set(report.spectrum) <= {0, 2}
 
 
+def brute_spectrum(G, b_set, c_set):
+    """|B & C^g| -> multiplicity by applying each element to C, in first-seen order."""
+    brute = {}
+    for g in G.elements:
+        size = (b_set & perm.apply_to_set(g, c_set)).bit_count()
+        brute[size] = brute.get(size, 0) + 1
+    return brute
+
+
 @pytest.mark.parametrize("c_size", [1, 14, 15, 16, 29, 30])
 def test_enumerated_spectrum_matches_brute_force(a6, c_size):
-    # the walk counts over C or over its complement, whichever is smaller; 30 cells put the switch at 15/16
+    # one walk for every size of C, from one cell to all 30: B's marks under each element, masked by C
     _, induced = induced_action(a6, 2)
     rng = random.Random(c_size)
     for _ in range(3):
         b_set = sum(1 << x for x in rng.sample(range(30), rng.randint(1, 30)))
         c_set = sum(1 << x for x in rng.sample(range(30), c_size))
-        brute = {}
-        for g in induced.elements:
-            size = (b_set & perm.apply_to_set(g, c_set)).bit_count()
-            brute[size] = brute.get(size, 0) + 1
+        brute = brute_spectrum(induced, b_set, c_set)
         report = verify_certificate_enumerated(induced, Certificate(b_set, c_set, 3, 30))
         assert report.spectrum == brute
         assert list(report.spectrum) == list(brute)  # first-seen order, as the walk meets the elements
+
+
+@pytest.mark.parametrize("c_size", [1, 2, 150, 299, 300])
+def test_enumerated_walk_on_tuple_perms_matches_brute_force(c_size):
+    # above degree 256 elements are tuples, and the walk builds each element's marks itself
+    n = 300
+    dihedral = perm.GroupSpec(n, (tuple((x + 1) % n for x in range(n)), tuple(-x % n for x in range(n))), "D300")
+    G = enumerate_group(dihedral)
+    assert G.order == 600 and type(G.elements[0]) is tuple
+    rng = random.Random(c_size)
+    for _ in range(2):
+        b_set = sum(1 << x for x in rng.sample(range(n), rng.randint(1, n)))
+        c_set = sum(1 << x for x in rng.sample(range(n), c_size))
+        brute = brute_spectrum(G, b_set, c_set)
+        report = verify_certificate_enumerated(G, Certificate(b_set, c_set, 2, n))
+        assert report.spectrum == brute
+        assert list(report.spectrum) == list(brute)
 
 
 def test_enumerated_inconclusive_for_regular_group(c5):
@@ -429,6 +452,17 @@ def test_guards_survive_python_O():
     assert out.stdout.split() == [
         "report", "side_condition", "mod_p", "rational", "integer", "nonneg", "sharp", "m22_census", "m23", "sp_enumerated", "sp_census"
     ]
+
+
+def test_certificate_points_lie_in_the_domain(s3):
+    # S3 holds the sharply transitive C3: a B off its 3 points must not make a report, let alone a refuted one
+    with pytest.raises(ValueError, match="3 points"):
+        Certificate(1 << 5, 0b1, 2, 3)
+    with pytest.raises(ValueError, match="3 points"):
+        Certificate(0b1, 0b1000, 2, 3)
+    cert = Certificate(0b100, 0b111, 2, 3)  # the top point is inside
+    assert verify_certificate_enumerated(s3, cert).conclusion == "inconclusive"
+    assert verify_certificate_family([0b111], cert, closure_witness="orbit").conclusion == "inconclusive"
 
 
 def test_certificate_validation():

@@ -223,6 +223,8 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["linsys", "--group", c5, "--ring", "q", "--p", "7"],
         ["linsys", "--group", c5, "--ring", "z", "--p", "7"],
         ["linsys", "--group", c5, "--ring", "znn", "--p", "618970019642690137449562111"],
+        ["linsys", "--group", c5, "--ring", "f_p", "--p", "3", "--probe", "keep=3,trials=2"],
+        ["linsys", "--group", c5, "--ring", "q", "--probe", "keep=3,trials=2"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -291,6 +293,25 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
     assert report is None
     err = capsys.readouterr().err
     assert err.startswith("refused for size") and "cap of 5000" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, declared",
+    [
+        (["verify", "alt", "--n", "14"], "A14 declares order 43589145600"),
+        (["verify", "sp", "--n", "4", "--q", "2", "--enumerate-group"], "Sp(8,2)-projective declares order 47377612800"),
+    ],
+)
+def test_declared_order_past_the_cap_is_refused_before_enumerating(tmp_path, capsys, argv, declared):
+    import time
+
+    start = time.perf_counter()
+    code, report = run_cli(tmp_path, *argv)
+    assert (code, report) == (4, None)
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("refused for size: ") and declared in err and "cap of 2000000" in err, err
+    assert err.count("\n") == 1, err
 
 
 def test_search_past_the_cell_cap_is_refused(tmp_path, capsys):

@@ -199,6 +199,18 @@ def test_trivial_design_inapplicable():
     assert all(s.ok for s in trace.steps)
 
 
+def test_refuted_exactly_below_the_trivial_design():
+    # integral a and b force k - lambda = 1 and k = v - 1, so every other valid design is refuted at step 1 or 2
+    for v in range(3, 201):
+        for k in range(2, v):
+            lam, rest = divmod(k * (k - 1), v - 1)
+            if rest or lam < 1:
+                continue
+            trace = symmetric_design_refutation(SymmetricDesignParams(v, k, lam))
+            assert (trace.conclusion == "refuted") == (k < v - 1), (v, k, lam)
+            assert len(trace.steps) == (4 if k == v - 1 else 1 + trace.steps[0].ok)
+
+
 def test_parameter_gate():
     with pytest.raises(ValueError):
         SymmetricDesignParams(8, 3, 1)  # (v-1)lambda != k(k-1)

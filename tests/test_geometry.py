@@ -149,8 +149,8 @@ def test_frobenius_preserves_nonsingular_family():
 def test_vector_lift_q2_is_identity_on_indices():
     sp = space(2, 2)
     quad = geometry.elliptic_quadric(sp)
-    # q = 2: vectors and projective points coincide index by index
-    assert sp.proj_of_vec == list(range(sp.num_vectors))
+    # q = 2: vectors and projective points coincide index by index, so the one scalar map is the identity
+    assert sp.scalar_maps == [tuple(range(sp.num_vectors))]
     assert geometry.vector_lift(sp, quad.projective_set) == quad.projective_set
 
 
@@ -160,6 +160,16 @@ def test_vector_lift_sizes_q4():
     assert geometry.vector_lift(sp, quad.projective_set).bit_count() == 3 * 17 == 51
     line = geometry.enumerate_lines(sp)[0]
     assert geometry.vector_lift(sp, line.points).bit_count() == 15  # (q-1)(q+1)
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_vector_lift_is_the_preimage_of_the_projection(q):
+    sp = space(2, q)
+    quad = geometry.elliptic_quadric(sp)
+    rng = random.Random(q)
+    for proj_set in (quad.projective_set, 1, rng.getrandbits(sp.num_proj_points), (1 << sp.num_proj_points) - 1):
+        brute = sum(1 << i for i, v in enumerate(sp.vectors) if proj_set >> sp.proj_point(v) & 1)
+        assert geometry.vector_lift(sp, proj_set) == brute
 
 
 def test_polarization_identity_exhaustive():

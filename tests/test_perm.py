@@ -105,6 +105,15 @@ def test_set_orbit():
     assert len(perm.set_orbit(gens, 0b000111, cap=20)) == 20
 
 
+def test_declared_order_past_the_cap_is_refused_unenumerated(tmp_path):
+    # a wrong order line past the cap is refused for size: nothing is enumerated to find it wrong
+    path = tmp_path / "c5.grp"
+    path.write_text("n 5\norder 101\n1 2 3 4 0\n")
+    with pytest.raises(perm.GroupTooLarge, match=f"^{re.escape(str(path))} declares order 101, past the cap of 100 elements$"):
+        enumerate_group(perm.load_group(path), cap=100)
+    assert enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), declared_order=5), cap=5).order == 5
+
+
 def test_enumerate_declared_order_mismatch():
     spec = GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), "C5", declared_order=7)
     with pytest.raises(ValueError):
