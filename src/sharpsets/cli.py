@@ -22,12 +22,12 @@ the orbit cap, a linear system past linsys.DENSE_CELL_CAP cells (systems
 are stored by column; the Z solver and `--export-system` densify, and the
 packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
 F_2's one-bit rows are not capped), or a `search-sharp` whose packed
-exact-cover table, |G| x N^2 fields, would pass that cap. The quadric's
-polarization is checked on every pair of an F_2-basis, complete because
-both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in seconds in
-both actions. A failed `selftest` check carries an `error` field and makes
-the run exit 1. Random probes take their seed from `--probe`; there is no
-`--seed` flag.
+exact-cover table, |G| x N^2 fields, would pass that cap (checked on a
+declared order before enumeration). The quadric's polarization is checked
+on every pair of an F_2-basis, complete because both sides are
+biadditive, so sp (2,8), (3,4) and (5,2) run in seconds in both actions.
+A failed `selftest` check carries an `error` field and makes the run exit 1.
+Random probes take their seed from `--probe`; there is no `--seed` flag.
 """
 
 from __future__ import annotations
@@ -207,8 +207,9 @@ def _cmd_design_check(args) -> dict:
 
 def _cmd_search(args) -> dict:
     spec = load_group(args.group)
-    G = enumerate_group(spec)
-    result = sharp_search.find_sharp_set(G, args.t, args.budget)
+    if spec.declared_order is not None:  # the file's order line lets the cap refuse before enumeration
+        sharp_search.check_cover_cap(spec.declared_order, spec.degree, args.t)
+    result = sharp_search.find_sharp_set(enumerate_group(spec), args.t, args.budget)
     return {
         "case": "search-sharp",
         "group": spec.name,

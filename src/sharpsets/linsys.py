@@ -15,13 +15,14 @@ over F_2, whose one-bit rows take less memory than the columns they come from.
 
 All solver arithmetic is exact: rows packed into one Python integer over
 F_p (one bit per entry for p = 2, added by xor; else a field of
-p.bit_length() + 1 bits, added mod p all at once), fraction-free integer
-rows over Q (Edmonds, Bareiss) and arbitrary-precision integers for the
-Hermite normal form over Z. Floating point is never used. Each field has
-one elimination kernel, shared by its solver and its other users: one
-packed echelon basis serves the F_p solver and nullspace for every prime,
-and over Q one sparse integer pivot step serves Gauss-Jordan and the Z>=0
-phase-1 simplex.
+p.bit_length() + 1 bits, added mod p all at once; column 0 in the highest
+field and b in the lowest, so a row's lead is read off its bit_length),
+fraction-free integer rows over Q (Edmonds, Bareiss) and
+arbitrary-precision integers for the Hermite normal form over Z. Floating
+point is never used. Each field has one elimination kernel, shared by its
+solver and its other users: one packed echelon basis serves the F_p solver
+and nullspace for every prime, and over Q one sparse integer pivot step
+serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 """
 
 from __future__ import annotations
@@ -227,11 +228,13 @@ def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
-    outcome = _solve_mod_p(system, p)
-    if outcome.status == SOLVABLE and not verify_witness(system, outcome.witness, modulus=p):
+    basis = _echelon_mod_p(system, p)
+    if system.cols in basis:
+        return SolveOutcome(INFEASIBLE, None, {"rank": len(basis) - 1, "p": p})
+    witness = _back_substitute(basis, system.cols, p, system.cols)
+    if not verify_witness(system, witness, modulus=p):
         raise InvariantViolation(f"mod-{p} witness fails substitution")
-    outcome.notes["p"] = p
-    return outcome
+    return SolveOutcome(SOLVABLE, witness, {"rank": len(basis), "p": p})
 
 
 def _width(p: int) -> int:
@@ -242,25 +245,26 @@ def _width(p: int) -> int:
 def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     """Row-incremental echelon basis of [A | b] mod p: {lead: packed row scaled to 1 there}.
 
-    A row is one int, entry j in bits [j*w, (j+1)*w), w = _width(p), b in
-    field cols. It is reduced at its lead, its lowest nonzero field, until it
-    vanishes or opens a new lead. The leads are the pivots of the reduced row
-    echelon form (a lead at cols: inconsistent). A row adds mod p at once:
-    xor for p = 2; else s = x + y, less p in every field where s + 2^k - p
-    carries into bit k. x - e*b is x + (p-e)*b: one add when p - e = 1, as
-    always for p = 2, else summed from the basis row's doublings 2^i*b, each
-    made on first use. The dense cap bounds fill-in for odd p; one-bit rows
-    take less memory than the columns they come from, so p = 2 is not capped.
+    A row is one int of w = _width(p) bit fields, column c in field cols - c
+    and b in field 0. It is reduced at its lead, its lowest nonzero column, so
+    its top nonzero field f = (x.bit_length() - 1) // w with entry x >> f*w,
+    until it vanishes or opens a new lead. The leads are the pivots of the
+    reduced row echelon form (a lead at cols: inconsistent). A row adds mod p
+    at once: xor for p = 2; else s = x + y, less p in every field where s +
+    2^k - p carries into bit k. x - e*b is x + (p-e)*b: one add when p - e =
+    1, as always for p = 2, else summed from the basis row's doublings 2^i*b,
+    each made on first use. The dense cap bounds fill-in for odd p; one-bit
+    rows take less memory than the columns they come from, so p = 2 is not capped.
     """
+    ncols = system.cols
     if p != 2:
-        _check_cap((system.rows, system.cols + 1), "packed F_p elimination")
+        _check_cap((system.rows, ncols + 1), "packed F_p elimination")
     k, w = p.bit_length(), _width(p)
-    rows = [(b % p) << (system.cols * w) for b in system.rhs]
+    rows = [b % p for b in system.rhs]
     for c, col in enumerate(system.columns):
         for r, a in col.items():
-            rows[r] |= (a % p) << (c * w)
-    mask = (1 << w) - 1
-    ones = ((1 << (w * (system.cols + 1))) - 1) // mask
+            rows[r] |= (a % p) << ((ncols - c) * w)
+    ones = ((1 << (w * (ncols + 1))) - 1) // ((1 << w) - 1)
     carry = ones * ((1 << k) - p)
 
     def add_packed(x: int, y: int) -> int:
@@ -281,40 +285,32 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
             i += 1
         return x
 
-    basis: dict[int, list[int]] = {}  # lead -> doublings of its row
+    basis: dict[int, list[int]] = {}  # lead field -> doublings of its row
     for x in rows:
         while x:
-            lead = ((x & -x).bit_length() - 1) // w
-            e = (x >> (lead * w)) & mask
-            if (doubles := basis.get(lead)) is None:
-                basis[lead] = [x if e == 1 else add_multiple(0, [x], pow(e, -1, p))]
+            f = (x.bit_length() - 1) // w
+            e = x >> (f * w)
+            if (doubles := basis.get(f)) is None:
+                basis[f] = [x if e == 1 else add_multiple(0, [x], pow(e, -1, p))]
                 break
             x = add(x, doubles[0]) if e == p - 1 else add_multiple(x, doubles, p - e)
-    return {lead: doubles[0] for lead, doubles in basis.items()}
+    return {ncols - f: doubles[0] for f, doubles in basis.items()}
 
 
 def _back_substitute(basis: dict[int, int], col: int, p: int, ncols: int) -> list[int]:
-    """x with row . x = row[col] mod p for each basis row, zero off the leads."""
+    """x with row . x = row[col] mod p for each basis row, zero off the leads; column c is field ncols - c."""
     w = _width(p)
     mask = (1 << w) - 1
     x, nonzero = [0] * ncols, []
     for lead in sorted(basis, reverse=True):
         row = basis[lead]
-        v = (row >> (col * w)) & mask
+        v = (row >> ((ncols - col) * w)) & mask
         for c in nonzero:
-            v -= ((row >> (c * w)) & mask) * x[c]
+            v -= ((row >> ((ncols - c) * w)) & mask) * x[c]
         if v := v % p:
             x[lead] = v
             nonzero.append(lead)
     return x
-
-
-def _solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
-    ncols = system.cols
-    basis = _echelon_mod_p(system, p)
-    if ncols in basis:
-        return SolveOutcome(INFEASIBLE, None, {"rank": len(basis) - 1})
-    return SolveOutcome(SOLVABLE, _back_substitute(basis, ncols, p, ncols), {"rank": len(basis)})
 
 
 def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
@@ -393,12 +389,6 @@ def _rref_integer(system: ExactSystem):
     if any(RHS in rows[i] for i in free):
         return None, pivots
     return [rows[i] for i in order], pivots
-
-
-def _rref_rational(system: ExactSystem):
-    """The reduced row echelon form of [A | b] over Q: _rref_integer's rows as Fractions with a leading 1."""
-    rows, pivots = _rref_integer(system)
-    return rows and [{k: Fraction(v, row[c]) for k, v in row.items()} for row, c in zip(rows, pivots)], pivots
 
 
 def solve_rational(system: ExactSystem) -> SolveOutcome:

@@ -77,22 +77,27 @@ class SearchResult:
     nodes: int
 
 
+def check_cover_cap(order: int, degree: int, t: int) -> None:
+    """Raise GroupTooLarge if the |G| x N^2 units of a group of this order and degree at arity t pass the cap."""
+    _check_cap((order, math.perm(degree, max(t, 0)) ** 2), "exact-cover table")  # induced_action refuses a bad t
+
+
 def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET) -> SearchResult:
     """Depth-first exact cover with a fewest-candidates column heuristic.
 
     A node carries `alive`, the rows sharing no column with a chosen row;
     `counts`, each column's live rows in a packed field; and `covered`, all
-    ones in each covered field. A chosen row subtracts the units of the rows
-    it kills, so backtracking is a return. The column, found in C on the
+    ones in each covered field. A chosen row kills the live rows of its
+    conflict mask (its columns' row bitsets ORed, made once) and subtracts
+    their units, so backtracking is a return. The column, found in C on the
     bytes of `counts | covered`, is the lowest-index one with at most one
     live row, else the lowest-index one of fewest; rows go in index order,
     so the search and its witness are deterministic. The node budget (at
-    least 1) makes the cutoff machine independent. The units hold |G| x N^2
-    fields, so past linsys.DENSE_CELL_CAP GroupTooLarge comes first.
+    least 1) makes the cutoff machine independent; check_cover_cap comes first.
     """
     if budget < 1:
         raise ValueError(f"budget {budget} is below 1")
-    _check_cap((G.order, math.perm(G.degree, max(t, 0)) ** 2), "exact-cover table")  # induced_action refuses a bad t
+    check_cover_cap(G.order, G.degree, t)
     elements = induced_action(G, t)[1].elements
     inst = build_cover_instance(elements)
     n, columns, units, width = inst.n_cells, inst.columns, inst.units, inst.width
@@ -101,6 +106,7 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
 
     nodes = 0
     chosen: list[int] = []
+    conflicts: list[int | None] = [None] * len(elements)  # on first use: all at once is |G|^2 bits (200 MB for S8)
 
     def search(counts: int, covered: int, alive: int) -> bool:
         nonlocal nodes
@@ -117,7 +123,9 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
             nodes += 1
             if nodes > budget:
                 raise _Budget
-            kill = alive & reduce(or_, [columns[c * n + d] for c, d in enumerate(elements[ri])])
+            if (kill := conflicts[ri]) is None:
+                kill = conflicts[ri] = reduce(or_, [columns[c * n + d] for c, d in enumerate(elements[ri])])
+            kill &= alive
             killed = format(kill, pattern)[::-1].encode().translate(ZERO_ONE)  # one 0/1 byte per row
             chosen.append(ri)
             if search(counts - sum(compress(units, killed)), covered | units[ri] * ones, alive & ~kill):

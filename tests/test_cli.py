@@ -327,6 +327,20 @@ def test_search_past_the_cell_cap_is_refused(tmp_path, capsys):
     assert err.startswith("refused for size") and "443520 x 484 exact-cover table" in err and err.count("\n") == 1, err
 
 
+def test_search_cap_is_checked_before_enumeration(tmp_path, monkeypatch, capsys):
+    # m22.grp declares order 443520, which is enough to refuse a t=1 search without the elements
+    from sharpsets import cli
+
+    def never(spec):
+        raise AssertionError("enumerated a group the cap refuses")
+
+    monkeypatch.setattr(cli, "enumerate_group", never)
+    m22 = str(shipped_group_path("m22"))
+    assert run_cli(tmp_path, "search-sharp", "--group", m22, "--t", "1") == (4, None)
+    err = capsys.readouterr().err
+    assert err == "refused for size: a 443520 x 484 exact-cover table passes the cap of 8388608 cells\n", err
+
+
 def test_dense_cap_refuses_before_allocating(tmp_path, monkeypatch, capsys):
     # only the solvers that eliminate by rows, and the export, densify; F_2 works on the columns
     from sharpsets import linsys

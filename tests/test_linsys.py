@@ -94,9 +94,11 @@ def dense_rref_rational(system):
 
 
 def sparse_rref_as_dense(system):
-    rows, pivots = linsys._rref_rational(system)
+    """The reduced row echelon form read off _rref_integer: its rows scaled to 1 at their pivots, dense."""
+    rows, pivots = linsys._rref_integer(system)
     if rows is not None:
-        rows = [[row.get(c, 0) for c in range(system.cols)] + [row.get(linsys.RHS, 0)] for row in rows]
+        keys = [*range(system.cols), linsys.RHS]
+        rows = [[Fraction(row.get(k, 0), row[c]) for k in keys] for row, c in zip(rows, pivots)]
     return rows, pivots
 
 
@@ -471,12 +473,28 @@ def test_packed_mod_p_matches_dense_reference(p):
     assert min(kinds.values()) >= 20, kinds
 
 
-def test_packed_mod_p_matches_dense_reference_on_pairs(s4, s5):
-    for enum in (s4, s5):
+def test_packed_mod_p_matches_dense_reference_on_pairs(s4, s5, a6):
+    # A6 pairs (900 x 360) spreads the leads over hundreds of columns:
+    # mod 2 infeasible at rank 206, mod 3 solvable at rank 189
+    for enum, primes in ((s4, (2, 3, 5)), (s5, (2, 3, 5)), (a6, (2, 3))):
         _, pairs = induced_action(enum, 2)
         system = build_full_system(pairs.elements)
-        for p in (2, 3, 5):
+        for p in primes:
             assert packed_mod_p(system, p) == reference_mod_p(system, p), (enum.name, p)
+    assert [solve_mod_p(system, p).notes["rank"] for p in (2, 3)] == [206, 189]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4294967311])
+def test_packed_mod_p_right_side_alone(p):
+    # b sits in the lowest packed field: a row holding only b is inconsistent,
+    # a zero row or a right side of p vanishes
+    for system, status, witness in (
+        (ExactSystem([], [1]), "infeasible", None),
+        (ExactSystem([], [0]), "solvable", []),
+        (ExactSystem([{}], [p]), "solvable", [0]),
+    ):
+        out = solve_mod_p(system, p)
+        assert (out.status, out.notes["rank"], out.witness) == (status, 0, witness)
 
 
 # ---------------------------------------------------------------------------
