@@ -21,11 +21,13 @@ passes the cap is refused before any element is built), an sp case past
 the orbit cap, a linear system past linsys.DENSE_CELL_CAP cells (systems
 are stored by column; the Z solver and `--export-system` densify, and the
 packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
-F_2's one-bit rows are not capped), or a `search-sharp` whose packed
-exact-cover table, |G| x N^2 fields, would pass that cap (checked on a
-declared order before enumeration). The quadric's polarization is checked
-on every pair of an F_2-basis, complete because both sides are
-biadditive, so sp (2,8), (3,4) and (5,2) run in seconds in both actions.
+F_2's one-bit rows are not capped; where the first capped step sees the
+whole full system, its N^2 x (|G| + 1) is checked before the build), or a
+`search-sharp` whose packed exact-cover table, |G| x N^2 fields, would
+pass that cap (both checked on a declared order before enumeration). The
+quadric's polarization is checked on every pair of an F_2-basis, complete
+because both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in
+seconds in both actions.
 A failed `selftest` check carries an `error` field and makes the run exit 1.
 Random probes take their seed from `--probe`; there is no `--seed` flag.
 """
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -227,44 +230,45 @@ def _search_summary(report: dict) -> str:
     return "NONE (exhaustive)" if report["status"] == sharp_search.NONE_EXHAUSTIVE else "UNKNOWN (budget)"
 
 
+def _full_system_step(args) -> str | None:
+    """The first capped step of a linsys run if it sees the whole full system (Z's staircase has its own shape)."""
+    if args.subgroup or args.fpf or args.pin_identity:
+        return None
+    if args.export_system:
+        return "dense array"
+    if args.probe or args.ring == "z" or args.p == 2:  # F_2 is not capped
+        return None
+    return "packed F_p elimination" if args.ring == "f_p" else "rational elimination"
+
+
 def _cmd_linsys(args) -> dict:
     if args.ring == "f_p":
         linsys.is_prime(args.p)  # a p past linsys.PRIME_BOUND is refused before any work
-    _, G = induced_action(enumerate_group(load_group(args.group)), args.t)
+    spec = load_group(args.group)
+    if (step := _full_system_step(args)) and spec.declared_order is not None:  # refused before enumeration
+        linsys.check_full_system_cap(spec.declared_order, math.perm(spec.degree, max(args.t, 0)), step)
+    _, G = induced_action(enumerate_group(spec), args.t)
     if args.subgroup:
         _, H = induced_action(enumerate_group(load_group(args.subgroup)), args.t)
         system = linsys.build_H_system(G, H)
     else:
+        if step:
+            linsys.check_full_system_cap(G.order, G.degree, step)
         system = linsys.build_full_system(G.elements)
     if args.fpf or args.pin_identity:
         system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)
     if args.export_system:
         linsys.dump_system(system, args.export_system)
     if args.probe:
-        outcome = linsys.random_restriction_probe(
-            system,
-            keep=args.probe.get("keep", system.cols),
-            trials=args.probe.get("trials", 1),
-            seed=args.probe.get("seed", 0),
-            nonneg=args.ring == "znn",
-        )
+        opts = {"keep": system.cols, "trials": 1, "seed": 0, **args.probe}
+        outcome = linsys.random_restriction_probe(system, **opts, nonneg=args.ring == "znn")
     elif args.ring == "f_p":
         outcome = linsys.solve_mod_p(system, args.p)
-    elif args.ring == "q":
-        outcome = linsys.solve_rational(system)
-    elif args.ring == "z":
-        outcome = linsys.solve_integer(system)
     else:
-        outcome = linsys.solve_nonneg_integer(system)
-    report = {
-        "case": "linsys",
-        "ring": args.ring,
-        "p": args.p,
-        "rows": system.rows,
-        "cols": system.cols,
-    }
-    report.update(outcome.as_dict())
-    return report
+        solve = {"q": linsys.solve_rational, "z": linsys.solve_integer, "znn": linsys.solve_nonneg_integer}[args.ring]
+        outcome = solve(system)
+    shape = {"case": "linsys", "ring": args.ring, "p": args.p, "rows": system.rows, "cols": system.cols}
+    return {**shape, **outcome.as_dict()}
 
 
 def _cmd_selftest(args) -> dict:

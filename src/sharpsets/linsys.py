@@ -20,9 +20,9 @@ field and b in the lowest, so a row's lead is read off its bit_length),
 fraction-free integer rows over Q (Edmonds, Bareiss) and
 arbitrary-precision integers for the Hermite normal form over Z. Floating
 point is never used. Each field has one elimination kernel, shared by its
-solver and its other users: one packed echelon basis serves the F_p solver
-and nullspace for every prime, and over Q one sparse integer pivot step
-serves Gauss-Jordan and the Z>=0 phase-1 simplex.
+solver and its other users: over F_p one packed reduced echelon basis
+serves every prime, and the witness is read off it; over Q one sparse
+integer pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from operator import xor
+from operator import add, xor
 
 from .perm import (
     GroupEnumeration,
@@ -68,7 +69,7 @@ class ExactSystem:
 
     def __post_init__(self):
         rows = len(self.rhs)
-        if any(not 0 <= r < rows for col in self.columns for r in col):
+        if not set(range(rows)).issuperset(chain.from_iterable(self.columns)):
             raise ValueError(f"a column names a row outside 0..{rows - 1}")
 
     @classmethod
@@ -92,6 +93,11 @@ DENSE_CELL_CAP = 1 << 23  # dense cells, or packed or sparse rows' fill-in: abov
 def _check_cap(shape: tuple[int, int], what: str) -> None:
     if shape[0] * shape[1] > DENSE_CELL_CAP:
         raise GroupTooLarge(f"a {shape[0]} x {shape[1]} {what} passes the cap of {DENSE_CELL_CAP} cells")
+
+
+def check_full_system_cap(order: int, points: int, what: str) -> None:
+    """Raise GroupTooLarge as `what`, a capped step on [A | b] of the full system, would: N^2 x (|G| + 1)."""
+    _check_cap((points * points, order + 1), what)
 
 
 @dataclass
@@ -126,7 +132,7 @@ def verify_witness(system: ExactSystem, witness, modulus: int | None = None) -> 
 def build_full_system(elements: list[Perm]) -> ExactSystem:
     """One equation per ordered pair of points, one variable per element."""
     n = len(elements[0])
-    columns = [{i * n + g[i]: 1 for i in range(n)} for g in elements]
+    columns = [dict.fromkeys(map(add, range(0, n * n, n), g), 1) for g in elements]
     return ExactSystem(columns, [1] * (n * n), list(elements))
 
 
@@ -223,8 +229,7 @@ def is_prime(p: int) -> bool:
 def solve_mod_p(system: ExactSystem, p: int) -> SolveOutcome:
     """Exact solvability over F_p, with a witness when solvable.
 
-    Packed rows are reduced to an echelon basis (see _echelon_mod_p), under
-    the dense cap for odd p, and back-substituted with free variables 0.
+    The witness, free variables 0, is read off the reduced echelon basis of _echelon_mod_p (capped for odd p).
     """
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -243,18 +248,21 @@ def _width(p: int) -> int:
 
 
 def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
-    """Row-incremental echelon basis of [A | b] mod p: {lead: packed row scaled to 1 there}.
+    """Reduced echelon basis of [A | b] mod p, built row by row: {lead: packed row}.
 
     A row is one int of w = _width(p) bit fields, column c in field cols - c
-    and b in field 0. It is reduced at its lead, its lowest nonzero column, so
-    its top nonzero field f = (x.bit_length() - 1) // w with entry x >> f*w,
-    until it vanishes or opens a new lead. The leads are the pivots of the
-    reduced row echelon form (a lead at cols: inconsistent). A row adds mod p
-    at once: xor for p = 2; else s = x + y, less p in every field where s +
+    and b in field 0, so its lead (lowest nonzero column) is its top nonzero
+    field. Each basis row is 1 at its own lead and 0 at the others, and
+    `leads` masks every lead field: a row x clears the leads it holds top
+    first, each the top field of y = x & leads, and no other lead of x moves.
+    A row still nonzero opens a new lead, is scaled to 1 there, and that
+    field is cleared from every other basis row. The leads are the pivots of
+    the reduced row echelon form (a lead at cols: inconsistent). Rows add mod
+    p at once: xor for p = 2; else s = x + y, less p in every field where s +
     2^k - p carries into bit k. x - e*b is x + (p-e)*b: one add when p - e =
-    1, as always for p = 2, else summed from the basis row's doublings 2^i*b,
-    each made on first use. The dense cap bounds fill-in for odd p; one-bit
-    rows take less memory than the columns they come from, so p = 2 is not capped.
+    1, as always for p = 2, else summed from the doublings 2^i*b, each made
+    on first use and dropped when b changes. The dense cap bounds fill-in for
+    odd p; one-bit rows take less memory than their columns, so p = 2 is not capped.
     """
     ncols = system.cols
     if p != 2:
@@ -264,66 +272,54 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     for c, col in enumerate(system.columns):
         for r, a in col.items():
             rows[r] |= (a % p) << ((ncols - c) * w)
-    ones = ((1 << (w * (ncols + 1))) - 1) // ((1 << w) - 1)
+    mask = (1 << w) - 1
+    ones = ((1 << (w * (ncols + 1))) - 1) // mask
     carry = ones * ((1 << k) - p)
 
     def add_packed(x: int, y: int) -> int:
         s = x + y
         return s - p * (((s + carry) >> k) & ones)
 
-    add = xor if p == 2 else add_packed
+    add_rows = xor if p == 2 else add_packed
 
     def add_multiple(x: int, doubles: list[int], m: int) -> int:
         """x + m*doubles[0] mod p, extending the doublings as far as m needs."""
-        i = 0
-        while m:
+        for i in range(m.bit_length()):
             if i == len(doubles):
-                doubles.append(add(doubles[-1], doubles[-1]))
-            if m & 1:
-                x = add(x, doubles[i])
-            m >>= 1
-            i += 1
+                doubles.append(add_rows(doubles[-1], doubles[-1]))
+            if m >> i & 1:
+                x = add_rows(x, doubles[i])
         return x
 
-    basis: dict[int, list[int]] = {}  # lead field -> doublings of its row
+    basis: dict[int, int] = {}  # low bit of a lead field -> its row
+    doubles: dict[int, list[int]] = {}  # low bit of a lead field -> its row's doublings, dropped when it changes
+    leads = 0
     for x in rows:
-        while x:
-            f = (x.bit_length() - 1) // w
-            e = x >> (f * w)
-            if (doubles := basis.get(f)) is None:
-                basis[f] = [x if e == 1 else add_multiple(0, [x], pow(e, -1, p))]
-                break
-            x = add(x, doubles[0]) if e == p - 1 else add_multiple(x, doubles, p - e)
-    return {ncols - f: doubles[0] for f, doubles in basis.items()}
+        y = x & leads
+        while y:
+            e = y >> (at := (y.bit_length() - 1) // w * w)
+            x = add_rows(x, basis[at]) if e == p - 1 else add_multiple(x, doubles.setdefault(at, [basis[at]]), p - e)
+            y ^= e << at
+        if x:
+            if (e := x >> (at := (x.bit_length() - 1) // w * w)) != 1:
+                x = add_multiple(0, [x], pow(e, -1, p))
+            doubles[at] = new = [x]
+            for g, row in basis.items():
+                if e := row >> at & mask:
+                    basis[g] = add_rows(row, x) if e == p - 1 else add_multiple(row, new, p - e)
+                    doubles.pop(g, None)
+            basis[at] = x
+            leads |= mask << at
+    return {ncols - at // w: row for at, row in basis.items()}
 
 
 def _back_substitute(basis: dict[int, int], col: int, p: int, ncols: int) -> list[int]:
-    """x with row . x = row[col] mod p for each basis row, zero off the leads; column c is field ncols - c."""
-    w = _width(p)
-    mask = (1 << w) - 1
-    x, nonzero = [0] * ncols, []
-    for lead in sorted(basis, reverse=True):
-        row = basis[lead]
-        v = (row >> ((ncols - col) * w)) & mask
-        for c in nonzero:
-            v -= ((row >> ((ncols - c) * w)) & mask) * x[c]
-        if v := v % p:
-            x[lead] = v
-            nonzero.append(lead)
+    """x with row . x = row[col] mod p for each row of the reduced basis, zero off the leads: x[lead] = row[col]."""
+    shift, mask = (ncols - col) * _width(p), (1 << _width(p)) - 1
+    x = [0] * ncols
+    for lead, row in basis.items():
+        x[lead] = row >> shift & mask
     return x
-
-
-def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of {v : M v = 0 (mod p)}, one vector per free column in increasing order."""
-    ncols = len(matrix[0]) if matrix else 0
-    basis = _echelon_mod_p(ExactSystem.from_rows(matrix, [0] * len(matrix)), p)
-    null = []
-    for f in range(ncols):
-        if f not in basis:
-            v = [-x % p for x in _back_substitute(basis, f, p, ncols)]
-            v[f] = 1
-            null.append(v)
-    return null
 
 
 # ---------------------------------------------------------------------------

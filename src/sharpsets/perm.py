@@ -321,7 +321,7 @@ class ArrangementAction:
     t: int
     cells: tuple[tuple[int, ...], ...] = field(repr=False)
     index: dict = field(repr=False)
-    images: tuple = field(repr=False)  # images[i](g) is the tuple g maps cells[i] to, for t >= 2
+    points: itemgetter = field(repr=False)  # points(g): the images of every cell's points, cell after cell
 
     @property
     def size(self) -> int:
@@ -331,15 +331,15 @@ class ArrangementAction:
         """The permutation of cell indices induced by g; for t = 1 the cells are the points, so it is g."""
         if self.t == 1:
             return as_perm(g)
-        idx = self.index
-        return as_perm([idx[image(g)] for image in self.images])
+        return perm_type(self.size)(map(self.index.__getitem__, zip(*[iter(self.points(g))] * self.t)))
 
 
 def arrangements(n: int, t: int) -> ArrangementAction:
     if not 1 <= t <= n:
         raise ValueError(f"need 1 <= t <= {n}, got t={t}")
     cells = tuple(itertools.permutations(range(n), t))
-    return ArrangementAction(n, t, cells, {c: i for i, c in enumerate(cells)}, tuple(itemgetter(*c) for c in cells))
+    points = itemgetter(*itertools.chain.from_iterable(cells))
+    return ArrangementAction(n, t, cells, {c: i for i, c in enumerate(cells)}, points)
 
 
 def induced_action(group, t: int):

@@ -12,9 +12,10 @@ Gauss-Jordan and the phase-1 simplex) that the integer-row kernel of
 linsys replaced, kept to pin it to the same ranks, witnesses, nodes and
 simplex pivots. reference_nullspace_mod_2 is the column-incremental F_2
 nullspace on bitmasks that the packed echelon basis of linsys replaced,
-kept to pin the F_2 basis of certificate_search. certificate_search looks
-for a (B, C, p) certificate in an enumerated group, exhaustively on tiny
-domains and through the mod-p nullspace of the images of C beyond them;
+kept to pin the F_2 basis of certificate_search. nullspace_mod_p reads a
+nullspace basis off the reduced echelon basis of linsys. certificate_search
+looks for a (B, C, p) certificate in an enumerated group, exhaustively on
+tiny domains and through the mod-p nullspace of the images of C beyond them;
 certify only verifies certificates. read_design and read_graph read back
 the files that designs.write_design and designs.write_graph export.
 """
@@ -32,9 +33,10 @@ from sharpsets.linsys import (
     SOLVABLE,
     ExactSystem,
     SolveOutcome,
+    _back_substitute,
+    _echelon_mod_p,
     build_full_system,
     build_H_system,
-    nullspace_mod_p,
     solve_integer,
     solve_mod_p,
     verify_witness,
@@ -430,6 +432,19 @@ def certificate_search(
                 if found:
                     return found
     return None
+
+
+def nullspace_mod_p(matrix: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of {v : M v = 0 (mod p)}, one vector per free column in increasing order."""
+    ncols = len(matrix[0]) if matrix else 0
+    basis = _echelon_mod_p(ExactSystem.from_rows(matrix, [0] * len(matrix)), p)
+    null = []
+    for f in range(ncols):
+        if f not in basis:
+            v = [-x % p for x in _back_substitute(basis, f, p, ncols)]
+            v[f] = 1
+            null.append(v)
+    return null
 
 
 def orthogonal_basis(images: list[int], n: int, p: int) -> list:

@@ -341,6 +341,83 @@ def test_search_cap_is_checked_before_enumeration(tmp_path, monkeypatch, capsys)
     assert err == "refused for size: a 443520 x 484 exact-cover table passes the cap of 8388608 cells\n", err
 
 
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["--ring", "q"], "rational elimination"),
+        (["--ring", "znn"], "rational elimination"),
+        (["--ring", "f_p", "--p", "3"], "packed F_p elimination"),
+        (["--ring", "z", "--export-system", "m22.sys"], "dense array"),
+        (["--ring", "f_p", "--p", "2", "--export-system", "m22.sys"], "dense array"),
+    ],
+)
+def test_linsys_cap_is_checked_before_enumeration(tmp_path, monkeypatch, capsys, argv, what):
+    # m22.grp declares order 443520: its 484 x 443521 full system is refused without the elements
+    from sharpsets import cli
+
+    def never(spec):
+        raise AssertionError("enumerated a group the cap refuses")
+
+    monkeypatch.setattr(cli, "enumerate_group", never)
+    argv = [str(tmp_path / a) if a.endswith(".sys") else a for a in argv]
+    m22 = str(shipped_group_path("m22"))
+    assert run_cli(tmp_path, "linsys", "--group", m22, *argv) == (4, None)
+    err = capsys.readouterr().err
+    assert err == f"refused for size: a 484 x 443521 {what} passes the cap of 8388608 cells\n", err
+    assert not (tmp_path / "m22.sys").exists()
+
+
+def test_linsys_early_refusal_is_the_capped_steps_own(tmp_path, monkeypatch, capsys):
+    # with the order line (before enumeration) and without it (before the build),
+    # the refusal is the line the solver or the export would print on the built system
+    from sharpsets import linsys
+    from sharpsets.perm import GroupTooLarge, enumerate_group, induced_action, load_group
+
+    s5 = shipped_group_path("s5")
+    _, pairs = induced_action(enumerate_group(load_group(s5)), 2)
+    system = linsys.build_full_system(pairs.elements)
+    unordered = tmp_path / "s5.grp"
+    unordered.write_text("".join(line for line in s5.read_text().splitlines(True) if not line.startswith("order")))
+    monkeypatch.setattr(linsys, "DENSE_CELL_CAP", 1000)
+    out = str(tmp_path / "s5.sys")
+    for argv, step in (
+        (["--ring", "q"], linsys.solve_rational),
+        (["--ring", "znn"], linsys.solve_nonneg_integer),
+        (["--ring", "f_p", "--p", "5"], lambda s: linsys.solve_mod_p(s, 5)),
+        (["--ring", "z", "--export-system", out], lambda s: linsys.dump_system(s, out)),
+    ):
+        with pytest.raises(GroupTooLarge) as refused:
+            step(system)
+        for group in (str(s5), str(unordered)):
+            assert run_cli(tmp_path, "linsys", "--group", group, "--t", "2", *argv) == (4, None), argv
+            assert capsys.readouterr().err == f"refused for size: {refused.value}\n", argv
+
+
+def test_linsys_refuses_early_only_on_the_full_system(tmp_path, monkeypatch):
+    # Z and F_2 keep their own path (the mod-2 prescreen may answer Z; F_2 is
+    # not capped), and a collapsed, restricted or probed system has another shape
+    from sharpsets import cli
+
+    class Enumerated(Exception):
+        pass
+
+    def enumerated(spec):
+        raise Enumerated
+
+    monkeypatch.setattr(cli, "enumerate_group", enumerated)
+    m22 = str(shipped_group_path("m22"))
+    for argv in (
+        ["--ring", "z"],
+        ["--ring", "f_p", "--p", "2"],
+        ["--ring", "q", "--subgroup", m22],
+        ["--ring", "q", "--fpf"],
+        ["--ring", "f_p", "--p", "3", "--pin-identity"],
+        ["--ring", "znn", "--probe", "keep=3"],
+    ):
+        with pytest.raises(Enumerated):
+            main(["linsys", "--group", m22, *argv, "--out", str(tmp_path / "report.json")])
+
+
 def test_dense_cap_refuses_before_allocating(tmp_path, monkeypatch, capsys):
     # only the solvers that eliminate by rows, and the export, densify; F_2 works on the columns
     from sharpsets import linsys

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     lemma_down_check,
     local_global_check,
+    nullspace_mod_p,
     reference_solve_nonneg_integer,
     reference_solve_rational,
 )
@@ -158,7 +159,7 @@ def packed_mod_p(system, p):
     """The same four answers from solve_mod_p and nullspace_mod_p."""
     out = solve_mod_p(system, p)
     matrix = [[col.get(r, 0) for col in system.columns] for r in range(system.rows)]
-    return out.status, out.notes["rank"], out.witness, linsys.nullspace_mod_p(matrix, p)
+    return out.status, out.notes["rank"], out.witness, nullspace_mod_p(matrix, p)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,9 @@ def test_system_shape_checks():
         ExactSystem.from_rows([[1, 0], [1]], [1, 1])
     with pytest.raises(ValueError):
         ExactSystem.from_rows([[1, 0], [0, 1]], [1])
-    with pytest.raises(ValueError):
-        ExactSystem([{0: 1}, {2: 1}], [1, 1])
+    for key in (-1, 2):  # row keys run over 0..rows-1 only
+        with pytest.raises(ValueError, match="outside 0..1"):
+            ExactSystem([{0: 1}, {key: 1}], [1, 1])
     system = ExactSystem.from_rows([[2, 0], [0, -1]], [1, 1])
     assert (system.rows, system.cols, system.columns) == (2, 2, [{0: 2}, {1: -1}])
 
@@ -367,7 +369,7 @@ def test_nullspaces_match_brute_force():
             matrix = [[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)]
             vectors = list(itertools.product(range(p), repeat=ncols))
             null = {v for v in vectors if all(sum(a * x for a, x in zip(row, v)) % p == 0 for row in matrix)}
-            basis = linsys.nullspace_mod_p(matrix, p)
+            basis = nullspace_mod_p(matrix, p)
             assert all(tuple(v) in null for v in basis)
             # the basis has ncols - rank vectors and spans the whole nullspace
             span = {
@@ -482,6 +484,53 @@ def test_packed_mod_p_matches_dense_reference_on_pairs(s4, s5, a6):
         for p in primes:
             assert packed_mod_p(system, p) == reference_mod_p(system, p), (enum.name, p)
     assert [solve_mod_p(system, p).notes["rank"] for p in (2, 3)] == [206, 189]
+
+
+def assert_reduced_basis(system, p):
+    """Check that the packed basis of system mod p is the reduced row echelon form.
+
+    Each row is 1 at its own lead and 0 at every other lead, the leads are the
+    reference's pivots (and cols when inconsistent), and a consistent system's
+    rows are the reference's rows. Returns the status.
+    """
+    basis = linsys._echelon_mod_p(system, p)
+    w, ncols = linsys._width(p), system.cols
+
+    def unpack(row):
+        return [row >> ((ncols - c) * w) & ((1 << w) - 1) for c in range(ncols + 1)]
+
+    rows = {lead: unpack(row) for lead, row in basis.items()}
+    for lead, row in rows.items():
+        assert [row[c] for c in rows] == [int(c == lead) for c in rows], lead
+    a, pivots = dense_rref_mod_p(system, p)
+    status = "infeasible" if a[len(pivots):, ncols].any() else "solvable"
+    assert sorted(rows) == pivots + [ncols] * (status == "infeasible")
+    if status == "solvable":
+        assert [rows[c] for c in pivots] == [[int(x) for x in a[i]] for i in range(len(pivots))]
+    return status
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 4294967311])
+def test_packed_basis_is_reduced(p, s5, a6):
+    # the kernel keeps its basis reduced, so that a row clears only its own
+    # leads and the witness is read off the rows
+    rng = random.Random(7 * p)
+    seen = set()
+    for trial in range(120):
+        nrows, ncols = rng.randrange(1, 8), rng.randrange(1, 8)
+        rank = rng.randrange(0, min(nrows, ncols) + 1)
+        basis = [[rng.randrange(-p, p) for _ in range(ncols)] for _ in range(rank)]
+        matrix = [[sum(rng.randrange(-2, 3) * v[c] for v in basis) for c in range(ncols)] for _ in range(nrows)]
+        if trial % 2:
+            rhs = [rng.randrange(-p, p) for _ in range(nrows)]
+        else:
+            x0 = [rng.randrange(-p, p) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        seen.add(assert_reduced_basis(ExactSystem.from_rows(matrix, rhs), p))
+    assert seen == {"solvable", "infeasible"}
+    for enum in (s5, a6):
+        _, pairs = induced_action(enum, 2)
+        assert_reduced_basis(build_full_system(pairs.elements), p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 4294967311])

@@ -227,6 +227,15 @@ def test_arrangement_cell_image():
     assert action.cells[gp[action.index[(0, 2)]]] == (1, 2)
 
 
+@pytest.mark.parametrize("t", [2, 3])
+def test_cell_perm_is_the_per_cell_image(s5, t):
+    # one itemgetter over every cell's points, cut into t-tuples: the same as mapping cell by cell
+    action = arrangements(5, t)
+    for g in s5.elements:
+        per_cell = [action.index[tuple(g[x] for x in cell)] for cell in action.cells]
+        assert action.cell_perm(g) == perm.as_perm(per_cell)
+
+
 def test_induced_action_is_homomorphism(s5):
     action, induced = induced_action(s5, 2)
     rng = random.Random(1)
