@@ -40,15 +40,9 @@ import json
 import math
 import sys
 import time
-from importlib import resources
 
 from . import certify, designs, linsys, sharp_search
 from .perm import GroupFileError, GroupTooLarge, enumerate_group, expect, induced_action, load_group
-
-
-def shipped_group_path(name: str):
-    """Path of a group file shipped with the package, e.g. 'm22'."""
-    return resources.files("sharpsets").joinpath(f"data/groups/{name}.grp")
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
@@ -98,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     m22 = vsub.add_parser("m22", help="degree-22 point stabilizer of the Witt design", parents=[common])
     m22.add_argument("--group", help="generator file; switches to enumerated mode")
-    m22.add_argument("--enumerated", action="store_true", help="enumerated mode with the shipped generators")
+    m22.add_argument("--enumerated", action="store_true", help="enumerated mode with the derived generators")
     m22.add_argument("--export-design", help="write the Witt design to this path")
 
     mcl = vsub.add_parser("mclaughlin", help="automorphisms of the 275-vertex graph", parents=[common])
@@ -188,10 +182,7 @@ def _cmd_verify(args) -> dict:
     elif case == "m22":
         if args.export_design:
             designs.write_design(designs.golay_witt_design(), args.export_design)
-        group_file = args.group
-        if args.enumerated and group_file is None:
-            group_file = str(shipped_group_path("m22"))
-        report = certify.run_case("m22", group_file=group_file)
+        report = certify.run_case("m22", group_file=args.group, enumerated=args.enumerated)
     elif case == "mclaughlin":
         if args.export_graph:
             designs.write_graph(designs.mclaughlin_graph().graph, args.export_graph)

@@ -28,6 +28,7 @@ integer pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -136,33 +137,30 @@ def build_full_system(elements: list[Perm]) -> ExactSystem:
     return ExactSystem(columns, [1] * (n * n), list(elements))
 
 
-CLASS_CHECK_SAMPLES = 3  # class members whose coefficients build_H_system re-checks
-
-
 def build_H_system(G: GroupEnumeration, H: GroupEnumeration) -> ExactSystem:
     """Collapse the full system by a subgroup H.
 
     Equations: orbits of H on ordered point pairs, right side the orbit
     size. Variables: representatives of the H-conjugation classes on G,
-    with coefficient a_i(g) = #{(x, y) in orbit i : x^g = y}. The count
-    only depends on the class of g, which is spot-checked on a few members
-    of each class.
+    with coefficient a_i(g), the number of g's N pairs (x, x^g) in orbit i.
+    The count only depends on the class of g, which is checked on every
+    member of each class.
     """
-    n = G.degree
-    if H.degree != n:
+    if H.degree != G.degree:
         raise ValueError("G and H act on different point sets")
     orbits = orbits_on_pairs(H)
+    orbit_of = {pair: i for i, orb in enumerate(orbits) for pair in orb}
     classes = conjugation_reps(G, H)
 
-    def a_of(g: Perm) -> list[int]:
-        return [sum(1 for (x, y) in orb if g[x] == y) for orb in orbits]
+    def a_of(g: Perm) -> Counter:
+        return Counter(map(orbit_of.__getitem__, enumerate(g)))
 
     columns = []
     for rep, members in zip(classes.reps, classes.classes):
         col = a_of(rep)
-        for other in members[1:CLASS_CHECK_SAMPLES + 1]:
+        for other in members[1:]:
             expect(a_of(other) == col, "coefficient not constant on a conjugation class")
-        columns.append({r: a for r, a in enumerate(col) if a})
+        columns.append(dict(col))
     return ExactSystem(columns, [len(orb) for orb in orbits], list(classes.reps))
 
 
@@ -429,10 +427,10 @@ def solve_integer(system: ExactSystem) -> SolveOutcome:
 
 def _hermite_solve(system: ExactSystem):
     nrows, ncols, rhs = system.rows, system.cols, system.rhs
-    if ncols * (nrows + ncols) > DENSE_CELL_CAP:
-        raise GroupTooLarge(f"a {nrows} x {ncols} Hermite staircase and its U pass the cap of {DENSE_CELL_CAP} cells")
-    cols = [[col.get(i, 0) for i in range(nrows)] for col in system.columns]
-    u = [[1 if i == j else 0 for i in range(ncols)] for j in range(ncols)]  # u[j] tracks column j
+    _check_cap((ncols, nrows + ncols), "Hermite staircase")
+    # column j of [A; I]: its lower block, e_j at first, tracks U, so one operation updates H = A U and U
+    cols = [[col.get(i, 0) for i in range(nrows)] + [int(i == j) for i in range(ncols)]
+            for j, col in enumerate(system.columns)]
     pivot_of: list[tuple[int, int]] = []  # (row, staircase column)
     r = 0
     for i in range(nrows):
@@ -443,15 +441,12 @@ def _hermite_solve(system: ExactSystem):
             for j in nz:
                 if j != jmin and (q := cols[j][i] // cols[jmin][i]):
                     cols[j] = [a - q * b for a, b in zip(cols[j], cols[jmin])]
-                    u[j] = [a - q * b for a, b in zip(u[j], u[jmin])]
         if not nz:
             continue
         j = nz[0]
         cols[r], cols[j] = cols[j], cols[r]
-        u[r], u[j] = u[j], u[r]
         if cols[r][i] < 0:
             cols[r] = [-a for a in cols[r]]
-            u[r] = [-a for a in u[r]]
         pivot_of.append((i, r))
         r += 1
     # forward substitution; columns with pivot row below i vanish at row i
@@ -470,7 +465,7 @@ def _hermite_solve(system: ExactSystem):
     witness = [0] * ncols
     for c in range(r):
         if y[c]:
-            witness = [w + y[c] * a for w, a in zip(witness, u[c])]
+            witness = [w + y[c] * a for w, a in zip(witness, cols[c][nrows:])]
     return SOLVABLE, witness, {"staircase_rank": r}
 
 

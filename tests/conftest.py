@@ -1,8 +1,14 @@
 import itertools
+from importlib import resources
 
 import pytest
 
 from sharpsets import designs, perm
+
+
+def shipped_group_path(name):
+    """Path of a group file shipped with the package, e.g. 'm22'."""
+    return resources.files("sharpsets").joinpath(f"data/groups/{name}.grp")
 
 
 def cyc(n, *cycles):

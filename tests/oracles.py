@@ -18,10 +18,15 @@ looks for a (B, C, p) certificate in an enumerated group, exhaustively on
 tiny domains and through the mod-p nullspace of the images of C beyond them;
 certify only verifies certificates. read_design and read_graph read back
 the files that designs.write_design and designs.write_graph export.
+seeded_integer_corpus is the seeded random corpus of small integer systems
+on which the Z solver is checked, each with its exhaustive box-search
+answer from bounded_solution_exists, computed once per session.
 """
 
+import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from operator import mul
 
@@ -43,6 +48,64 @@ from sharpsets.linsys import (
 )
 from sharpsets.perm import GroupEnumeration, apply_to_set, induced_action
 from sharpsets.sharp_search import FOUND, NONE_EXHAUSTIVE, UNKNOWN_BUDGET, SearchResult, SharpSet
+
+
+def bounded_solution_exists(matrix, rhs, bound):
+    """Exhaustive test for an integral solution with every |x_i| <= bound.
+
+    Meet in the middle: the variables are split in half, all (2*bound+1)^4
+    value combinations of each half are enumerated, and each partial sum of
+    the rows is packed exactly into one integer (the radix is larger than
+    any partial sum can reach, and everything stays far below 2^63). The
+    left sums go into a set, the right sums probe it. Fixed cost, complete
+    within the box, and independent of the Hermite solver.
+    """
+    import numpy as np
+
+    nrows, ncols = len(matrix), len(matrix[0])
+    assert ncols % 2 == 0
+    half = ncols // 2
+    a = np.array(matrix, dtype=np.int64)
+    values = np.arange(-bound, bound + 1, dtype=np.int64)
+    grids = np.meshgrid(*([values] * half), indexing="ij")
+    combos = np.stack([g.ravel() for g in grids])            # half x (2b+1)^half
+    left = a[:, :half] @ combos                               # rows x combos
+    right = np.array(rhs, dtype=np.int64)[:, None] - a[:, half:] @ combos
+    radix = 1 + 2 * int(np.abs(left).max(initial=1) + np.abs(right).max(initial=1))
+    weights = np.array([radix**i for i in range(nrows)], dtype=np.int64)
+    assert radix**nrows < 2**62, "packed sums must stay exact"
+    left_keys = weights @ left
+    right_keys = weights @ right
+    return bool(np.isin(right_keys, left_keys).any())
+
+
+@functools.cache
+def seeded_integer_corpus() -> tuple:
+    """100 seeded random 5x8 systems as (matrix, rhs, a solution with every |x_i| <= 10 exists), all tuples.
+
+    The generator alternates planted solutions (narrow and box-wide, so the
+    solvable status is certain and witnessed inside the box) with rows
+    scaled by 2 or 3 against an incongruent right side (infeasible over Z
+    by reduction mod the scale), so half the systems are solvable and half
+    are not.
+    """
+    rng = random.Random(20240501)
+    corpus = []
+    for trial in range(100):
+        matrix = [[rng.randrange(-4, 5) for _ in range(8)] for _ in range(5)]
+        kind = trial % 4
+        if kind in (0, 2):
+            width = 3 if kind == 0 else 10
+            x0 = [rng.randrange(-width, width + 1) for _ in range(8)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        else:
+            scale = 2 if kind == 1 else 3
+            row = rng.randrange(5)
+            matrix[row] = [scale * a for a in matrix[row]]
+            rhs = [rng.randrange(-10, 11) for _ in range(5)]
+            rhs[row] = scale * rng.randrange(-5, 5) + rng.randrange(1, scale)
+        corpus.append((tuple(map(tuple, matrix)), tuple(rhs), bounded_solution_exists(matrix, rhs, 10)))
+    return tuple(corpus)
 
 
 def lemma_down_check(G: GroupEnumeration, U: GroupEnumeration, V: GroupEnumeration) -> dict:

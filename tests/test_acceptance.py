@@ -8,8 +8,7 @@ import itertools
 import random
 import time
 
-from oracles import lemma_down_check, local_global_check
-from test_linsys import bounded_solution_exists
+from oracles import lemma_down_check, local_global_check, seeded_integer_corpus
 
 from sharpsets import certify, designs, geometry, gf, linsys, perm, sharp_search
 from sharpsets.certify import run_case
@@ -133,24 +132,10 @@ def test_criterion_6_solver_certificate_coherence():
 
 def test_criterion_7_integer_solvers():
     t0 = time.perf_counter()
-    rng = random.Random(20240501)
     ok = True
-    for trial in range(100):
-        matrix = [[rng.randrange(-4, 5) for _ in range(8)] for _ in range(5)]
-        kind = trial % 4
-        if kind in (0, 2):
-            width = 3 if kind == 0 else 10
-            x0 = [rng.randrange(-width, width + 1) for _ in range(8)]
-            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
-        else:
-            scale = 2 if kind == 1 else 3
-            row = rng.randrange(5)
-            matrix[row] = [scale * a for a in matrix[row]]
-            rhs = [rng.randrange(-10, 11) for _ in range(5)]
-            rhs[row] = scale * rng.randrange(-5, 5) + rng.randrange(1, scale)
+    for matrix, rhs, boxed in seeded_integer_corpus():
         system = linsys.ExactSystem.from_rows(matrix, rhs)
         out = linsys.solve_integer(system)
-        boxed = bounded_solution_exists(matrix, rhs, 10)
         ok &= (out.status == "solvable") == boxed
         if out.status == "solvable":
             ok &= linsys.verify_witness(system, out.witness)

@@ -2,8 +2,9 @@ import json
 
 import jsonschema
 import pytest
+from conftest import shipped_group_path
 
-from sharpsets.cli import main, shipped_group_path
+from sharpsets.cli import main
 
 
 def load_schema():

@@ -1,6 +1,7 @@
 from math import comb
 
 import pytest
+from conftest import shipped_group_path
 from oracles import read_design, read_graph
 
 from sharpsets import designs, perm
@@ -247,8 +248,6 @@ def test_stabilizer_permutes_avoiding_blocks(witt, m22_spec):
 
 
 def test_shipped_group_file_matches_derivation(m22_spec):
-    from sharpsets.cli import shipped_group_path
-
     shipped = perm.load_group(shipped_group_path("m22"))
     assert shipped.degree == 22
     assert shipped.declared_order == 443520

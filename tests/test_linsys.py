@@ -11,6 +11,7 @@ from oracles import (
     nullspace_mod_p,
     reference_solve_nonneg_integer,
     reference_solve_rational,
+    seeded_integer_corpus,
 )
 
 from sharpsets import linsys, perm
@@ -29,35 +30,6 @@ from sharpsets.linsys import (
 )
 from sharpsets.perm import GroupSpec, enumerate_group, from_cycles, identity, induced_action
 from sharpsets.sharp_search import find_sharp_set, verify_sharp_set
-
-
-def bounded_solution_exists(matrix, rhs, bound):
-    """Exhaustive test for an integral solution with every |x_i| <= bound.
-
-    Meet in the middle: the variables are split in half, all (2*bound+1)^4
-    value combinations of each half are enumerated, and each partial sum of
-    the rows is packed exactly into one integer (the radix is larger than
-    any partial sum can reach, and everything stays far below 2^63). The
-    left sums go into a set, the right sums probe it. Fixed cost, complete
-    within the box, and independent of the Hermite solver.
-    """
-    import numpy as np
-
-    nrows, ncols = len(matrix), len(matrix[0])
-    assert ncols % 2 == 0
-    half = ncols // 2
-    a = np.array(matrix, dtype=np.int64)
-    values = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([values] * half), indexing="ij")
-    combos = np.stack([g.ravel() for g in grids])            # half x (2b+1)^half
-    left = a[:, :half] @ combos                               # rows x combos
-    right = np.array(rhs, dtype=np.int64)[:, None] - a[:, half:] @ combos
-    radix = 1 + 2 * int(np.abs(left).max(initial=1) + np.abs(right).max(initial=1))
-    weights = np.array([radix**i for i in range(nrows)], dtype=np.int64)
-    assert radix**nrows < 2**62, "packed sums must stay exact"
-    left_keys = weights @ left
-    right_keys = weights @ right
-    return bool(np.isin(right_keys, left_keys).any())
 
 
 def dense_rref_rational(system):
@@ -239,6 +211,18 @@ def test_H_system_row_sums_are_degree(s4):
 def test_H_system_requires_containment(s3, s4):
     with pytest.raises(ValueError):
         build_H_system(s3, s4)
+
+
+def test_H_system_checks_every_class_member(monkeypatch):
+    # with (4, 3) split off its orbit the count breaks inside a class of A5,
+    # though not on the first three members after its representative
+    a5 = enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2)), from_cycles(5, (0, 1, 2, 3, 4))), "A5"))
+    whole = linsys.orbits_on_pairs
+    monkeypatch.setattr(
+        linsys, "orbits_on_pairs", lambda H: [[q for q in orb if q != (4, 3)] for orb in whole(H)] + [[(4, 3)]]
+    )
+    with pytest.raises(perm.InvariantViolation, match="not constant on a conjugation class"):
+        build_H_system(a5, a5)
 
 
 def test_restrict_to_fpf_c5(c5):
@@ -561,31 +545,20 @@ def test_integer_c5_all_ones(c5):
     assert out.witness == [1, 1, 1, 1, 1]
 
 
+def test_integer_staircase_refused_through_the_cap():
+    # 3,000 cells get no mod-2 prescreen; the staircase's [A; I] columns hold 3,000 x 3,001
+    with pytest.raises(perm.GroupTooLarge, match=r"^a 3000 x 3001 Hermite staircase passes the cap of 8388608 cells$"):
+        solve_integer(ExactSystem([{0: 1}] * 3000, [1]))
+
+
 def test_integer_agrees_with_bounded_search():
-    # 100 seeded random 5x8 systems against the exhaustive box search. The
-    # generator alternates planted solutions (narrow and box-wide, so the
-    # solvable status is certain and witnessed inside the box) with rows
-    # scaled by 2 or 3 against an incongruent right side (infeasible over Z
-    # by reduction mod the scale), so both directions of the agreement are
-    # exercised on every run
-    rng = random.Random(20240501)
+    # 100 seeded random 5x8 systems against the exhaustive box search, half
+    # planted solvable and half infeasible by a scaled row, so both
+    # directions of the agreement are exercised on every run
     statuses = {"solvable": 0, "infeasible": 0}
-    for trial in range(100):
-        matrix = [[rng.randrange(-4, 5) for _ in range(8)] for _ in range(5)]
-        kind = trial % 4
-        if kind in (0, 2):
-            width = 3 if kind == 0 else 10
-            x0 = [rng.randrange(-width, width + 1) for _ in range(8)]
-            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
-        else:
-            scale = 2 if kind == 1 else 3
-            row = rng.randrange(5)
-            matrix[row] = [scale * a for a in matrix[row]]
-            rhs = [rng.randrange(-10, 11) for _ in range(5)]
-            rhs[row] = scale * rng.randrange(-5, 5) + rng.randrange(1, scale)
+    for trial, (matrix, rhs, boxed) in enumerate(seeded_integer_corpus()):
         system = ExactSystem.from_rows(matrix, rhs)
         out = solve_integer(system)
-        boxed = bounded_solution_exists(matrix, rhs, 10)
         if out.status == "solvable":
             assert verify_witness(system, out.witness)
             assert boxed, f"trial {trial}: solver witness exists but box search missed"

@@ -2,9 +2,9 @@ import hashlib
 import itertools
 import random
 import re
-from importlib import resources
 
 import pytest
+from conftest import shipped_group_path
 
 from sharpsets import geometry, gf, perm
 from sharpsets.perm import (
@@ -140,7 +140,7 @@ def reference_enumeration(spec):
 
 
 def shipped(name):
-    return perm.load_group(resources.files("sharpsets").joinpath(f"data/groups/{name}.grp"))
+    return perm.load_group(shipped_group_path(name))
 
 
 def sp22_projective():
