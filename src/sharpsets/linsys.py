@@ -248,19 +248,19 @@ def _width(p: int) -> int:
 def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     """Reduced echelon basis of [A | b] mod p, built row by row: {lead: packed row}.
 
-    A row is one int of w = _width(p) bit fields, column c in field cols - c
-    and b in field 0, so its lead (lowest nonzero column) is its top nonzero
-    field. Each basis row is 1 at its own lead and 0 at the others, and
-    `leads` masks every lead field: a row x clears the leads it holds top
-    first, each the top field of y = x & leads, and no other lead of x moves.
-    A row still nonzero opens a new lead, is scaled to 1 there, and that
-    field is cleared from every other basis row. The leads are the pivots of
-    the reduced row echelon form (a lead at cols: inconsistent). Rows add mod
-    p at once: xor for p = 2; else s = x + y, less p in every field where s +
-    2^k - p carries into bit k. x - e*b is x + (p-e)*b: one add when p - e =
-    1, as always for p = 2, else summed from the doublings 2^i*b, each made
-    on first use and dropped when b changes. The dense cap bounds fill-in for
-    odd p; one-bit rows take less memory than their columns, so p = 2 is not capped.
+    A row is one int of w = _width(p) bit fields, column c in field cols - c and b
+    in field 0, so its lead (lowest nonzero column) is its top nonzero field; rows
+    go in shortest first. Each basis row is 1 at its own lead and 0 at the others,
+    and `leads` masks every lead field: a row x clears the leads it holds top first,
+    each the top field of y = x & leads, and no other lead of x moves. A row still
+    nonzero opens a new lead, is scaled to 1 there, and that field is cleared from
+    the basis rows whose lead is above it (the rest are 0 there). The leads are the
+    pivots of the reduced row echelon form (a lead at cols: inconsistent). Rows add
+    mod p at once: xor for p = 2; else s = x + y, less p in every field where s +
+    2^k - p carries into bit k. x - e*b is x + (p-e)*b: one add when p - e = 1, as
+    always for p = 2, else summed from the doublings 2^i*b, each made on first use
+    and dropped when b changes. The dense cap bounds fill-in for odd p; one-bit rows
+    take less memory than their columns, so p = 2 is not capped.
     """
     ncols = system.cols
     if p != 2:
@@ -292,7 +292,7 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     basis: dict[int, int] = {}  # low bit of a lead field -> its row
     doubles: dict[int, list[int]] = {}  # low bit of a lead field -> its row's doublings, dropped when it changes
     leads = 0
-    for x in rows:
+    for x in sorted(rows, key=int.bit_length):
         y = x & leads
         while y:
             e = y >> (at := (y.bit_length() - 1) // w * w)
@@ -303,7 +303,7 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
                 x = add_multiple(0, [x], pow(e, -1, p))
             doubles[at] = new = [x]
             for g, row in basis.items():
-                if e := row >> at & mask:
+                if g > at and (e := row >> at & mask):
                     basis[g] = add_rows(row, x) if e == p - 1 else add_multiple(row, new, p - e)
                     doubles.pop(g, None)
             basis[at] = x

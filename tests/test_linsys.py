@@ -530,6 +530,66 @@ def test_packed_mod_p_right_side_alone(p):
         assert (out.status, out.notes["rank"], out.witness) == (status, 0, witness)
 
 
+def shuffle_rows(system, rng):
+    """The same system with its equations in a seeded random order."""
+    order = list(range(system.rows))
+    rng.shuffle(order)
+    new_row = {r: i for i, r in enumerate(order)}
+    columns = [{new_row[r]: a for r, a in col.items()} for col in system.columns]
+    return ExactSystem(columns, [system.rhs[r] for r in order], system.column_elements)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 4294967311])
+def test_packed_basis_does_not_depend_on_row_order(p, s5, a6, c5):
+    # the kernel takes rows shortest first, which changes only its work: the
+    # reduced row echelon form of [A | b] is unique, so the basis and the
+    # report must not move when the equations are permuted
+    rng = random.Random(19 * p)
+    _, s5_on_pairs = induced_action(s5, 2)
+    s5_pairs = build_full_system(s5_on_pairs.elements)
+    systems = [
+        s5_pairs,
+        build_full_system(induced_action(a6, 2)[1].elements),
+        build_H_system(s5_on_pairs, induced_action(c5, 2)[1]),
+        restrict_to_fpf(s5_pairs, pin_identity=True),
+    ]
+    for trial in range(50):
+        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+        rank = rng.randrange(0, min(nrows, ncols) + 1)
+        basis = [[rng.randrange(-p, p) for _ in range(ncols)] for _ in range(rank)]
+        matrix = [[sum(rng.randrange(-2, 3) * v[c] for v in basis) for c in range(ncols)] for _ in range(nrows)]
+        if trial % 2:
+            rhs = [rng.randrange(-p, p) for _ in range(nrows)]
+        else:
+            x0 = [rng.randrange(-p, p) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        systems.append(ExactSystem.from_rows(matrix, rhs))
+    statuses = []
+    for k, system in enumerate(systems):
+        shuffled = shuffle_rows(system, rng)
+        assert linsys._echelon_mod_p(shuffled, p) == linsys._echelon_mod_p(system, p), k
+        assert solve_mod_p(shuffled, p).as_dict() == solve_mod_p(system, p).as_dict(), k
+        statuses.append(assert_reduced_basis(shuffled, p))
+    assert statuses[4:].count("infeasible") >= 10, statuses
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_packed_mod_p_zero_and_right_side_only_rows(p):
+    # shortest first puts zero rows and rows holding only b ahead of the rest
+    for system in (
+        ExactSystem.from_rows([[0, 0, 0], [1, 2, 0], [0, 0, 0], [0, 1, 1]], [0, 1, p, 2]),
+        ExactSystem.from_rows([[0, 0], [1, 1], [0, 0], [0, 1]], [0, 1, 1, 0]),
+        ExactSystem.from_rows([[1, 2], [0, 0], [0, 1]], [1, 1, 1]),
+        ExactSystem.from_rows([[0, 0, 0]] * 3, [0, 0, 0]),
+        ExactSystem.from_rows([[0, 0]] * 2, [0, 1]),
+        ExactSystem.from_rows([[]] * 3, [0, 0, 0]),
+        ExactSystem.from_rows([[]] * 3, [0, 1, 0]),
+        ExactSystem([{}, {}], []),
+    ):
+        out = solve_mod_p(system, p)
+        assert (out.status, out.notes["rank"], out.witness) == reference_mod_p(system, p)[:3], system
+
+
 # ---------------------------------------------------------------------------
 # Z solver
 
