@@ -11,10 +11,9 @@ Both verification modes take a Certificate, whose B and C lie in its
 domain, and end in the judge: "enumerated" walks every group element;
 "family" walks a family of sets holding every image C^g, which is either
 the orbit of C under the group's generators (perm.set_orbit) or closed
-for a mathematical reason recorded as an assumption in the report. Both
-count each size as the popcount of a mask ANDed with one bitset of a
-stream: B with each family member, or C's byte mask with each element's
-B-marks, read off its image bytes.
+for a mathematical reason recorded as an assumption in the report. The
+family mode counts each size as the popcount of B ANDed with a member;
+the enumerated mode counts a chunk of elements at once, by columns.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import repeat
+from itertools import chain
 
 from . import designs, geometry, gf, linsys
 from .perm import (
@@ -44,6 +43,7 @@ from .perm import (
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
+WALK_CHUNK_BYTES = 1 << 20  # bytes of images per chunk of the enumerated walk
 
 
 @dataclass(frozen=True)
@@ -150,21 +150,29 @@ def doublecount_check(S: list[Perm], b_set: int, c_set: int) -> DoublecountRepor
 
 
 def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: str = "") -> VerificationReport:
-    """Check p | |B & C^g| for every element of the enumerated group.
+    """Check p | |B & C^g| for every element of the enumerated group, a chunk of elements at a time.
 
-    Byte x of g's B-marks is 1 exactly when g[x] is in B (one translate up to degree 256);
-    read as an int and masked by bit 8x for each x in C, it holds |B & C^g| set bits.
+    Column x of a chunk's B-marks (block[x::n], 1 where g[x] is in B), summed as ints over the x in C, counts every g.
     """
     if cert.domain != G.degree:
         raise ValueError(f"certificate domain {cert.domain} != group degree {G.degree}")
     n = G.degree
-    marks = bytes(cert.b_set >> x & 1 for x in range(n))
-    at_c = sum(1 << 8 * x for x in range(n) if cert.c_set >> x & 1)
-    if perm_type(n) is bytes:
-        images = map(bytes.translate, G.elements, repeat(marks + bytes(256 - n)))
-    else:
-        images = (bytes(map(marks.__getitem__, g)) for g in G.elements)
-    spectrum = Counter(map(int.bit_count, map(at_c.__and__, map(int.from_bytes, images, repeat("little")))))
+    marks = bytes(cert.b_set >> x & 1 for x in range(max(n, 256)))  # a translate table up to degree 256
+    at_c = [x for x in range(n) if cert.c_set >> x & 1]
+    width, chunk = (len(at_c).bit_length() + 7) // 8, max(1, WALK_CHUNK_BYTES // n)  # a count is at most |C|
+    spectrum = Counter()  # its keys in first-seen order, as the walk meets the elements
+    for part in (G.elements[start : start + chunk] for start in range(0, G.order, chunk)):
+        block = b"".join(part).translate(marks) if perm_type(n) is bytes else bytes(map(marks.__getitem__, chain(*part)))
+        field, total = bytearray(len(part) * width), 0
+        for x in at_c:
+            field[::width] = block[x::n]
+            total += int.from_bytes(field, "little")
+        counts = total.to_bytes(len(field), "little")
+        if width > 1:
+            spectrum.update(int.from_bytes(t, "little") for t in zip(*[iter(counts)] * width))
+        else:  # one count per size, in the order the chunk first meets them
+            for size in sorted(filter(counts.__contains__, range(len(at_c) + 1)), key=counts.find):
+                spectrum[size] += counts.count(size)
     assumptions = (f"all {G.order} group elements enumerated",)
     return VerificationReport.judge(case or G.name, "enumerated", cert, spectrum, assumptions)
 
@@ -178,7 +186,7 @@ def verify_certificate_family(
     example that it is an orbit built by perm.set_orbit; it is recorded as
     the report's first assumption and not re-checked here.
     """
-    if cert.c_set not in set(family):
+    if cert.c_set not in family:  # every caller puts C first
         raise ValueError("C must be a member of its own family")
     spectrum = Counter(map(int.bit_count, map(cert.b_set.__and__, family)))
     return VerificationReport.judge(case, "family", cert, spectrum, (closure_witness,))
@@ -255,6 +263,8 @@ def _run_m22(group_file=None, enumerated: bool = False) -> VerificationReport:
         # a group too large to enumerate raises GroupTooLarge: verifying any
         # other group in its place would report on the wrong group
         spec = load_group(group_file) if group_file else designs.witt_stabilizer_generators(design)
+        if spec.degree != cert.domain:  # refused before enumerating, as the walk would refuse it after
+            raise ValueError(f"certificate domain {cert.domain} != group degree {spec.degree}")
         return verify_certificate_enumerated(enumerate_group(spec), cert, case="m22")
     gens = designs.witt_stabilizer_generators(design).generators
     family = set_orbit(gens, cert.c_set)

@@ -436,11 +436,3 @@ def load_group(path) -> GroupSpec:
     except ValueError as exc:
         raise GroupFileError(f"{path}: {exc}") from exc
 
-
-def dump_group(spec: GroupSpec, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"n {spec.degree}\n")
-        if spec.declared_order is not None:
-            fh.write(f"order {spec.declared_order}\n")
-        for g in spec.generators:
-            fh.write(" ".join(str(x) for x in g) + "\n")

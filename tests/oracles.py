@@ -17,7 +17,8 @@ nullspace basis off the reduced echelon basis of linsys. certificate_search
 looks for a (B, C, p) certificate in an enumerated group, exhaustively on
 tiny domains and through the mod-p nullspace of the images of C beyond them;
 certify only verifies certificates. read_design and read_graph read back
-the files that designs.write_design and designs.write_graph export.
+the files that designs.write_design and designs.write_graph export, and
+dump_group writes the group files that perm.load_group reads.
 seeded_integer_corpus is the seeded random corpus of small integer systems
 on which the Z solver is checked, each with its exhaustive box-search
 answer from bounded_solution_exists, computed once per session.
@@ -46,7 +47,7 @@ from sharpsets.linsys import (
     solve_mod_p,
     verify_witness,
 )
-from sharpsets.perm import GroupEnumeration, apply_to_set, induced_action
+from sharpsets.perm import GroupEnumeration, GroupSpec, apply_to_set, induced_action
 from sharpsets.sharp_search import FOUND, NONE_EXHAUSTIVE, UNKNOWN_BUDGET, SearchResult, SharpSet
 
 
@@ -401,6 +402,15 @@ def read_graph(path) -> Graph:
         n = int(fh.readline())
         adj = [sum(1 << j for j, c in enumerate(fh.readline().strip()) if c == "1") for _ in range(n)]
     return Graph(n, tuple(adj))
+
+
+def dump_group(spec: GroupSpec, path) -> None:
+    with open(path, "w") as fh:
+        fh.write(f"n {spec.degree}\n")
+        if spec.declared_order is not None:
+            fh.write(f"order {spec.declared_order}\n")
+        for g in spec.generators:
+            fh.write(" ".join(str(x) for x in g) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -89,35 +89,56 @@ def brute_spectrum(G, b_set, c_set):
     return brute
 
 
-@pytest.mark.parametrize("c_size", [1, 14, 15, 16, 29, 30])
-def test_enumerated_spectrum_matches_brute_force(a6, c_size):
-    # one walk for every size of C, from one cell to all 30: B's marks under each element, masked by C
-    _, induced = induced_action(a6, 2)
+def dihedral(n):
+    rotation, reflection = tuple((x + 1) % n for x in range(n)), tuple(-x % n for x in range(n))
+    return enumerate_group(perm.GroupSpec(n, (rotation, reflection), f"D{n}"))
+
+
+def assert_walk_matches_brute_force(G, c_size, trials, p=2, b_size=None):
+    n = G.degree
     rng = random.Random(c_size)
-    for _ in range(3):
-        b_set = sum(1 << x for x in rng.sample(range(30), rng.randint(1, 30)))
-        c_set = sum(1 << x for x in rng.sample(range(30), c_size))
-        brute = brute_spectrum(induced, b_set, c_set)
-        report = verify_certificate_enumerated(induced, Certificate(b_set, c_set, 3, 30))
+    for _ in range(trials):
+        b_set = sum(1 << x for x in rng.sample(range(n), b_size or rng.randint(1, n)))
+        c_set = sum(1 << x for x in rng.sample(range(n), c_size))
+        brute = brute_spectrum(G, b_set, c_set)
+        report = verify_certificate_enumerated(G, Certificate(b_set, c_set, p, n))
         assert report.spectrum == brute
         assert list(report.spectrum) == list(brute)  # first-seen order, as the walk meets the elements
 
 
+@pytest.mark.parametrize("c_size", [1, 14, 15, 16, 29, 30])
+def test_enumerated_spectrum_matches_brute_force(a6, c_size):
+    # one walk for every size of C, from one cell to all 30: B's marks under each element, summed over C
+    _, induced = induced_action(a6, 2)
+    assert_walk_matches_brute_force(induced, c_size, trials=3, p=3)
+
+
 @pytest.mark.parametrize("c_size", [1, 2, 150, 299, 300])
 def test_enumerated_walk_on_tuple_perms_matches_brute_force(c_size):
-    # above degree 256 elements are tuples, and the walk builds each element's marks itself
-    n = 300
-    dihedral = perm.GroupSpec(n, (tuple((x + 1) % n for x in range(n)), tuple(-x % n for x in range(n))), "D300")
-    G = enumerate_group(dihedral)
+    # above degree 256 elements are tuples, and the walk builds each element's marks itself;
+    # |C| from 256 up takes two-byte fields
+    G = dihedral(300)
     assert G.order == 600 and type(G.elements[0]) is tuple
-    rng = random.Random(c_size)
-    for _ in range(2):
-        b_set = sum(1 << x for x in rng.sample(range(n), rng.randint(1, n)))
-        c_set = sum(1 << x for x in rng.sample(range(n), c_size))
-        brute = brute_spectrum(G, b_set, c_set)
-        report = verify_certificate_enumerated(G, Certificate(b_set, c_set, 2, n))
-        assert report.spectrum == brute
-        assert list(report.spectrum) == list(brute)
+    assert_walk_matches_brute_force(G, c_size, trials=2)
+
+
+@pytest.mark.parametrize("b_size, c_size", [(None, 255), (None, 256), (256, 256)])
+def test_enumerated_walk_on_degree_256_bytes_matches_brute_force(b_size, c_size):
+    # the largest degree with image bytes: |C| = 255 is the last one-byte field, the whole domain needs
+    # two, and with B the whole domain too every count is 256, past one byte
+    G = dihedral(256)
+    assert G.order == 512 and type(G.elements[0]) is bytes
+    assert_walk_matches_brute_force(G, c_size, trials=2, b_size=b_size)
+
+
+@pytest.mark.parametrize("n, b_size, c_size", [(22, None, 9), (256, 256, 256), (300, 280, 280)])
+def test_enumerated_walk_over_several_chunks_matches_brute_force(monkeypatch, n, b_size, c_size):
+    # chunks of 7 elements, and an order that is not a multiple of 7: the last chunk is short, and the
+    # spectrum keeps its first-seen order across chunks; |B & C^g| reaches 256 on D256 and 260-280 on D300
+    monkeypatch.setattr(certify, "WALK_CHUNK_BYTES", 7 * n)
+    G = dihedral(n)
+    assert G.order > 7 and G.order % 7
+    assert_walk_matches_brute_force(G, c_size, trials=3, b_size=b_size)
 
 
 def test_enumerated_inconclusive_for_regular_group(c5):
@@ -165,7 +186,7 @@ def test_family_sp44_projective():
 
 def test_family_rejects_foreign_c():
     family = [0b0011, 0b0101]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="C must be a member of its own family"):
         verify_certificate_family(family, Certificate(0b1, 0b1111, 2, 4), closure_witness="x")
 
 

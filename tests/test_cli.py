@@ -296,6 +296,18 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
     assert err.startswith("refused for size") and "cap of 5000" in err and err.count("\n") == 1
 
 
+def test_wrong_degree_group_file_is_refused_before_enumerating(tmp_path, monkeypatch, capsys):
+    from sharpsets import certify
+
+    def enumerate_group(spec):
+        raise AssertionError(f"enumerated {spec.name}, whose degree cannot carry the m22 certificate")
+
+    monkeypatch.setattr(certify, "enumerate_group", enumerate_group)
+    code, report = run_cli(tmp_path, "verify", "m22", "--group", str(shipped_group_path("s5")))
+    assert (code, report) == (2, None)
+    assert capsys.readouterr().err == "bad input: certificate domain 22 != group degree 5\n"
+
+
 @pytest.mark.parametrize(
     "argv, declared",
     [

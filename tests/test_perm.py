@@ -5,6 +5,7 @@ import re
 
 import pytest
 from conftest import shipped_group_path
+from oracles import dump_group
 
 from sharpsets import geometry, gf, perm
 from sharpsets.perm import (
@@ -387,7 +388,7 @@ def test_sharply_transitive_is_the_coverage_table(s4):
 def test_group_file_roundtrip(tmp_path):
     spec = GroupSpec(4, (from_cycles(4, (0, 1)), from_cycles(4, (0, 1, 2, 3))), "s4", 24)
     path = tmp_path / "s4.grp"
-    perm.dump_group(spec, path)
+    dump_group(spec, path)
     text = path.read_text()
     assert text.splitlines()[0] == "n 4"
     loaded = perm.load_group(path)
