@@ -4,8 +4,9 @@ A certificate is a pair of point subsets B, C and a prime p. Any sharply
 transitive set S satisfies sum_{g in S} |B & C^g| = |B||C| (checked by
 doublecount_check), so one verdict rule decides every report: it is
 refuted exactly when p does not divide |B||C| and p divides every size in
-the spectrum of |B & C^g| over the group. VerificationReport.judge applies
-the rule, and the report's constructor refuses a "refuted" that breaks it.
+the spectrum of |B & C^g| over the group, which must hold |B & C|, the
+identity's size. VerificationReport.judge applies the rule, and the
+report's constructor refuses a "refuted" that breaks it.
 
 Both verification modes take a Certificate, whose B and C lie in its
 domain, and end in the judge: "enumerated" walks every group element;
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import chain
+from itertools import chain, compress
 
 from . import designs, geometry, gf, linsys
 from .perm import (
@@ -39,6 +40,7 @@ from .perm import (
     perm_type,
     set_orbit,
 )
+from .sharp_search import ZERO_ONE
 
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
@@ -84,7 +86,7 @@ class VerificationReport:
 
     def __post_init__(self):
         if self.conclusion == REFUTED:
-            expect(self.refutes, "refuted requires a certificate with p coprime to |B||C| and p | every size")
+            expect(self.refutes, "refuted requires p coprime to |B||C|, |B & C| in the spectrum and p | every size in it")
 
     @classmethod
     def judge(
@@ -102,8 +104,9 @@ class VerificationReport:
 
     @property
     def refutes(self) -> bool:
-        """The verdict rule: the side condition holds and p divides every intersection size."""
-        return self.side_condition_ok and all(s % self.certificate.p == 0 for s in self.spectrum)
+        """The verdict rule: the side condition holds, |B & C| is in the spectrum and p divides every size in it."""
+        cert, sizes = self.certificate, self.spectrum
+        return self.side_condition_ok and (cert.b_set & cert.c_set).bit_count() in sizes and all(s % cert.p == 0 for s in sizes)
 
     def as_dict(self) -> dict:
         cert = self.certificate
@@ -313,11 +316,10 @@ def _run_mclaughlin() -> VerificationReport:
     """275-vertex graph; B = point vertices, C = a non-adjacent pair's common neighborhood."""
     mcl = designs.mclaughlin_graph()
     g = mcl.graph
-    family = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if not g.adjacent(i, j):
-                family.append(g.adj[i] & g.adj[j])
+    family, full = [], (1 << g.n) - 1
+    for i, row in enumerate(g.adj):  # a 0/1 byte per vertex j, 1 when j > i is not adjacent to i; pairs in (i, j) order
+        later = format((full ^ row) >> i + 1 << i + 1, f"0{g.n}b")[::-1].encode().translate(ZERO_ONE)
+        family += map(row.__and__, compress(g.adj, later))
     report = verify_certificate_family(
         family,
         Certificate(mcl.point_vertex_mask, family[0], 3, g.n),

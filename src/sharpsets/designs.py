@@ -10,6 +10,7 @@ regularity) rather than taken from tables.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -74,20 +75,12 @@ def _qr_generator_polynomial() -> int:
     return bits
 
 
-def _gf2_poly_mul(a: int, b: int) -> int:
-    p = 0
-    while b:
-        if b & 1:
-            p ^= a
-        a <<= 1
-        b >>= 1
-    return p
-
-
 def golay_codewords() -> list[int]:
-    """All 4096 codewords of the [23, 12, 7] code as 23-bit masks."""
+    """All 4096 codewords of the [23, 12, 7] code as 23-bit masks, m(x) g(x) at index m."""
     g = _qr_generator_polynomial()
-    words = [_gf2_poly_mul(msg, g) for msg in range(1 << 12)]
+    words = [0]
+    for i in range(12):  # m(x) g(x) is linear in m: setting bit i of m adds x^i g(x)
+        words += [w ^ g << i for w in words]
     expect(all(w < 1 << 23 for w in words), "codewords have length 23")
     return words
 
@@ -99,9 +92,7 @@ def golay_witt_design() -> Design:
     asserted here, the Steiner property has its own checker below.
     """
     words = golay_codewords()
-    weights = {}
-    for w in words:
-        weights[w.bit_count()] = weights.get(w.bit_count(), 0) + 1
+    weights = Counter(map(int.bit_count, words))
     min_weight = min(w for w in weights if w > 0)
     expect(min_weight == 7, f"minimum weight census broke: {weights}")
     expect(weights[7] == 253, f"weight-7 census {weights.get(7)}")
@@ -150,6 +141,11 @@ def blocks_avoiding(design: Design, point: int) -> list[int]:
 # Graphs and the McLaughlin construction
 
 
+def bit_text(rows, width: int) -> str:
+    """The rows' bits as one '0'/'1' string: bit j of row i at index i * width + j, so column j is text[j::width]."""
+    return "".join(format(row, f"0{width}b")[::-1] for row in rows)
+
+
 @dataclass
 class Graph:
     """Simple graph on {0..n-1}; adjacency rows are bitsets."""
@@ -158,12 +154,17 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.adj) != self.n:
-            raise ValueError(f"{len(self.adj)} adjacency rows for {self.n} vertices")
+        n = self.n
+        if len(self.adj) != n:
+            raise ValueError(f"{len(self.adj)} adjacency rows for {n} vertices")
         for i, row in enumerate(self.adj):
-            if row >> i & 1:
+            if row >> n:  # negative rows too
+                raise ValueError(f"adjacency row {i} is not a set of the {n} vertices")
+        text = bit_text(self.adj, n)
+        for i in range(n):  # row i against column i, the strided slice
+            if text[i * n + i] == "1":
                 raise ValueError(f"loop at vertex {i}")
-            if any((self.adj[j] >> i & 1) != (row >> j & 1) for j in range(i + 1, self.n)):
+            if text[i * n : i * n + n] != text[i::n]:
                 raise ValueError(f"asymmetric adjacency at vertex {i}")
 
     def degree(self, i: int) -> int:
@@ -215,46 +216,40 @@ class McLaughlinData:
     point_vertex_mask: int            # vertices 0..21
 
 
+def _holding_exactly(points: list[int], incidence: list[int], c: int) -> int:
+    """The blocks (bits of incidence[x]) holding exactly c of the points, by a bit-sliced counter."""
+    at_least = [-1] + [0] * (c + 1)  # at_least[k]: the blocks holding at least k of the points so far
+    for seen, holds_x in enumerate(map(incidence.__getitem__, points), 1):
+        for k in range(min(seen, c + 1), 0, -1):
+            at_least[k] |= at_least[k - 1] & holds_x
+    return at_least[c] & ~at_least[c + 1]
+
+
 def mclaughlin_graph() -> McLaughlinData:
     """Build the McLaughlin graph from the Witt design.
 
     With q = 22 the special point, vertices are the 22 remaining points (B),
     the 77 blocks through q (U) and the 176 blocks avoiding q (V). Adjacency:
     B is independent; b~u iff b not in u; b~v iff b in v; u~u' iff they meet
-    only in q; v~v' iff |v & v'| = 1; u~v iff |u & v| = 3.
+    only in q; v~v' iff |v & v'| = 1; u~v iff |u & v| = 3. Each row is read
+    off the incidence bitsets of U and V: the U (or V) blocks holding point x.
     """
     design = golay_witt_design()
     u_blocks = blocks_through(design, 22)
     v_blocks = blocks_avoiding(design, 22)
     expect((len(u_blocks), len(v_blocks)) == (77, 176), "77 blocks through the special point, 176 avoiding it")
-    n = 22 + 77 + 176
-    adj = [0] * n
-    u_off, v_off = 22, 22 + 77
-
-    def link(i, j):
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
-
-    for p in range(22):  # point vertex p is design point p
-        for ui, u in enumerate(u_blocks):
-            if not u >> p & 1:
-                link(p, u_off + ui)
-        for vi, v in enumerate(v_blocks):
-            if v >> p & 1:
-                link(p, v_off + vi)
-    for i in range(77):
-        for j in range(i + 1, 77):
-            if (u_blocks[i] & u_blocks[j]).bit_count() == 1:
-                link(u_off + i, u_off + j)
-    for i in range(176):
-        for j in range(i + 1, 176):
-            if (v_blocks[i] & v_blocks[j]).bit_count() == 1:
-                link(v_off + i, v_off + j)
-    for i in range(77):
-        for j in range(176):
-            if (u_blocks[i] & v_blocks[j]).bit_count() == 3:
-                link(u_off + i, v_off + j)
-    return McLaughlinData(Graph(n, tuple(adj)), (1 << 22) - 1)
+    in_u, in_v = (  # bit i of in_u[x]: the i-th block of U holds point x
+        [int(text[x::23][::-1], 2) for x in range(23)] for text in (bit_text(u_blocks, 23), bit_text(v_blocks, 23))
+    )
+    points, all_u = (1 << 22) - 1, (1 << 77) - 1
+    adj = [(all_u & ~in_u[x]) << 22 | in_v[x] << 99 for x in range(22)]
+    for u in u_blocks:
+        rest = [x for x in range(22) if u >> x & 1]  # its points other than q
+        adj.append(points & ~u | (all_u & _holding_exactly(rest, in_u, 0)) << 22 | _holding_exactly(rest, in_v, 3) << 99)
+    for v in v_blocks:
+        pts = [x for x in range(22) if v >> x & 1]
+        adj.append(v | _holding_exactly(pts, in_u, 3) << 22 | _holding_exactly(pts, in_v, 1) << 99)
+    return McLaughlinData(Graph(22 + 77 + 176, tuple(adj)), points)
 
 
 # ---------------------------------------------------------------------------
@@ -443,5 +438,4 @@ def write_graph(graph: Graph, path) -> None:
     """Line 1: vertex count; then one adjacency row per line as a bit string."""
     with open(path, "w") as fh:
         fh.write(f"{graph.n}\n")
-        for row in graph.adj:
-            fh.write("".join("1" if row >> j & 1 else "0" for j in range(graph.n)) + "\n")
+        fh.writelines(bit_text((row,), graph.n) + "\n" for row in graph.adj)

@@ -22,6 +22,11 @@ dump_group writes the group files that perm.load_group reads.
 seeded_integer_corpus is the seeded random corpus of small integer systems
 on which the Z solver is checked, each with its exhaustive box-search
 answer from bounded_solution_exists, computed once per session.
+reference_golay_codewords, reference_mclaughlin_adjacency,
+reference_non_adjacent_family and reference_graph_error are the pairwise
+definitions (shift-and-add products, one test per pair of blocks or
+vertices) that the whole-bitset constructions of designs and certify
+replaced, kept to pin them to the same words, rows, family and messages.
 """
 
 import functools
@@ -32,7 +37,7 @@ from fractions import Fraction
 from operator import mul
 
 from sharpsets.certify import REFUTED, Certificate, verify_certificate_enumerated
-from sharpsets.designs import Design, Graph
+from sharpsets.designs import Design, Graph, _qr_generator_polynomial
 from sharpsets.linsys import (
     INFEASIBLE,
     RHS,
@@ -386,6 +391,81 @@ def reference_nullspace_mod_2(rows: list[int], ncols: int) -> list[int]:
         else:
             null.append(combo)
     return null[::-1]
+
+
+def gf2_poly_mul(a: int, b: int) -> int:
+    """The product of two GF(2) polynomials given as bitmasks, by shift and add."""
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        a <<= 1
+        b >>= 1
+    return p
+
+
+def reference_golay_codewords() -> list[int]:
+    """Codeword m of the [23, 12, 7] code as the product m(x) g(x), one multiplication per word."""
+    g = _qr_generator_polynomial()
+    return [gf2_poly_mul(msg, g) for msg in range(1 << 12)]
+
+
+def reference_mclaughlin_adjacency(design: Design) -> tuple[int, ...]:
+    """The McLaughlin rows of designs.mclaughlin_graph, linked one pair of vertices at a time."""
+    u_blocks = [b for b in design.blocks if b >> 22 & 1]
+    v_blocks = [b for b in design.blocks if not b >> 22 & 1]
+    adj = [0] * 275
+    u_off, v_off = 22, 22 + 77
+
+    def link(i, j):
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+
+    for p in range(22):  # point vertex p is design point p
+        for ui, u in enumerate(u_blocks):
+            if not u >> p & 1:
+                link(p, u_off + ui)
+        for vi, v in enumerate(v_blocks):
+            if v >> p & 1:
+                link(p, v_off + vi)
+    for i in range(77):
+        for j in range(i + 1, 77):
+            if (u_blocks[i] & u_blocks[j]).bit_count() == 1:
+                link(u_off + i, u_off + j)
+    for i in range(176):
+        for j in range(i + 1, 176):
+            if (v_blocks[i] & v_blocks[j]).bit_count() == 1:
+                link(v_off + i, v_off + j)
+    for i in range(77):
+        for j in range(176):
+            if (u_blocks[i] & v_blocks[j]).bit_count() == 3:
+                link(u_off + i, v_off + j)
+    return tuple(adj)
+
+
+def reference_non_adjacent_family(graph: Graph) -> list[int]:
+    """The common neighbourhood of every non-adjacent pair i < j, pair by pair in the order of (i, j)."""
+    family = []
+    for i in range(graph.n):
+        for j in range(i + 1, graph.n):
+            if not graph.adjacent(i, j):
+                family.append(graph.adj[i] & graph.adj[j])
+    return family
+
+
+def reference_graph_error(n: int, adj) -> str | None:
+    """The message designs.Graph raises for these rows, by the pairwise definition; None for a simple graph."""
+    if len(adj) != n:
+        return f"{len(adj)} adjacency rows for {n} vertices"
+    for i, row in enumerate(adj):
+        if row < 0 or row >= 1 << n:
+            return f"adjacency row {i} is not a set of the {n} vertices"
+    for i, row in enumerate(adj):
+        if row >> i & 1:
+            return f"loop at vertex {i}"
+        if any((adj[j] >> i & 1) != (row >> j & 1) for j in range(i + 1, n)):
+            return f"asymmetric adjacency at vertex {i}"
+    return None
 
 
 def read_design(path, name="") -> Design:

@@ -1,7 +1,13 @@
 import random
 
 import pytest
-from oracles import certificate_search, orthogonal_basis, reference_nullspace_mod_2, zero_one_vectors
+from oracles import (
+    certificate_search,
+    orthogonal_basis,
+    reference_non_adjacent_family,
+    reference_nullspace_mod_2,
+    zero_one_vectors,
+)
 
 from sharpsets import certify, geometry, gf, linsys, perm, sharp_search
 from sharpsets.certify import (
@@ -166,6 +172,18 @@ def test_family_mclaughlin(mclaughlin):
     assert report.certificate.b_size == 22
     assert report.certificate.c_size == 56
     assert any("assumed" in a for a in report.assumptions)
+
+
+def test_mclaughlin_family_is_the_pairwise_list(mclaughlin, monkeypatch):
+    # the runner's family, taken as it is handed to the family walk, lists the pairs in (i, j) order
+    seen = []
+    walk = certify.verify_certificate_family
+    monkeypatch.setattr(
+        certify, "verify_certificate_family", lambda family, *a, **k: seen.append(family) or walk(family, *a, **k)
+    )
+    report = run_case("mclaughlin")
+    assert seen[0] == reference_non_adjacent_family(mclaughlin.graph)
+    assert report.certificate.c_set == seen[0][0]
 
 
 def test_family_m22(witt):
@@ -384,9 +402,42 @@ def test_refuted_needs_the_side_condition_read_off_the_certificate(cert):
 
 
 def test_judge_refutes_exactly_under_the_rule():
-    cert = Certificate(0b1, 0b1, 2, 4)  # |B||C| = 1, odd
+    cert = Certificate(0b1, 0b10, 2, 4)  # |B||C| = 1, odd; |B & C| = 0
     assert certify.VerificationReport.judge("x", "family", cert, {0: 3, 2: 1}, ("a",)).conclusion == "refuted"
     assert certify.VerificationReport.judge("x", "family", cert, {0: 3, 1: 1}, ("a",)).conclusion == "inconclusive"
+    assert certify.VerificationReport.judge("x", "family", cert, {2: 4}, ("a",)).conclusion == "inconclusive"
+
+
+def test_a_spectrum_without_the_identity_size_does_not_refute():
+    # B = C = {0}, p = 2: no walk has met the identity, so nothing is refuted, whatever p divides
+    cert = Certificate(0b1, 0b1, 2, 5)
+    assert certify.VerificationReport.judge("x", "family", cert, {}, ("a",)).conclusion == "inconclusive"
+    report = verify_certificate_enumerated(perm.GroupEnumeration(5, []), cert)
+    assert (report.spectrum, report.conclusion) == ({}, "inconclusive")
+    with pytest.raises(AssertionError):
+        certify.VerificationReport("x", "family", cert, {}, "refuted")
+
+
+def test_the_identity_size_guard_survives_python_O():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from sharpsets import certify\n"
+        "from sharpsets.perm import InvariantViolation\n"
+        "assert False, 'expected to run under python -O'\n"
+        "try:\n"
+        "    certify.VerificationReport('x', 'family', certify.Certificate(1, 2, 2, 4), {2: 1}, 'refuted')\n"
+        "except InvariantViolation:\n"
+        "    print('refused')\n"
+    )
+    src = str(Path(certify.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["refused"]
 
 
 def test_runners_reject_options_they_do_not_take():

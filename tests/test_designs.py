@@ -1,8 +1,15 @@
+import random
 from math import comb
 
 import pytest
 from conftest import shipped_group_path
-from oracles import read_design, read_graph
+from oracles import (
+    read_design,
+    read_graph,
+    reference_golay_codewords,
+    reference_graph_error,
+    reference_mclaughlin_adjacency,
+)
 
 from sharpsets import designs, perm
 from sharpsets.designs import (
@@ -22,6 +29,11 @@ def test_block_count(witt):
     assert comb(23, 4) // comb(7, 4) == 253
     assert witt.b == 253
     assert witt.v == 23 and witt.k == 7
+
+
+def test_golay_codewords_are_the_products():
+    # word m is m(x) g(x): the doubling build keeps each product at its index
+    assert designs.golay_codewords() == reference_golay_codewords()
 
 
 def test_steiner_property(witt):
@@ -98,6 +110,57 @@ def test_mclaughlin_vertex_count(mclaughlin):
 def test_mclaughlin_is_srg(mclaughlin):
     report = srg_check(mclaughlin.graph, (275, 112, 30, 56))
     assert report.ok, report.violation
+
+
+def test_mclaughlin_rows_match_the_pairwise_links(witt, mclaughlin):
+    assert mclaughlin.graph.adj == reference_mclaughlin_adjacency(witt)
+
+
+def _mutated(adj, kind, rng):
+    """The rows with one bit changed: an asymmetric edge, a loop, or a bit past the last vertex."""
+    rows, n = list(adj), len(adj)
+    i = rng.randrange(n)
+    if kind == "asymmetric":
+        rows[i] ^= 1 << rng.choice([j for j in range(n) if j != i])
+    elif kind == "loop":
+        rows[i] |= 1 << i
+    else:
+        rows[i] |= 1 << n + rng.randrange(3)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["asymmetric", "loop", "out-of-range"])
+def test_graph_check_matches_the_pairwise_definition(mclaughlin, kind, seed):
+    # the row-against-column check raises the pairwise definition's message, at its first vertex
+    rows = _mutated(mclaughlin.graph.adj, kind, random.Random(seed))
+    want = reference_graph_error(275, rows)
+    assert want is not None and want.startswith({"asymmetric": "asymmetric", "loop": "loop"}.get(kind, "adjacency row"))
+    with pytest.raises(ValueError) as err:
+        Graph(275, rows)
+    assert str(err.value) == want
+
+
+def test_graph_check_reports_the_first_vertex(mclaughlin):
+    # an asymmetric pair (5, 200) and a loop at 9: the pairwise definition names vertex 5 first
+    rows = list(mclaughlin.graph.adj)
+    rows[200] ^= 1 << 5
+    rows[9] |= 1 << 9
+    assert reference_graph_error(275, rows) == "asymmetric adjacency at vertex 5"
+    with pytest.raises(ValueError, match="asymmetric adjacency at vertex 5$"):
+        Graph(275, tuple(rows))
+    rows[200] ^= 1 << 5
+    with pytest.raises(ValueError, match="loop at vertex 9$"):
+        Graph(275, tuple(rows))
+    assert reference_graph_error(275, mclaughlin.graph.adj) is None
+
+
+@pytest.mark.parametrize("adj", [(0b110, 0b001), (-2, 0b001)])
+def test_graph_refuses_rows_outside_its_vertices(adj):
+    # bit 2 of a 2-vertex row (degree(0) would read 2), or a negative row, is no set of vertices
+    assert reference_graph_error(2, adj) == "adjacency row 0 is not a set of the 2 vertices"
+    with pytest.raises(ValueError, match="adjacency row 0 is not a set of the 2 vertices"):
+        Graph(2, adj)
 
 
 def test_point_vertices_independent(mclaughlin):
