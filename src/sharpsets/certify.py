@@ -251,14 +251,15 @@ def _run_alt(n: int) -> VerificationReport:
     return report
 
 
-def _run_m22(group_file=None, enumerated: bool = False) -> VerificationReport:
+def _run_m22(group_file=None, enumerated: bool = False, design: designs.Design | None = None) -> VerificationReport:
     """B = a block avoiding the special point, C = its complement in the 22 points, p = 2.
 
     Every automorphism fixing the special point permutes the 176 blocks
     avoiding it, so in family mode an orbit equal to their complements
     holds C^g for every g of the true stabilizer, whatever the generators.
+    The Witt design is built unless it is given.
     """
-    design = designs.golay_witt_design()
+    design = designs.golay_witt_design() if design is None else design
     avoiding = designs.blocks_avoiding(design, 22)
     points = (1 << 22) - 1
     cert = Certificate(avoiding[0], points ^ avoiding[0], 2, 22)
@@ -312,9 +313,9 @@ def _run_m23() -> VerificationReport:
     return report
 
 
-def _run_mclaughlin() -> VerificationReport:
-    """275-vertex graph; B = point vertices, C = a non-adjacent pair's common neighborhood."""
-    mcl = designs.mclaughlin_graph()
+def _run_mclaughlin(mcl: designs.McLaughlinData | None = None) -> VerificationReport:
+    """275-vertex graph, built unless it is given; B = point vertices, C = a non-adjacent pair's common neighborhood."""
+    mcl = designs.mclaughlin_graph() if mcl is None else mcl
     g = mcl.graph
     family, full = [], (1 << g.n) - 1
     for i, row in enumerate(g.adj):  # a 0/1 byte per vertex j, 1 when j > i is not adjacent to i; pairs in (i, j) order

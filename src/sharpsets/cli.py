@@ -21,8 +21,9 @@ passes the cap is refused before any element is built), an sp case past
 the orbit cap, a linear system past linsys.DENSE_CELL_CAP cells (systems
 are stored by column; the Z solver and `--export-system` densify, and the
 packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
-F_2's one-bit rows are not capped; where the first capped step sees the
-whole full system, its N^2 x (|G| + 1) is checked before the build), or a
+F_2's one-bit rows are not capped; where the first capped step sees a
+full system, of every element or of those --fpf keeps, its N^2 x
+(cols + 1) is checked before any column is built), or a
 `search-sharp` whose packed exact-cover table, |G| x N^2 fields, would
 pass that cap (both checked on a declared order before enumeration). The
 quadric's polarization is checked on every pair of an F_2-basis, complete
@@ -179,14 +180,16 @@ def _cmd_verify(args) -> dict:
             action=args.action,
             enumerate_group_flag=args.enumerate_group,
         )
-    elif case == "m22":
+    elif case == "m22":  # one design for the export and the report
+        design = designs.golay_witt_design()
         if args.export_design:
-            designs.write_design(designs.golay_witt_design(), args.export_design)
-        report = certify.run_case("m22", group_file=args.group, enumerated=args.enumerated)
+            designs.write_design(design, args.export_design)
+        report = certify.run_case("m22", group_file=args.group, enumerated=args.enumerated, design=design)
     elif case == "mclaughlin":
+        mcl = designs.mclaughlin_graph()
         if args.export_graph:
-            designs.write_graph(designs.mclaughlin_graph().graph, args.export_graph)
-        report = certify.run_case("mclaughlin")
+            designs.write_graph(mcl.graph, args.export_graph)
+        report = certify.run_case("mclaughlin", mcl=mcl)
     elif case == "alt":
         report = certify.run_case("alt", n=args.n)
     else:
@@ -222,8 +225,8 @@ def _search_summary(report: dict) -> str:
 
 
 def _full_system_step(args) -> str | None:
-    """The first capped step of a linsys run if it sees the whole full system (Z's staircase has its own shape)."""
-    if args.subgroup or args.fpf or args.pin_identity:
+    """The first capped step of a linsys run if it sees a full system (Z's staircase has its own shape)."""
+    if args.subgroup:
         return None
     if args.export_system:
         return "dense array"
@@ -236,17 +239,20 @@ def _cmd_linsys(args) -> dict:
     if args.ring == "f_p":
         linsys.is_prime(args.p)  # a p past linsys.PRIME_BOUND is refused before any work
     spec = load_group(args.group)
-    if (step := _full_system_step(args)) and spec.declared_order is not None:  # refused before enumeration
+    restrict = args.fpf or args.pin_identity
+    step = _full_system_step(args)
+    if step and not restrict and spec.declared_order is not None:  # refused before enumeration
         linsys.check_full_system_cap(spec.declared_order, math.perm(spec.degree, max(args.t, 0)), step)
     _, G = induced_action(enumerate_group(spec), args.t)
     if args.subgroup:
         _, H = induced_action(enumerate_group(load_group(args.subgroup)), args.t)
         system = linsys.build_H_system(G, H)
     else:
-        if step:
-            linsys.check_full_system_cap(G.order, G.degree, step)
-        system = linsys.build_full_system(G.elements)
-    if args.fpf or args.pin_identity:
+        elements = [G.elements[k] for k in linsys.fpf_columns(G.elements)] if restrict else G.elements
+        if step:  # on the kept columns, before any is built
+            linsys.check_full_system_cap(len(elements) - args.pin_identity, G.degree, step)
+        system = linsys.build_full_system(elements)
+    if restrict:
         system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)
     if args.export_system:
         linsys.dump_system(system, args.export_system)

@@ -308,31 +308,19 @@ def symmetric_design_refutation(params: SymmetricDesignParams) -> RefutationTrac
     d = k - lam
     steps: list[RefutationStep] = []
 
-    a = Fraction(k, d)
-    ok_a = a.denominator == 1
-    steps.append(
-        RefutationStep(
-            "fix-count-avoiding",
-            f"a*(k-lambda) = k, i.e. a*{d} = {k}",
-            ok_a,
-            f"a = {a}" + ("" if ok_a else " is not an integer: no such frequency exists"),
+    for name, unknown, side, count in (("fix-count-avoiding", "a", "k", k), ("fix-count-through", "b", "v-k", v - k)):
+        freq = Fraction(count, d)
+        ok = freq.denominator == 1
+        steps.append(
+            RefutationStep(
+                name,
+                f"{unknown}*(k-lambda) = {side}, i.e. {unknown}*{d} = {count}",
+                ok,
+                f"{unknown} = {freq}" + ("" if ok else " is not an integer: no such frequency exists"),
+            )
         )
-    )
-    if not ok_a:
-        return RefutationTrace(params, steps, "refuted")
-
-    b = Fraction(v - k, d)
-    ok_b = b.denominator == 1
-    steps.append(
-        RefutationStep(
-            "fix-count-through",
-            f"b*(k-lambda) = v-k, i.e. b*{d} = {v - k}",
-            ok_b,
-            f"b = {b}" + ("" if ok_b else " is not an integer: no such frequency exists"),
-        )
-    )
-    if not ok_b:
-        return RefutationTrace(params, steps, "refuted")
+        if not ok:
+            return RefutationTrace(params, steps, "refuted")
 
     # both integral: d = k-lam divides k and v-k, hence v; d^2 divides
     # k(v-k) = (v-1)d, so d divides v-1 too, hence d = 1, and then

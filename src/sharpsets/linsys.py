@@ -28,9 +28,10 @@ integer pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
 from __future__ import annotations
 
 import random
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import add, xor
@@ -96,9 +97,9 @@ def _check_cap(shape: tuple[int, int], what: str) -> None:
         raise GroupTooLarge(f"a {shape[0]} x {shape[1]} {what} passes the cap of {DENSE_CELL_CAP} cells")
 
 
-def check_full_system_cap(order: int, points: int, what: str) -> None:
-    """Raise GroupTooLarge as `what`, a capped step on [A | b] of the full system, would: N^2 x (|G| + 1)."""
-    _check_cap((points * points, order + 1), what)
+def check_full_system_cap(elements: int, points: int, what: str) -> None:
+    """Raise GroupTooLarge as `what`, a capped step on [A | b] of a full system, would: N^2 x (elements + 1)."""
+    _check_cap((points * points, elements + 1), what)
 
 
 @dataclass
@@ -164,18 +165,18 @@ def build_H_system(G: GroupEnumeration, H: GroupEnumeration) -> ExactSystem:
     return ExactSystem(columns, [len(orb) for orb in orbits], list(classes.reps))
 
 
-def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSystem:
-    """Keep only the identity column and fixed-point-free element columns.
+def fpf_columns(elements: list[Perm]) -> list[int]:
+    """The indices of the identity and the fixed-point-free elements, in order."""
+    ident = identity(len(elements[0]))
+    return [k for k, g in enumerate(elements) if g == ident or is_fixed_point_free(g)]
 
-    With pin_identity the identity column is removed too and its
-    contribution (value 1) is subtracted from the right side.
-    """
+
+def restrict_to_fpf(system: ExactSystem, pin_identity: bool = False) -> ExactSystem:
+    """The fpf_columns alone; with pin_identity the identity's column goes too, its 1s taken off the right side."""
     if system.column_elements is None:
         raise ValueError("system carries no column elements")
-    elements = system.column_elements
-    ident = identity(len(elements[0]))
-    keep = [k for k, g in enumerate(elements) if g == ident or is_fixed_point_free(g)]
-    pinned = [k for k in keep if pin_identity and elements[k] == ident]
+    keep = fpf_columns(system.column_elements)
+    pinned = [k for k in keep if pin_identity and not is_fixed_point_free(system.column_elements[k])]
     restricted = system.select([k for k in keep if k not in pinned])
     for k in pinned:
         for r, a in system.columns[k].items():
@@ -257,10 +258,13 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     the basis rows whose lead is above it (the rest are 0 there). The leads are the
     pivots of the reduced row echelon form (a lead at cols: inconsistent). Rows add
     mod p at once: xor for p = 2; else s = x + y, less p in every field where s +
-    2^k - p carries into bit k. x - e*b is x + (p-e)*b: one add when p - e = 1, as
-    always for p = 2, else summed from the doublings 2^i*b, each made on first use
-    and dropped when b changes. The dense cap bounds fill-in for odd p; one-bit rows
-    take less memory than their columns, so p = 2 is not capped.
+    2^k - p carries into bit k. A clear, or the scaling, is one step x - e*b:
+    x + (p-e)*b or x + (p in every field, less e*b), fields below 2p, by the
+    smaller multiple, summed from the doublings 2^i*b it needs; e = p - 1, as
+    always for p = 2, is one add. Only the basis and `leads` outlive a row; a new
+    row's doublings serve its one pass over the basis. The dense cap bounds
+    fill-in for odd p; one-bit rows take less memory than their columns, so
+    p = 2 is not capped.
     """
     ncols = system.cols
     if p != 2:
@@ -272,7 +276,7 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
             rows[r] |= (a % p) << ((ncols - c) * w)
     mask = (1 << w) - 1
     ones = ((1 << (w * (ncols + 1))) - 1) // mask
-    carry = ones * ((1 << k) - p)
+    carry, all_p = ones * ((1 << k) - p), ones * p
 
     def add_packed(x: int, y: int) -> int:
         s = x + y
@@ -280,32 +284,30 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
 
     add_rows = xor if p == 2 else add_packed
 
-    def add_multiple(x: int, doubles: list[int], m: int) -> int:
-        """x + m*doubles[0] mod p, extending the doublings as far as m needs."""
-        for i in range(m.bit_length()):
-            if i == len(doubles):
+    def step(x: int, doubles: list[int], e: int) -> int:
+        """x - e*b mod p for 0 < e < p, b = doubles[0]; doubles grows as far as the multiple needs."""
+        m, mb = min(e, p - e), doubles[0]
+        if m > 1:
+            for _ in range(len(doubles), m.bit_length()):
                 doubles.append(add_rows(doubles[-1], doubles[-1]))
-            if m >> i & 1:
-                x = add_rows(x, doubles[i])
-        return x
+            mb = reduce(add_rows, [d for i, d in enumerate(doubles) if m >> i & 1])
+        return add_rows(x, mb if m == p - e else all_p - mb)
 
     basis: dict[int, int] = {}  # low bit of a lead field -> its row
-    doubles: dict[int, list[int]] = {}  # low bit of a lead field -> its row's doublings, dropped when it changes
     leads = 0
     for x in sorted(rows, key=int.bit_length):
         y = x & leads
         while y:
             e = y >> (at := (y.bit_length() - 1) // w * w)
-            x = add_rows(x, basis[at]) if e == p - 1 else add_multiple(x, doubles.setdefault(at, [basis[at]]), p - e)
+            x = add_rows(x, basis[at]) if e == p - 1 else step(x, [basis[at]], e)
             y ^= e << at
         if x:
             if (e := x >> (at := (x.bit_length() - 1) // w * w)) != 1:
-                x = add_multiple(0, [x], pow(e, -1, p))
-            doubles[at] = new = [x]
+                x = step(x, [x], (1 - pow(e, -1, p)) % p)  # x - (1 - 1/e)*x
+            new = [x]
             for g, row in basis.items():
                 if g > at and (e := row >> at & mask):
-                    basis[g] = add_rows(row, x) if e == p - 1 else add_multiple(row, new, p - e)
-                    doubles.pop(g, None)
+                    basis[g] = add_rows(row, x) if e == p - 1 else step(row, new, e)
             basis[at] = x
             leads |= mask << at
     return {ncols - at // w: row for at, row in basis.items()}
@@ -480,18 +482,20 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
     """Branch and bound with exact phase-1 simplex relaxations.
 
     Branching is deterministic: the lowest-index fractional variable splits
-    into the floor branch first, then the ceiling branch. The budget counts
-    explored nodes; exceeding it returns unknown-budget rather than a guess.
-    notes.simplex_pivots counts the Bland pivots over all nodes.
+    into a floor child, queued first, and a ceiling child; nodes are taken
+    first in, first out. A split tightens one bound toward any integer
+    solution, so the branch that holds one is finite and is reached. The
+    budget counts explored nodes; exceeding it returns unknown-budget rather
+    than a guess. notes.simplex_pivots counts the Bland pivots over all nodes.
     """
     rows, pivots = _rref_integer(system)
     if rows is None:
         return SolveOutcome(INFEASIBLE, None, {"stage": "rational-preprocessing", "simplex_pivots": 0})
     ncols = system.cols
-    stack = [([0] * ncols, [None] * ncols)]
+    queue = deque([([0] * ncols, [None] * ncols)])
     nodes = steps = 0
-    while stack:
-        lo, hi = stack.pop()
+    while queue:
+        lo, hi = queue.popleft()
         nodes += 1
         if nodes > budget:
             return SolveOutcome(UNKNOWN_BUDGET, None, {"nodes": nodes, "simplex_pivots": steps})
@@ -505,13 +509,9 @@ def solve_nonneg_integer(system: ExactSystem, budget: int = DEFAULT_BNB_BUDGET) 
             if any(x < 0 for x in witness) or not verify_witness(system, witness):
                 raise InvariantViolation("non-negative integer witness fails its check")
             return SolveOutcome(SOLVABLE, witness, {"nodes": nodes, "simplex_pivots": steps})
-        v = point[frac_at]
-        floor_hi = list(hi)
-        floor_hi[frac_at] = int(v)  # floor: v is positive here
-        ceil_lo = list(lo)
-        ceil_lo[frac_at] = int(v) + 1
-        stack.append((ceil_lo, list(hi)))     # explored second
-        stack.append((list(lo), floor_hi))    # floor branch first (LIFO)
+        v = int(point[frac_at])  # the floor: the value is positive here
+        queue.append((lo, hi[:frac_at] + [v] + hi[frac_at + 1:]))
+        queue.append((lo[:frac_at] + [v + 1] + lo[frac_at + 1:], hi))
     return SolveOutcome(INFEASIBLE, None, {"nodes": nodes, "simplex_pivots": steps})
 
 

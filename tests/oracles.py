@@ -33,6 +33,7 @@ import functools
 import itertools
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from operator import mul
 
@@ -302,15 +303,15 @@ def reference_solve_rational(system: ExactSystem) -> SolveOutcome:
 
 
 def reference_solve_nonneg_integer(system: ExactSystem, budget: int) -> SolveOutcome:
-    """solve_nonneg_integer on Fraction rows: the same floor-first branching, budget and notes."""
+    """solve_nonneg_integer on Fraction rows: the same first-in first-out queue, floor child first, budget and notes."""
     rows, pivots = reference_rref_rational(system)
     if rows is None:
         return SolveOutcome(INFEASIBLE, None, {"stage": "rational-preprocessing", "simplex_pivots": 0})
     ncols = system.cols
-    stack = [([Fraction(0)] * ncols, [None] * ncols)]
+    queue = deque([([Fraction(0)] * ncols, [None] * ncols)])
     nodes = steps = 0
-    while stack:
-        lo, hi = stack.pop()
+    while queue:
+        lo, hi = queue.popleft()
         nodes += 1
         if nodes > budget:
             return SolveOutcome(UNKNOWN_BUDGET, None, {"nodes": nodes, "simplex_pivots": steps})
@@ -328,8 +329,8 @@ def reference_solve_nonneg_integer(system: ExactSystem, budget: int) -> SolveOut
         floor_hi[frac_at] = Fraction(int(v))
         ceil_lo = list(lo)
         ceil_lo[frac_at] = Fraction(int(v) + 1)
-        stack.append((ceil_lo, list(hi)))
-        stack.append((list(lo), floor_hi))
+        queue.append((list(lo), floor_hi))
+        queue.append((ceil_lo, list(hi)))
     return SolveOutcome(INFEASIBLE, None, {"nodes": nodes, "simplex_pivots": steps})
 
 

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 from conftest import shipped_group_path
 
+from sharpsets import designs
 from sharpsets.cli import main
 
 
@@ -406,6 +407,27 @@ def test_linsys_early_refusal_is_the_capped_steps_own(tmp_path, monkeypatch, cap
             assert capsys.readouterr().err == f"refused for size: {refused.value}\n", argv
 
 
+def test_linsys_fpf_builds_only_the_columns_it_keeps(tmp_path, monkeypatch, capsys):
+    # M22 keeps the identity and 173,040 fixed-point-free elements of 443,520:
+    # the cap refuses the kept shape before a single column is built
+    import functools
+
+    from sharpsets import cli, linsys
+
+    def never(elements):
+        raise AssertionError(f"built {len(elements)} columns of a system the cap refuses")
+
+    monkeypatch.setattr(linsys, "build_full_system", never)
+    monkeypatch.setattr(cli, "enumerate_group", functools.cache(cli.enumerate_group))
+    m22 = str(shipped_group_path("m22"))
+    for argv, line in (
+        (["--ring", "q", "--fpf"], "a 484 x 173042 rational elimination"),
+        (["--ring", "f_p", "--p", "3", "--pin-identity"], "a 484 x 173041 packed F_p elimination"),
+    ):
+        assert run_cli(tmp_path, "linsys", "--group", m22, *argv) == (4, None), argv
+        assert capsys.readouterr().err == f"refused for size: {line} passes the cap of 8388608 cells\n", argv
+
+
 def test_linsys_refuses_early_only_on_the_full_system(tmp_path, monkeypatch):
     # Z and F_2 keep their own path (the mod-2 prescreen may answer Z; F_2 is
     # not capped), and a collapsed, restricted or probed system has another shape
@@ -511,3 +533,68 @@ def test_export_design_matches_construction(tmp_path):
 
     again = read_design(design_path)
     assert again.v == 23 and again.k == 7 and again.b == 253
+
+
+@pytest.mark.parametrize(
+    "argv, builder, write",
+    [
+        (["verify", "m22", "--export-design"], "golay_witt_design", designs.write_design),
+        (["verify", "mclaughlin", "--export-graph"], "mclaughlin_graph",
+         lambda mcl, path: designs.write_graph(mcl.graph, path)),
+    ],
+)
+def test_verify_export_builds_its_object_once(tmp_path, monkeypatch, argv, builder, write):
+    # the exported file and the report come from one object
+    build, built = getattr(designs, builder), []
+
+    def counted():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(designs, builder, counted)
+    path = tmp_path / "export.txt"
+    code, report = run_cli(tmp_path, *argv, str(path))
+    assert code == 0 and report["conclusion"] == "refuted"
+    assert len(built) == 1
+    write(build(), tmp_path / "fresh.txt")
+    assert path.read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+
+
+DESIGN_CHECK_REPORTS = {
+    (7, 3, 1): ("refuted", [
+        ("fix-count-avoiding", "a*(k-lambda) = k, i.e. a*2 = 3", False,
+         "a = 3/2 is not an integer: no such frequency exists"),
+    ]),
+    (16, 6, 2): ("refuted", [
+        ("fix-count-avoiding", "a*(k-lambda) = k, i.e. a*4 = 6", False,
+         "a = 3/2 is not an integer: no such frequency exists"),
+    ]),
+    (7, 4, 2): ("refuted", [
+        ("fix-count-avoiding", "a*(k-lambda) = k, i.e. a*2 = 4", True, "a = 2"),
+        ("fix-count-through", "b*(k-lambda) = v-k, i.e. b*2 = 3", False,
+         "b = 3/2 is not an integer: no such frequency exists"),
+    ]),
+    (4, 3, 2): ("trivial-inapplicable", [
+        ("fix-count-avoiding", "a*(k-lambda) = k, i.e. a*1 = 3", True, "a = 3"),
+        ("fix-count-through", "b*(k-lambda) = v-k, i.e. b*1 = 1", True, "b = 1"),
+        ("divisibility-chain", "k-lambda divides both v = 4 and v-1 = 3, so k-lambda = 1", True, "k-lambda = 1"),
+        ("nontriviality", "k-lambda = 1 forces k = v-1 (the trivial design)", True, "k = 3, v-1 = 3"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("params", sorted(DESIGN_CHECK_REPORTS))
+def test_design_check_report_is_pinned(tmp_path, params):
+    # refuted at the first frequency, at the second, and trivial-inapplicable
+    v, k, lam = params
+    code, report = run_cli(tmp_path, "design-check", "--v", str(v), "--k", str(k), "--lambda", str(lam))
+    assert code == 0
+    jsonschema.validate(report, SCHEMA)
+    report.pop("elapsed_ms")
+    conclusion, steps = DESIGN_CHECK_REPORTS[params]
+    assert report == {
+        "case": "design-check",
+        "conclusion": conclusion,
+        "params": {"v": v, "k": k, "lambda": lam},
+        "steps": [dict(zip(("name", "equation", "ok", "detail"), step)) for step in steps],
+    }
