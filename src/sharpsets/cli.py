@@ -247,13 +247,17 @@ def _cmd_linsys(args) -> dict:
     if args.subgroup:
         _, H = induced_action(enumerate_group(load_group(args.subgroup)), args.t)
         system = linsys.build_H_system(G, H)
+        if restrict:
+            system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)
     else:
-        elements = [G.elements[k] for k in linsys.fpf_columns(G.elements)] if restrict else G.elements
+        elements = G.elements
+        if restrict:
+            elements = [elements[k] for k in linsys.fpf_columns(elements, args.pin_identity)]
         if step:  # on the kept columns, before any is built
-            linsys.check_full_system_cap(len(elements) - args.pin_identity, G.degree, step)
-        system = linsys.build_full_system(elements)
-    if restrict:
-        system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)
+            linsys.check_full_system_cap(len(elements), G.degree, step)
+        system = linsys.build_full_system(elements, G.degree)
+        if args.pin_identity:  # the identity's column, left out, held a 1 in each row (x, x)
+            system.rhs[:: G.degree + 1] = [0] * G.degree
     if args.export_system:
         linsys.dump_system(system, args.export_system)
     if args.probe:

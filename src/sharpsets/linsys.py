@@ -131,9 +131,9 @@ def verify_witness(system: ExactSystem, witness, modulus: int | None = None) -> 
 # System construction
 
 
-def build_full_system(elements: list[Perm]) -> ExactSystem:
-    """One equation per ordered pair of points, one variable per element."""
-    n = len(elements[0])
+def build_full_system(elements: list[Perm], n: int | None = None) -> ExactSystem:
+    """One equation per ordered pair of the n points (the elements' degree by default), one variable per element."""
+    n = len(elements[0]) if n is None else n
     columns = [dict.fromkeys(map(add, range(0, n * n, n), g), 1) for g in elements]
     return ExactSystem(columns, [1] * (n * n), list(elements))
 
@@ -165,9 +165,9 @@ def build_H_system(G: GroupEnumeration, H: GroupEnumeration) -> ExactSystem:
     return ExactSystem(columns, [len(orb) for orb in orbits], list(classes.reps))
 
 
-def fpf_columns(elements: list[Perm]) -> list[int]:
-    """The indices of the identity and the fixed-point-free elements, in order."""
-    ident = identity(len(elements[0]))
+def fpf_columns(elements: list[Perm], pin_identity: bool = False) -> list[int]:
+    """The indices of the fixed-point-free elements and, unless pin_identity, the identity, in order."""
+    ident = None if pin_identity else identity(len(elements[0]))
     return [k for k, g in enumerate(elements) if g == ident or is_fixed_point_free(g)]
 
 

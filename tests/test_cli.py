@@ -414,7 +414,7 @@ def test_linsys_fpf_builds_only_the_columns_it_keeps(tmp_path, monkeypatch, caps
 
     from sharpsets import cli, linsys
 
-    def never(elements):
+    def never(elements, *_):
         raise AssertionError(f"built {len(elements)} columns of a system the cap refuses")
 
     monkeypatch.setattr(linsys, "build_full_system", never)
@@ -426,6 +426,32 @@ def test_linsys_fpf_builds_only_the_columns_it_keeps(tmp_path, monkeypatch, caps
     ):
         assert run_cli(tmp_path, "linsys", "--group", m22, *argv) == (4, None), argv
         assert capsys.readouterr().err == f"refused for size: {line} passes the cap of 8388608 cells\n", argv
+
+
+def test_linsys_fpf_filters_the_full_system_once(tmp_path, monkeypatch):
+    # the full path keeps its columns before the build and pins the identity on
+    # the right side, so restrict_to_fpf never runs on it; the exported system
+    # is the one restrict_to_fpf makes of the whole, also with no column left
+    from sharpsets import linsys
+    from sharpsets.perm import enumerate_group, induced_action, load_group
+
+    restrict_to_fpf = linsys.restrict_to_fpf
+    fixes_0 = tmp_path / "fixes0.grp"
+    fixes_0.write_text("n 3\norder 2\n0 2 1\n")
+
+    def refiltered(system, pin_identity=False):
+        raise AssertionError("the full system's columns were filtered twice")
+
+    monkeypatch.setattr(linsys, "restrict_to_fpf", refiltered)
+    for group, t in ((shipped_group_path("c5"), 1), (shipped_group_path("s5"), 2), (fixes_0, 1)):
+        _, G = induced_action(enumerate_group(load_group(group)), t)
+        for flags in (["--fpf"], ["--pin-identity"], ["--fpf", "--pin-identity"]):
+            want, got = tmp_path / "want.sys", tmp_path / "got.sys"
+            pin = "--pin-identity" in flags
+            linsys.dump_system(restrict_to_fpf(linsys.build_full_system(G.elements), pin_identity=pin), want)
+            argv = ["linsys", "--group", str(group), "--t", str(t), "--ring", "q", *flags, "--export-system", str(got)]
+            assert run_cli(tmp_path, *argv)[0] == 0, argv
+            assert got.read_text() == want.read_text(), argv
 
 
 def test_linsys_refuses_early_only_on_the_full_system(tmp_path, monkeypatch):

@@ -821,10 +821,15 @@ def test_integer_rows_match_fraction_reference_on_random_systems():
             rhs = [rng.randrange(-6, 7) for _ in range(nrows)]
         if trial % 5 == 0:
             matrix[0] = [2 * a for a in matrix[-1]]  # rank-deficient, the right side left as it is
-        out = assert_matches_fraction_reference(ExactSystem.from_rows(matrix, rhs), rng.randrange(1, 21), trial)
+        system = ExactSystem.from_rows(matrix, rhs)
+        out = assert_matches_fraction_reference(system, rng.randrange(1, 41), trial)
         seen[out.status] += 1
         seen["branched"] += out.notes.get("nodes", 0) > 1
         seen["pivoted"] += out.notes["simplex_pivots"] > 0
+        # the same system again on a budget of 1 to 3 nodes, so that enough
+        # searches are cut short for the unknown-budget outcome to be compared
+        cut = assert_matches_fraction_reference(system, 1 + trial % 3, (trial, "cut"))
+        seen["unknown-budget"] += cut.status == "unknown-budget"
     assert min(seen.values()) >= 20, seen
 
 
