@@ -241,12 +241,11 @@ def _run_alt(n: int) -> VerificationReport:
             conclusion=HYPOTHESIS_NOT_MET,
             assumptions=(f"n = {n} is {n % 4} mod 4; the parity argument needs 2 or 3",),
         )
-    natural = enumerate_group(_alt_generators(n))
-    action, induced = induced_action(natural, 2)
+    action, on_pairs = induced_action(_alt_generators(n), 2)  # enumerated on its pairs, in the BFS order of its points
     asc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x < y)
     desc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x > y)
     cert = Certificate(asc, desc, 2, action.size)
-    report = verify_certificate_enumerated(induced, cert, case=f"alt(n={n})")
+    report = verify_certificate_enumerated(enumerate_group(on_pairs), cert, case=f"alt(n={n})")
     report.notes["cells"] = action.size
     return report
 

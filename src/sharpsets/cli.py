@@ -21,14 +21,18 @@ passes the cap is refused before any element is built), an sp case past
 the orbit cap, a linear system past linsys.DENSE_CELL_CAP cells (systems
 are stored by column; the Z solver and `--export-system` densify, and the
 packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
-F_2's one-bit rows are not capped; where the first capped step sees a
-full system, of every element or of those --fpf keeps, its N^2 x
-(cols + 1) is checked before any column is built), or a
-`search-sharp` whose packed exact-cover table, |G| x N^2 fields, would
-pass that cap (both checked on a declared order before enumeration). The
-quadric's polarization is checked on every pair of an F_2-basis, complete
-because both sides are biadditive, so sp (2,8), (3,4) and (5,2) run in
-seconds in both actions.
+F_2's one-bit rows are not capped), or a `search-sharp` whose packed
+exact-cover table, |G| x N^2 fields, would pass that cap (checked on a
+declared order before enumeration). One rule, linsys.check_run_cap, names
+a linsys run's first capped step and checks its [A | b] wherever the
+system's size is first known, with the line that step prints: a full
+system's N^2 x (|G| + 1) on a declared order before enumeration, the
+columns --fpf or --pin-identity keep before any is built, and an
+unrestricted --subgroup collapse on its least shape, ceil(N^2/|H|) x
+(ceil(|G|/|H|) + 1), before it is built, so a file both too large and
+not a subgroup exits 4, not 2. The quadric's polarization is checked on
+every pair of an F_2-basis, complete because both sides are biadditive,
+so sp (2,8), (3,4) and (5,2) run in seconds in both actions.
 A failed `selftest` check carries an `error` field and makes the run exit 1.
 Random probes take their seed from `--probe`; there is no `--seed` flag.
 """
@@ -224,37 +228,30 @@ def _search_summary(report: dict) -> str:
     return "NONE (exhaustive)" if report["status"] == sharp_search.NONE_EXHAUSTIVE else "UNKNOWN (budget)"
 
 
-def _full_system_step(args) -> str | None:
-    """The first capped step of a linsys run if it sees a full system (Z's staircase has its own shape)."""
-    if args.subgroup:
-        return None
-    if args.export_system:
-        return "dense array"
-    if args.probe or args.ring == "z" or args.p == 2:  # F_2 is not capped
-        return None
-    return "packed F_p elimination" if args.ring == "f_p" else "rational elimination"
-
-
 def _cmd_linsys(args) -> dict:
     if args.ring == "f_p":
         linsys.is_prime(args.p)  # a p past linsys.PRIME_BOUND is refused before any work
+
+    def check_cap(rows: int, cols: int) -> None:
+        linsys.check_run_cap(rows, cols, args.ring, args.p, bool(args.export_system), bool(args.probe))
+
     spec = load_group(args.group)
     restrict = args.fpf or args.pin_identity
-    step = _full_system_step(args)
-    if step and not restrict and spec.declared_order is not None:  # refused before enumeration
-        linsys.check_full_system_cap(spec.declared_order, math.perm(spec.degree, max(args.t, 0)), step)
+    if not (args.subgroup or restrict) and spec.declared_order is not None:  # refused before enumeration
+        check_cap(math.perm(spec.degree, max(args.t, 0)) ** 2, spec.declared_order)
     _, G = induced_action(enumerate_group(spec), args.t)
     if args.subgroup:
         _, H = induced_action(enumerate_group(load_group(args.subgroup)), args.t)
-        system = linsys.build_H_system(G, H)
-        if restrict:
-            system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)
+        if restrict:  # the kept classes are known only once the collapse is built
+            system = linsys.restrict_to_fpf(linsys.build_H_system(G, H), pin_identity=args.pin_identity)
+        else:  # every H-orbit of pairs and every H-class holds at most |H| members
+            check_cap(-(-G.degree**2 // H.order), -(-G.order // H.order))
+            system = linsys.build_H_system(G, H)
     else:
         elements = G.elements
         if restrict:
             elements = [elements[k] for k in linsys.fpf_columns(elements, args.pin_identity)]
-        if step:  # on the kept columns, before any is built
-            linsys.check_full_system_cap(len(elements), G.degree, step)
+        check_cap(G.degree**2, len(elements))  # on the kept columns, before any is built
         system = linsys.build_full_system(elements, G.degree)
         if args.pin_identity:  # the identity's column, left out, held a 1 in each row (x, x)
             system.rhs[:: G.degree + 1] = [0] * G.degree

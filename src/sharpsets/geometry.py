@@ -276,8 +276,8 @@ def _point_perm(space: SymplecticSpace, vec_map, action: str) -> Perm:
     return tuple(space.proj_point(vec_map(rep)) for rep in space.proj_points)
 
 
-def frobenius_point_map(space: SymplecticSpace, action: str = "projective") -> Perm:
-    """Coordinatewise squaring as a permutation of points.
+def frobenius_point_map(space: SymplecticSpace) -> Perm:
+    """Coordinatewise squaring as a permutation of projective points.
 
     It is semilinear and fixes the form's (prime field) coefficients, so it
     maps lines to lines and preserves nonsingularity.
@@ -287,7 +287,7 @@ def frobenius_point_map(space: SymplecticSpace, action: str = "projective") -> P
     def sq(v: Vector) -> Vector:
         return tuple(gf.mul(F, c, c) for c in v)
 
-    return _point_perm(space, sq, action)
+    return _point_perm(space, sq, "projective")
 
 
 def vector_lift(space: SymplecticSpace, proj_set: int) -> int:

@@ -97,9 +97,18 @@ def _check_cap(shape: tuple[int, int], what: str) -> None:
         raise GroupTooLarge(f"a {shape[0]} x {shape[1]} {what} passes the cap of {DENSE_CELL_CAP} cells")
 
 
-def check_full_system_cap(elements: int, points: int, what: str) -> None:
-    """Raise GroupTooLarge as `what`, a capped step on [A | b] of a full system, would: N^2 x (elements + 1)."""
-    _check_cap((points * points, elements + 1), what)
+def check_run_cap(rows: int, cols: int, ring: str, p: int | None, export: bool, probe: bool) -> None:
+    """Raise GroupTooLarge as a run's first capped step would on [A | b] of a rows x cols system.
+
+    The export's dense array comes first, then the packed F_p elimination for
+    odd p, or the rational elimination for Q and Z>=0. A probe, Z (the mod-2
+    prescreen may answer first, and the staircase has its own shape) and F_2
+    (not capped) have no such step.
+    """
+    if not export and (probe or ring == "z" or p == 2):
+        return
+    what = "dense array" if export else "packed F_p elimination" if ring == "f_p" else "rational elimination"
+    _check_cap((rows, cols + 1), what)
 
 
 @dataclass
@@ -157,12 +166,12 @@ def build_H_system(G: GroupEnumeration, H: GroupEnumeration) -> ExactSystem:
         return Counter(map(orbit_of.__getitem__, enumerate(g)))
 
     columns = []
-    for rep, members in zip(classes.reps, classes.classes):
-        col = a_of(rep)
+    for members in classes:
+        col = a_of(members[0])
         for other in members[1:]:
             expect(a_of(other) == col, "coefficient not constant on a conjugation class")
         columns.append(dict(col))
-    return ExactSystem(columns, [len(orb) for orb in orbits], list(classes.reps))
+    return ExactSystem(columns, [len(orb) for orb in orbits], [members[0] for members in classes])
 
 
 def fpf_columns(elements: list[Perm], pin_identity: bool = False) -> list[int]:

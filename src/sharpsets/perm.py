@@ -265,25 +265,23 @@ def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) ->
     return orbit
 
 
-def enumeration_from_elements(degree, elements, name="", check=True) -> GroupEnumeration:
-    """Wrap an explicit list of int sequences as Perms; with check=True verify it is a group."""
+def enumeration_from_elements(degree, elements, name="") -> GroupEnumeration:
+    """Wrap an explicit list of int sequences as Perms, checked to form a group."""
     elements = list(map(as_perm, elements))
-    enum = GroupEnumeration(degree, elements, name)
-    if check:
-        eset = set(elements)
-        if len(eset) != len(elements):
-            raise ValueError("duplicate elements")
-        if identity(degree) not in eset:
-            raise ValueError("identity missing")
-        for g in elements:
-            if inverse(g) not in eset:
-                raise ValueError(f"inverse of {g} missing")
-        if len(elements) <= 2000:
-            for a in elements:
-                for b in elements:
-                    if compose(a, b) not in eset:
-                        raise ValueError("not closed under composition")
-    return enum
+    eset = set(elements)
+    if len(eset) != len(elements):
+        raise ValueError("duplicate elements")
+    if identity(degree) not in eset:
+        raise ValueError("identity missing")
+    for g in elements:
+        if inverse(g) not in eset:
+            raise ValueError(f"inverse of {g} missing")
+    if len(elements) <= 2000:
+        for a in elements:
+            for b in elements:
+                if compose(a, b) not in eset:
+                    raise ValueError("not closed under composition")
+    return GroupEnumeration(degree, elements, name)
 
 
 AXIOM_INVERSE_LIMIT = 10_000  # elements whose inverse check_group_axioms looks up
@@ -351,10 +349,10 @@ def induced_action(group, t: int):
     action = arrangements(group.degree, t)
     if isinstance(group, GroupSpec):
         gens = tuple(action.cell_perm(g) for g in group.generators)
-        out = GroupSpec(action.size, gens, f"{group.name}^({t})", group.declared_order, group.path)
+        out = GroupSpec(action.size, gens, group.name, group.declared_order, group.path)
     else:
         elems = [action.cell_perm(g) for g in group.elements]
-        out = GroupEnumeration(action.size, elems, f"{group.name}^({t})")
+        out = GroupEnumeration(action.size, elems, group.name)
     return action, out
 
 
@@ -376,34 +374,27 @@ def orbits_on_pairs(H: GroupEnumeration) -> list[list[tuple[int, int]]]:
     return blocks
 
 
-@dataclass
-class ConjugationClasses:
-    """Orbits of H acting on G by conjugation g -> h^-1 g h."""
+def conjugation_reps(G: GroupEnumeration, H: GroupEnumeration) -> list[list[Perm]]:
+    """The orbits of H on G by conjugation g -> h^-1 g h, each in enumeration order.
 
-    reps: list[Perm]
-    sizes: list[int]
-    classes: list[list[Perm]]
-
-
-def conjugation_reps(G: GroupEnumeration, H: GroupEnumeration) -> ConjugationClasses:
-    """Representatives (minimal in enumeration order) of H-conjugation orbits on G."""
+    A class's first member, minimal in enumeration order, is its
+    representative, and the classes come in the order of their representatives.
+    """
     gset = G.index()
     for h in H.elements:
         if h not in gset:
             raise ValueError("H is not contained in G")
     hinv = [inverse(h) for h in H.elements]
     assigned = set()
-    reps, sizes, classes = [], [], []
+    classes = []
     for g in G.elements:
         if g in assigned:
             continue
         orbit = {compose(compose(hi, g), h) for hi, h in zip(hinv, H.elements)}
         assigned |= orbit
-        reps.append(g)
-        sizes.append(len(orbit))
         classes.append(sorted(orbit, key=gset.__getitem__))
-    expect(sum(sizes) == G.order, "conjugation orbits do not partition G")
-    return ConjugationClasses(reps, sizes, classes)
+    expect(sum(map(len, classes)) == G.order, "conjugation orbits do not partition G")
+    return classes
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,78 @@ def test_linsys_refuses_early_only_on_the_full_system(tmp_path, monkeypatch):
             main(["linsys", "--group", m22, *argv, "--out", str(tmp_path / "report.json")])
 
 
+def test_linsys_refuses_a_collapse_on_its_least_shape(tmp_path, monkeypatch, capsys):
+    # collapsed by the trivial subgroup, M22 keeps all 484 orbits and 443,520
+    # classes: the cap refuses that shape before the collapse is built
+    import functools
+
+    from sharpsets import cli, linsys
+
+    def never(G, H):
+        raise AssertionError(f"built the collapse of {G.order} elements the cap refuses")
+
+    monkeypatch.setattr(linsys, "build_H_system", never)
+    monkeypatch.setattr(cli, "enumerate_group", functools.cache(cli.enumerate_group))
+    trivial = tmp_path / "trivial.grp"
+    trivial.write_text(f"n 22\n{' '.join(map(str, range(22)))}\n")
+    m22 = str(shipped_group_path("m22"))
+    for argv, what in (
+        (["--ring", "q"], "rational elimination"),
+        (["--ring", "znn"], "rational elimination"),
+        (["--ring", "f_p", "--p", "3"], "packed F_p elimination"),
+        (["--ring", "z", "--export-system", str(tmp_path / "m22.sys")], "dense array"),
+    ):
+        assert run_cli(tmp_path, "linsys", "--group", m22, "--subgroup", str(trivial), *argv) == (4, None), argv
+        err = capsys.readouterr().err
+        assert err == f"refused for size: a 484 x 443521 {what} passes the cap of 8388608 cells\n", argv
+    assert not (tmp_path / "m22.sys").exists()
+
+
+def test_linsys_collapse_refusal_is_the_capped_steps_own(tmp_path, monkeypatch, capsys):
+    # on a trivial subgroup the least shape is the collapse's own, so the line is
+    # the one the solver or the export prints on it; Z, F_2, a probe and --fpf
+    # have no early check and build the collapse as before
+    from sharpsets import linsys
+    from sharpsets.perm import GroupTooLarge, enumerate_group, induced_action, load_group
+
+    s5 = shipped_group_path("s5")
+    trivial = tmp_path / "trivial.grp"
+    trivial.write_text("n 5\n0 1 2 3 4\n")
+    _, pairs = induced_action(enumerate_group(load_group(s5)), 2)
+    _, one = induced_action(enumerate_group(load_group(trivial)), 2)
+    system = linsys.build_H_system(pairs, one)
+    build_H_system, built = linsys.build_H_system, []
+
+    def counted(G, H):
+        built.append(H.order)
+        return build_H_system(G, H)
+
+    monkeypatch.setattr(linsys, "build_H_system", counted)
+    monkeypatch.setattr(linsys, "DENSE_CELL_CAP", 1000)
+    out = str(tmp_path / "s5.sys")
+    collapse = ["linsys", "--group", str(s5), "--t", "2", "--subgroup", str(trivial)]
+    for argv, step in (
+        (["--ring", "q"], linsys.solve_rational),
+        (["--ring", "znn"], linsys.solve_nonneg_integer),
+        (["--ring", "f_p", "--p", "5"], lambda s: linsys.solve_mod_p(s, 5)),
+        (["--ring", "z", "--export-system", out], lambda s: linsys.dump_system(s, out)),
+    ):
+        with pytest.raises(GroupTooLarge) as refused:
+            step(system)
+        assert run_cli(tmp_path, *collapse, *argv) == (4, None), argv
+        assert capsys.readouterr().err == f"refused for size: {refused.value}\n", argv
+    assert built == []
+    for argv in (
+        ["--ring", "z"],
+        ["--ring", "f_p", "--p", "2"],
+        ["--ring", "znn", "--probe", "keep=3"],
+        ["--ring", "q", "--fpf"],
+    ):
+        run_cli(tmp_path, *collapse, *argv)
+        assert built == [1], argv
+        built.clear()
+
+
 def test_dense_cap_refuses_before_allocating(tmp_path, monkeypatch, capsys):
     # only the solvers that eliminate by rows, and the export, densify; F_2 works on the columns
     from sharpsets import linsys

@@ -140,7 +140,7 @@ def test_generators_preserve_form_and_lines():
 
 def test_frobenius_preserves_nonsingular_family():
     sp = space(2, 4)
-    frob = geometry.frobenius_point_map(sp, "projective")
+    frob = geometry.frobenius_point_map(sp)
     ns = {l.points for l in geometry.nonsingular_lines(sp)}
     for pts in ns:
         assert perm.apply_to_set(frob, pts) in ns

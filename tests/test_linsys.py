@@ -973,9 +973,7 @@ def test_local_global_a6_pairs(a6):
     def sub(*cycs_list, name=""):
         gens = tuple(from_cycles(6, *cycs) for cycs in cycs_list)
         small = enumerate_group(GroupSpec(6, gens, name))
-        return perm.enumeration_from_elements(
-            action.size, [action.cell_perm(g) for g in small.elements], name, check=False
-        )
+        return perm.enumeration_from_elements(action.size, [action.cell_perm(g) for g in small.elements], name)
 
     syl2 = sub([(0, 1, 2, 3), (4, 5)], [(0, 2), (4, 5)], name="syl2")
     syl3 = sub([(0, 1, 2)], [(3, 4, 5)], name="syl3")
