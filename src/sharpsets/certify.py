@@ -241,6 +241,10 @@ def _run_alt(n: int) -> VerificationReport:
             conclusion=HYPOTHESIS_NOT_MET,
             assumptions=(f"n = {n} is {n % 4} mod 4; the parity argument needs 2 or 3",),
         )
+    order = math.prod(range(3, min(n, 20) + 1))  # n!/2, exact up to n = 20 and past the cap beyond
+    if order > DEFAULT_ENUMERATION_CAP:  # refused before anything of size n is built
+        shown = order if n <= 20 else f"{n}!/2"
+        raise GroupTooLarge(f"A{n} declares order {shown}, past the cap of {DEFAULT_ENUMERATION_CAP} elements")
     action, on_pairs = induced_action(_alt_generators(n), 2)  # enumerated on its pairs, in the BFS order of its points
     asc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x < y)
     desc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x > y)

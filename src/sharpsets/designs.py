@@ -1,7 +1,8 @@
 """The Witt design on 23 points, the McLaughlin graph, symmetric-design arithmetic.
 
 The design is built from scratch: the length-23 binary quadratic-residue code
-(dimension 12, minimum weight 7) is generated inside GF(2^11), and the 253
+(dimension 12, minimum weight 7) is generated by gcd(x^23 + 1, e(x)) over
+GF(2), e(x) being the sum of x^r over the squares r mod 23, and the 253
 supports of weight-7 codewords are the blocks. Everything downstream is
 verified combinatorially (Steiner property, intersection spectrum, strong
 regularity) rather than taken from tables.
@@ -45,34 +46,18 @@ class Design:
 
 
 def _qr_generator_polynomial() -> int:
-    """GF(2) generator polynomial of the [23, 12, 7] quadratic-residue code.
+    """GF(2) generator polynomial of the [23, 12, 7] quadratic-residue code: gcd(x^23 + 1, e(x)).
 
-    Its roots are alpha^r for r running over the squares mod 23, where alpha
-    is an element of order 23 in GF(2^11); the coefficients land in GF(2).
+    e(x), the sum of x^r over the squares r mod 23, is the code's idempotent:
+    2 is a square mod 23, so e(x)^2 = e(x) mod x^23 + 1, and the ideal it
+    generates has gcd(x^23 + 1, e(x)) as its generator polynomial
+    (MacWilliams & Sloane 1977, ch. 8 and 16). Euclid runs in GF(2)[x].
     """
-    F = gf.FieldSpec(11, gf.default_modulus(11))
-    alpha = None
-    for gamma in range(2, F.q):
-        cand = gf.power(F, gamma, 89)  # 2^11 - 1 = 23 * 89
-        if cand != 1:
-            alpha = cand
-            break
-    expect(alpha is not None and gf.power(F, alpha, 23) == 1, "an element of order 23 in GF(2^11)")
-    # product of (x + alpha^r) over the residue exponents, in GF(2^11)[x]
-    poly = [1]
-    for r in QUADRATIC_RESIDUES_23:
-        root = gf.power(F, alpha, r)
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] ^= c
-            nxt[i] ^= gf.mul(F, root, c)
-        poly = nxt
-    expect(all(c in (0, 1) for c in poly), "coefficients must drop to GF(2)")
-    bits = 0
-    for i, c in enumerate(poly):
-        bits |= c << i
-    expect(bits.bit_length() - 1 == 11, "the generator polynomial has degree 11")
-    return bits
+    a, b = 1 << 23 | 1, sum(1 << r for r in QUADRATIC_RESIDUES_23)
+    while b:
+        a, b = b, gf.poly_mod(a, b)
+    expect(a.bit_length() - 1 == 11, "the generator polynomial has degree 11")
+    return a
 
 
 def golay_codewords() -> list[int]:
@@ -172,12 +157,6 @@ class Graph:
 
     def adjacent(self, i: int, j: int) -> bool:
         return bool(self.adj[i] >> j & 1)
-
-
-def common_neighborhood(graph: Graph, i: int, j: int) -> int:
-    if i == j:
-        raise ValueError("need two distinct vertices")
-    return graph.adj[i] & graph.adj[j]
 
 
 @dataclass
@@ -367,8 +346,8 @@ def _gf23_power_map() -> Perm:
     """y -> y^3 on squares, y -> 2 y^3 on non-squares, fixing 0.
 
     The constants depend on which of the two quadratic-residue codes the
-    generator polynomial produced; this pair is the one that preserves ours
-    (asserted by the caller against the full block set).
+    generator polynomial gives; this pair preserves the one of the squares'
+    idempotent e(x) (asserted by the caller against the full block set).
     """
     qr = set(QUADRATIC_RESIDUES_23)
     images = [0] * 23

@@ -27,8 +27,8 @@ class SymplecticSpace:
     vectors: list[Vector] = field(repr=False)           # all nonzero vectors, lex order
     vec_index: dict = field(repr=False)
     proj_points: list[Vector] = field(repr=False)       # canonical representatives
-    proj_index: dict = field(repr=False)                # canonical rep -> projective index
     scalar_maps: list[tuple[int, ...]] = field(repr=False)  # for c = 1..q-1: projective index -> index of c * rep
+    proj_of: list[int] = field(repr=False)              # vector index -> projective index, read off scalar_maps
 
     @property
     def q(self) -> int:
@@ -46,18 +46,8 @@ class SymplecticSpace:
     def num_proj_points(self) -> int:
         return len(self.proj_points)
 
-    def canonical_rep(self, v: Vector) -> Vector:
-        """Scale v so its first nonzero coordinate is 1."""
-        for c in v:
-            if c:
-                if c == 1:
-                    return v
-                s = gf.inv(self.field, c)
-                return tuple(gf.mul(self.field, s, x) for x in v)
-        raise ValueError("zero vector has no projective point")
-
     def proj_point(self, v: Vector) -> int:
-        return self.proj_index[self.canonical_rep(v)]
+        return self.proj_of[self.vec_index[v]]
 
     def add(self, u: Vector, v: Vector) -> Vector:
         return tuple(a ^ b for a, b in zip(u, v))
@@ -74,10 +64,12 @@ def symplectic_space(n: int, field: FieldSpec) -> SymplecticSpace:
     vec_index = {v: i for i, v in enumerate(vectors)}
     # lex order meets each point's representative (first nonzero coordinate 1) before its other multiples
     proj_points = [v for v in vectors if next(filter(None, v)) == 1]
-    proj_index = {rep: i for i, rep in enumerate(proj_points)}
-    space = SymplecticSpace(n, field, vectors, vec_index, proj_points, proj_index, [])
+    space = SymplecticSpace(n, field, vectors, vec_index, proj_points, [], [0] * len(vectors))
     space.scalar_maps = [tuple(vec_index.get(space.scale(c, rep)) for rep in proj_points) for c in range(1, q)]
     expect(set(itertools.chain(*space.scalar_maps)) == set(range(len(vectors))), "c * rep, c != 0, misses a vector")
+    for scalar_map in space.scalar_maps:
+        for i, k in enumerate(scalar_map):
+            space.proj_of[k] = i
     expect(len(vectors) == q ** (2 * n) - 1, "vector count")
     expect(len(proj_points) == (q ** (2 * n) - 1) // (q - 1), "projective point count")
     return space

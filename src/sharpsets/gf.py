@@ -14,15 +14,11 @@ from .perm import expect
 MAX_M = 16
 
 
-def _poly_divmod(a: int, b: int) -> tuple[int, int]:
-    """Quotient and remainder of GF(2)[x] division."""
-    db = b.bit_length() - 1
-    q = 0
-    while a.bit_length() - 1 >= db and a:
-        shift = a.bit_length() - 1 - db
-        q ^= 1 << shift
-        a ^= b << shift
-    return q, a
+def poly_mod(a: int, b: int) -> int:
+    """The remainder of a divided by b != 0 in GF(2)[x]."""
+    while a.bit_length() >= b.bit_length():
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
 
 
 def is_irreducible(poly: int) -> bool:
@@ -32,7 +28,7 @@ def is_irreducible(poly: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for cand in range(1 << d, 1 << (d + 1)):
-            if _poly_divmod(poly, cand)[1] == 0:
+            if poly_mod(poly, cand) == 0:
                 return False
     return True
 
@@ -81,10 +77,6 @@ def field_for_q(q: int, modulus: int | None = None) -> FieldSpec:
     return FieldSpec(m, default_modulus(m) if modulus is None else modulus)
 
 
-def add(a: int, b: int) -> int:
-    return a ^ b
-
-
 def mul(F: FieldSpec, a: int, b: int) -> int:
     p = 0
     while b:
@@ -125,13 +117,3 @@ def trace(F: FieldSpec, a: int) -> int:
         x = mul(F, x, x)
     expect(t in (0, 1), "trace must land in the prime field")
     return t
-
-
-def frobenius_orbit(F: FieldSpec, a: int) -> list[int]:
-    """[a, a^2, a^4, ...] up to the first repeat; the length divides m."""
-    orbit = [a]
-    x = mul(F, a, a)
-    while x != a:
-        orbit.append(x)
-        x = mul(F, x, x)
-    return orbit

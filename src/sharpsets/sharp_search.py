@@ -30,12 +30,10 @@ ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 @dataclass
 class CoverInstance:
-    """Exact-cover matrix: rows[i] is the column bitset covered by element i,
-    columns[j] the row bitset of column j, and units[i] a 1 in the `width`-bit
-    field of each of row i's columns."""
+    """Exact-cover matrix: columns[j] is the row bitset of column j, and
+    units[i] a 1 in the `width`-bit field of each of row i's columns."""
 
     n_cells: int
-    rows: list[int]
     columns: list[int]
     units: list[int]
     width: int
@@ -44,15 +42,11 @@ class CoverInstance:
     def n_columns(self) -> int:
         return self.n_cells * self.n_cells
 
-    def __post_init__(self):
-        expect(all(row.bit_count() == self.n_cells for row in self.rows), "each row covers one image per source cell")
-
 
 def build_cover_instance(elements: list[Perm]) -> CoverInstance:
     n = len(elements[0])
-    rows, columns = [], [0] * (n * n)
+    columns = [0] * (n * n)
     for ri, g in enumerate(elements):
-        rows.append(sum(1 << (c * n + g[c]) for c in range(n)))
         for c in range(n):
             columns[c * n + g[c]] |= 1 << ri
     width = 8  # whole bytes, with the all-ones field above every live-row count
@@ -61,7 +55,7 @@ def build_cover_instance(elements: list[Perm]) -> CoverInstance:
     step = width // 8  # bytes per field; a unit is n blocks of n fields, block c holding a 1 in field g[c]
     blocks = [bytes(j * step) + b"\1" + bytes((n - j) * step - 1) for j in range(n)]
     units = [int.from_bytes(b"".join(map(blocks.__getitem__, g)), "little") for g in elements]
-    return CoverInstance(n, rows, columns, units, width)
+    return CoverInstance(n, columns, units, width)
 
 
 @dataclass

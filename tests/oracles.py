@@ -22,6 +22,9 @@ dump_group writes the group files that perm.load_group reads.
 seeded_integer_corpus is the seeded random corpus of small integer systems
 on which the Z solver is checked, each with its exhaustive box-search
 answer from bounded_solution_exists, computed once per session.
+reference_proj_points is the canonical-representative rule (scale by the
+inverse of the first nonzero coordinate) that geometry's reading of a
+vector's projective point off the scalar maps replaced.
 reference_golay_codewords, reference_mclaughlin_adjacency,
 reference_non_adjacent_family and reference_graph_error are the pairwise
 definitions (shift-and-add products, one test per pair of blocks or
@@ -37,6 +40,7 @@ from collections import deque
 from fractions import Fraction
 from operator import mul
 
+from sharpsets import gf
 from sharpsets.certify import REFUTED, Certificate, verify_certificate_enumerated
 from sharpsets.designs import Design, Graph, _qr_generator_polynomial
 from sharpsets.linsys import (
@@ -403,6 +407,16 @@ def gf2_poly_mul(a: int, b: int) -> int:
         a <<= 1
         b >>= 1
     return p
+
+
+def reference_proj_points(space) -> list[int]:
+    """Each vector's projective index by the canonical-representative rule: scale by the inverse of its first nonzero coordinate."""
+    index = {rep: i for i, rep in enumerate(space.proj_points)}
+    out = []
+    for v in space.vectors:
+        s = gf.inv(space.field, next(filter(None, v)))
+        out.append(index[tuple(gf.mul(space.field, s, x) for x in v)])
+    return out
 
 
 def reference_golay_codewords() -> list[int]:

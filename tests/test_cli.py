@@ -161,8 +161,9 @@ def test_cli_import_leaves_numpy_out():
 
 
 def test_selftest_fails_under_python_O(tmp_path):
-    # with multiplication in GF(2^m) broken, the checks must fail with a reason
-    # even though python -O strips every assert
+    # with multiplication in GF(2^m) broken, and the Golay code's idempotent
+    # (built over GF(2) alone) summed over the wrong exponents, the checks must
+    # fail with a reason even though python -O strips every assert
     import os
     import subprocess
     import sys
@@ -173,9 +174,10 @@ def test_selftest_fails_under_python_O(tmp_path):
     out = tmp_path / "selftest.json"
     script = (
         "import sys\n"
-        "from sharpsets import cli, gf\n"
+        "from sharpsets import cli, designs, gf\n"
         "if __debug__:\n    sys.exit('expected to run under python -O')\n"
         "gf.mul = lambda F, a, b: 0\n"
+        "designs.QUADRATIC_RESIDUES_23 = tuple(range(1, 12))\n"
         f"sys.exit(cli.main(['selftest', '--out', {str(out)!r}]))\n"
     )
     src = str(Path(sharpsets.__file__).resolve().parents[1])
@@ -314,11 +316,20 @@ def test_wrong_degree_group_file_is_refused_before_enumerating(tmp_path, monkeyp
     [
         (["verify", "alt", "--n", "14"], "A14 declares order 43589145600"),
         (["verify", "sp", "--n", "4", "--q", "2", "--enumerate-group"], "Sp(8,2)-projective declares order 47377612800"),
+        (["verify", "alt", "--n", "1002"], "A1002 declares order 1002!/2"),
+        (["verify", "alt", "--n", "2003"], "A2003 declares order 2003!/2"),  # n!/2 has more than 4300 digits
+        (["verify", "alt", "--n", "1000002"], "A1000002 declares order 1000002!/2"),
     ],
 )
-def test_declared_order_past_the_cap_is_refused_before_enumerating(tmp_path, capsys, argv, declared):
+def test_declared_order_past_the_cap_is_refused_before_enumerating(tmp_path, monkeypatch, capsys, argv, declared):
     import time
 
+    from sharpsets import perm
+
+    def arrangements(n, t):
+        raise AssertionError(f"built the {t}-arrangements of {n} points for a group the cap refuses")
+
+    monkeypatch.setattr(perm, "arrangements", arrangements)
     start = time.perf_counter()
     code, report = run_cli(tmp_path, *argv)
     assert (code, report) == (4, None)

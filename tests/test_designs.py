@@ -11,13 +11,12 @@ from oracles import (
     reference_mclaughlin_adjacency,
 )
 
-from sharpsets import designs, perm
+from sharpsets import designs, gf, perm
 from sharpsets.designs import (
     Graph,
     SymmetricDesignParams,
     blocks_avoiding,
     blocks_through,
-    common_neighborhood,
     srg_check,
     steiner_check,
     symmetric_design_refutation,
@@ -29,6 +28,13 @@ def test_block_count(witt):
     assert comb(23, 4) // comb(7, 4) == 253
     assert witt.b == 253
     assert witt.v == 23 and witt.k == 7
+
+
+def test_qr_generator_polynomial_is_pinned():
+    # x^11 + x^9 + x^7 + x^6 + x^5 + x + 1, a factor of x^23 + 1; the non-residues' idempotent gives 0xC75
+    g = designs._qr_generator_polynomial()
+    assert g == 0xAE3
+    assert gf.poly_mod(1 << 23 | 1, g) == 0
 
 
 def test_golay_codewords_are_the_products():
@@ -173,20 +179,8 @@ def test_common_neighborhood_sizes(mclaughlin):
     g = mclaughlin.graph
     non_adj = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if not g.adjacent(i, j))
     adj = next((i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.adjacent(i, j))
-    assert common_neighborhood(g, *non_adj).bit_count() == 56
-    assert common_neighborhood(g, *adj).bit_count() == 30
-
-
-def test_common_neighborhood_rejects_equal_vertices(mclaughlin):
-    with pytest.raises(ValueError):
-        common_neighborhood(mclaughlin.graph, 3, 3)
-
-
-def test_common_neighborhood_path_graph():
-    # path 0-1-2-3: the ends share no neighbors
-    adj = (0b0010, 0b0101, 0b1010, 0b0100)
-    g = Graph(4, adj)
-    assert common_neighborhood(g, 0, 3) == 0
+    assert (g.adj[non_adj[0]] & g.adj[non_adj[1]]).bit_count() == 56
+    assert (g.adj[adj[0]] & g.adj[adj[1]]).bit_count() == 30
 
 
 def test_mclaughlin_family_premise(mclaughlin):

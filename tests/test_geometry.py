@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from oracles import reference_proj_points
 
 from sharpsets import geometry, gf, perm
 
@@ -33,6 +34,13 @@ def test_form_alternating_random():
         y = sp.vectors[rng.randrange(sp.num_vectors)]
         assert geometry.symplectic_form(sp, x, x) == 0
         assert geometry.symplectic_form(sp, x, y) == geometry.symplectic_form(sp, y, x)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 4), (3, 2), (2, 8)])
+def test_proj_point_is_the_canonical_representative(n, q):
+    sp = space(n, q)
+    assert [sp.proj_point(v) for v in sp.vectors] == reference_proj_points(sp)
+    assert all(next(filter(None, rep)) == 1 for rep in sp.proj_points)
 
 
 def test_point_counts():

