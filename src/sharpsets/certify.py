@@ -32,6 +32,7 @@ from .perm import (
     GroupTooLarge,
     Perm,
     apply_to_set,
+    enumerate_by_cosets,
     enumerate_group,
     expect,
     induced_action,
@@ -272,7 +273,7 @@ def _run_m22(group_file=None, enumerated: bool = False, design: designs.Design |
         spec = load_group(group_file) if group_file else designs.witt_stabilizer_generators(design)
         if spec.degree != cert.domain:  # refused before enumerating, as the walk would refuse it after
             raise ValueError(f"certificate domain {cert.domain} != group degree {spec.degree}")
-        return verify_certificate_enumerated(enumerate_group(spec), cert, case="m22")
+        return verify_certificate_enumerated(enumerate_by_cosets(spec), cert, case="m22")
     gens = designs.witt_stabilizer_generators(design).generators
     family = set_orbit(gens, cert.c_set)
     census = {points ^ block for block in avoiding}
@@ -362,9 +363,10 @@ def _run_sp(
     if action not in ("projective", "vector"):
         raise ValueError("action must be 'projective' or 'vector'")
     fspec = gf.field_for_q(q, modulus)
-    census = geometry.nonsingular_line_count(n, q)
+    census = geometry.nonsingular_line_count(min(n, 7), q)  # exact up to n = 7, past the cap from n = 7 on
     if census > DEFAULT_ENUMERATION_CAP:  # set_orbit would refuse it, after building everything
-        raise GroupTooLarge(f"sp({2 * n},{q}) has {census} nonsingular lines, past the cap of {DEFAULT_ENUMERATION_CAP}")
+        shown = census if n <= 7 and census < 1 << 64 else f"{q}^{2 * n - 2}({q}^{2 * n} - 1)/({q}^2 - 1)"
+        raise GroupTooLarge(f"sp({2 * n},{q}) has {shown} nonsingular lines, past the cap of {DEFAULT_ENUMERATION_CAP}")
     space = geometry.symplectic_space(n, fspec)
     quad = geometry.elliptic_quadric(space)
     spec = geometry.symplectic_generators(space)
@@ -389,7 +391,7 @@ def _run_sp(
         case=case,
     )
     if enumerate_group_flag:
-        G = enumerate_group(geometry.symplectic_generators(space, action) if action == "vector" else spec)
+        G = enumerate_by_cosets(geometry.symplectic_generators(space, action) if action == "vector" else spec)
         enum_report = verify_certificate_enumerated(G, cert, case=case)
         expect(enum_report.conclusion == report.conclusion, "the enumerated and orbit verdicts differ")
         report.notes["enumerated_order"] = G.order

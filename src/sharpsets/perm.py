@@ -12,6 +12,7 @@ sequence and convert it with as_perm.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -198,6 +199,34 @@ class PermIndex(dict):
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
 
+def _declared_enumeration(spec: GroupSpec, cap: int, close) -> GroupEnumeration:
+    """The elements close(spec, cap) lists, held to the declared order: the refusals both enumerations share."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    if spec.declared_order is not None and spec.declared_order > cap:
+        raise GroupTooLarge(
+            f"{spec.path or spec.name or 'a group'} declares order {spec.declared_order}, past the cap of {cap} elements"
+        )
+    elements = close(spec, cap)
+    if spec.declared_order is not None and spec.declared_order != len(elements):
+        raise GroupFileError(
+            f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, "
+            f"enumerated {len(elements)}"
+        )
+    return GroupEnumeration(spec.degree, elements, spec.name)
+
+
+def _past_cap(spec: GroupSpec, cap: int) -> GroupTooLarge:
+    return GroupTooLarge(f"enumerating {spec.name or 'a group'} passed the cap of {cap} elements")
+
+
+def _right_product(n: int):
+    """(table, product) for degree n: product(a, table(b)) is the Perm ab."""
+    if n <= 256:  # a 256-entry translate table
+        return (lambda g: g + bytes(range(n, 256))), bytes.translate
+    return (lambda g: g.__getitem__), (lambda a, gen: tuple(map(gen, a)))
+
+
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupEnumeration:
     """Breadth-first closure of the generators under composition.
 
@@ -213,20 +242,13 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
     to 256 entries, and bytes cache their hash, so the set lookup and add
     hash nothing twice. Degrees above 256 use tuples, in the same BFS order.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if spec.declared_order is not None and spec.declared_order > cap:
-        raise GroupTooLarge(
-            f"{spec.path or spec.name or 'a group'} declares order {spec.declared_order}, past the cap of {cap} elements"
-        )
-    n = spec.degree
-    if n <= 256:
-        gens = [g + bytes(range(n, 256)) for g in spec.generators]
-        product = bytes.translate
-    else:
-        gens = [g.__getitem__ for g in spec.generators]
-        product = lambda cur, gen: tuple(map(gen, cur))
-    start = identity(n)
+    return _declared_enumeration(spec, cap, _bfs_closure)
+
+
+def _bfs_closure(spec: GroupSpec, cap: int) -> list[Perm]:
+    table, product = _right_product(spec.degree)
+    gens = list(map(table, spec.generators))
+    start = identity(spec.degree)
     seen = {start}
     elements = [start]
     add, append = seen.add, elements.append
@@ -235,15 +257,45 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
             nxt = product(cur, gen)
             if nxt not in seen:
                 if len(seen) >= cap:
-                    raise GroupTooLarge(f"enumerating {spec.name or 'a group'} passed the cap of {cap} elements")
+                    raise _past_cap(spec, cap)
                 add(nxt)
                 append(nxt)
-    if spec.declared_order is not None and spec.declared_order != len(elements):
-        raise GroupFileError(
-            f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, "
-            f"enumerated {len(elements)}"
-        )
-    return GroupEnumeration(n, elements, spec.name)
+    return elements
+
+
+def enumerate_by_cosets(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupEnumeration:
+    """The elements of enumerate_group's group, right coset by right coset (Dimino), with the same refusals.
+
+    Generators go by decreasing order, skipping any the group H built so far
+    holds. Each extends H by cosets: for r = 1, then each new representative,
+    and each generator t taken so far, r t is tested once and if new its coset
+    H (r t) is added, so every element is made once. The order is reproducible
+    but is not the BFS order.
+    """
+    return _declared_enumeration(spec, cap, _coset_closure)
+
+
+def _coset_closure(spec: GroupSpec, cap: int) -> list[Perm]:
+    table, product = _right_product(spec.degree)
+    elements = [identity(spec.degree)]
+    seen = set(elements)
+    taken = []
+    for g in sorted(spec.generators, key=lambda g: -math.lcm(*cycle_type(g))):
+        if g in seen:
+            continue
+        taken.append(table(g))
+        H, reps = elements[:], elements[:1]  # of 1's products only 1 g = g is new
+        for r in reps:  # the list grows while it is walked
+            for c in (product(r, t) for t in taken):
+                if c not in seen:
+                    if len(elements) + len(H) > cap:
+                        raise _past_cap(spec, cap)
+                    right = table(c)
+                    coset = [product(h, right) for h in H]
+                    seen.update(coset)
+                    elements += coset
+                    reps.append(coset[0])  # 1 c, equal to c: one object per element, none kept twice
+    return elements
 
 
 def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from conftest import shipped_group_path
 from oracles import (
     certificate_search,
     orthogonal_basis,
@@ -271,6 +273,24 @@ def test_run_case_m22_modes_agree(m22_enum):
     assert fam.spectrum == {0: 1, 4: 105, 6: 70}
     assert enum_rep.spectrum == {0: 2520, 4: 264600, 6: 176400}
     assert sum(enum_rep.spectrum.values()) == 443520
+
+
+@pytest.mark.parametrize(
+    "case, options",
+    [
+        ("m22", {"enumerated": True}),
+        ("m22", {"group_file": str(shipped_group_path("m22"))}),
+        ("sp", {"n": 2, "q": 2, "enumerate_group_flag": True}),
+        ("sp", {"n": 2, "q": 2, "action": "vector", "enumerate_group_flag": True}),
+    ],
+)
+def test_coset_and_bfs_enumerations_give_one_report(monkeypatch, witt, case, options):
+    # the coset order never reaches a report: the spectrum is written sorted
+    if case == "m22":
+        options = {**options, "design": witt}
+    by_cosets = json.dumps(run_case(case, **options).as_dict())
+    monkeypatch.setattr(certify, "enumerate_by_cosets", perm.enumerate_group)
+    assert json.dumps(run_case(case, **options).as_dict()) == by_cosets
 
 
 def test_mclaughlin_spectrum_multiplicities(mclaughlin):

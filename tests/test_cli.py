@@ -291,7 +291,7 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
 
     s22 = tmp_path / "s22.grp"
     s22.write_text("n 22\n1 0 " + " ".join(map(str, range(2, 22))) + "\n" + " ".join(map(str, range(1, 22))) + " 0\n")
-    monkeypatch.setattr(certify, "enumerate_group", lambda spec: perm.enumerate_group(spec, cap=5000))
+    monkeypatch.setattr(certify, "enumerate_by_cosets", lambda spec: perm.enumerate_by_cosets(spec, cap=5000))
     code, report = run_cli(tmp_path, "verify", "m22", "--group", str(s22))
     assert code == 4
     assert report is None
@@ -302,10 +302,10 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
 def test_wrong_degree_group_file_is_refused_before_enumerating(tmp_path, monkeypatch, capsys):
     from sharpsets import certify
 
-    def enumerate_group(spec):
+    def enumerate_by_cosets(spec):
         raise AssertionError(f"enumerated {spec.name}, whose degree cannot carry the m22 certificate")
 
-    monkeypatch.setattr(certify, "enumerate_group", enumerate_group)
+    monkeypatch.setattr(certify, "enumerate_by_cosets", enumerate_by_cosets)
     code, report = run_cli(tmp_path, "verify", "m22", "--group", str(shipped_group_path("s5")))
     assert (code, report) == (2, None)
     assert capsys.readouterr().err == "bad input: certificate domain 22 != group degree 5\n"
@@ -319,6 +319,8 @@ def test_wrong_degree_group_file_is_refused_before_enumerating(tmp_path, monkeyp
         (["verify", "alt", "--n", "1002"], "A1002 declares order 1002!/2"),
         (["verify", "alt", "--n", "2003"], "A2003 declares order 2003!/2"),  # n!/2 has more than 4300 digits
         (["verify", "alt", "--n", "1000002"], "A1000002 declares order 1000002!/2"),
+        (["verify", "sp", "--n", "2", "--q", "4096"], "sp(4,4096) has 281474993487872 nonsingular lines"),
+        (["verify", "sp", "--n", "4000", "--q", "2"], "sp(8000,2) has 2^7998(2^8000 - 1)/(2^2 - 1) nonsingular lines"),
     ],
 )
 def test_declared_order_past_the_cap_is_refused_before_enumerating(tmp_path, monkeypatch, capsys, argv, declared):

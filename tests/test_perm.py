@@ -110,9 +110,10 @@ def test_declared_order_past_the_cap_is_refused_unenumerated(tmp_path):
     # a wrong order line past the cap is refused for size: nothing is enumerated to find it wrong
     path = tmp_path / "c5.grp"
     path.write_text("n 5\norder 101\n1 2 3 4 0\n")
-    with pytest.raises(perm.GroupTooLarge, match=f"^{re.escape(str(path))} declares order 101, past the cap of 100 elements$"):
-        enumerate_group(perm.load_group(path), cap=100)
-    assert enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), declared_order=5), cap=5).order == 5
+    for enumerate_ in ENUMERATIONS:
+        with pytest.raises(perm.GroupTooLarge, match=f"^{re.escape(str(path))} declares order 101, past the cap of 100 elements$"):
+            enumerate_(perm.load_group(path), cap=100)
+        assert enumerate_(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), declared_order=5), cap=5).order == 5
 
 
 def test_enumerate_declared_order_mismatch():
@@ -149,6 +150,7 @@ def sp22_projective():
     return geometry.symplectic_generators(space, "projective")
 
 
+ENUMERATIONS = (enumerate_group, perm.enumerate_by_cosets)
 ENUMERATION_CASES = {
     "A6": (lambda: GroupSpec(6, (from_cycles(6, (0, 1, 2)), from_cycles(6, (1, 2, 3, 4, 5))), "A6"), 360),
     "A7": (lambda: GroupSpec(7, (from_cycles(7, (0, 1, 2)), from_cycles(7, (2, 3, 4, 5, 6))), "A7"), 2520),
@@ -197,14 +199,62 @@ def test_every_constructor_returns_the_degree_type(n):
 
 @pytest.mark.parametrize("case", ["S6", "C256", "C300"])
 def test_enumeration_refusals_on_both_paths(case):
+    # bytes and tuples, BFS and cosets: the same refusals, word for word
     build, order = ENUMERATION_CASES[case]
     spec = build()
-    assert enumerate_group(spec, cap=order).order == order
-    with pytest.raises(perm.GroupTooLarge, match=f"^enumerating {spec.name} passed the cap of {order - 1} elements$"):
-        enumerate_group(spec, cap=order - 1)
-    wrong = GroupSpec(spec.degree, spec.generators, spec.name, declared_order=order + 1)
-    with pytest.raises(perm.GroupFileError, match=f"^{spec.name}: declared order {order + 1}, enumerated {order}$"):
-        enumerate_group(wrong)
+    for enumerate_ in ENUMERATIONS:
+        assert enumerate_(spec, cap=order).order == order
+        with pytest.raises(perm.GroupTooLarge, match=f"^enumerating {spec.name} passed the cap of {order - 1} elements$"):
+            enumerate_(spec, cap=order - 1)
+        wrong = GroupSpec(spec.degree, spec.generators, spec.name, declared_order=order + 1)
+        with pytest.raises(perm.GroupFileError, match=f"^{spec.name}: declared order {order + 1}, enumerated {order}$"):
+            enumerate_(wrong)
+
+
+def sp22_vector():
+    space = geometry.symplectic_space(2, gf.field_for_q(2))
+    return geometry.symplectic_generators(space, "vector")
+
+
+def assert_same_group(enum, elements, degree):
+    """enum lists the set `elements` once each, as the degree's Perm type."""
+    assert enum.degree == degree and enum.order == len(set(enum.elements)) == len(set(elements))
+    assert set(map(tuple, enum.elements)) == set(map(tuple, elements))
+    assert all(type(g) is perm.perm_type(degree) for g in enum.elements)
+
+
+COSET_CASES = {**ENUMERATION_CASES, "sp(2,2)-vector": (sp22_vector, 720)}
+
+
+@pytest.mark.parametrize("case", COSET_CASES)
+def test_coset_enumeration_is_the_reference_set(case):
+    build, order = COSET_CASES[case]
+    spec = build()
+    enum = perm.enumerate_by_cosets(spec)
+    assert enum.order == order and enum.elements[0] == identity(spec.degree)
+    assert_same_group(enum, reference_enumeration(spec), spec.degree)
+
+
+def test_coset_enumeration_of_m22_is_the_bfs_set(m22_spec, m22_enum):
+    # against the BFS enumeration pinned above; the tuple reference would take seconds here
+    assert_same_group(perm.enumerate_by_cosets(m22_spec), m22_enum.elements, 22)
+
+
+def test_coset_enumeration_skips_the_identity_and_repeated_generators():
+    cycle, swap = from_cycles(5, (0, 1, 2, 3, 4)), from_cycles(5, (0, 1))
+    spec = GroupSpec(5, (identity(5), swap, cycle, swap, compose(swap, cycle)), "S5")
+    enum = perm.enumerate_by_cosets(spec, cap=120)
+    assert enum.order == 120
+    assert_same_group(enum, reference_enumeration(spec), 5)
+    assert perm.enumerate_by_cosets(GroupSpec(3, (identity(3),) * 2)).elements == [identity(3)]
+
+
+def test_coset_enumeration_matches_bfs_on_random_groups():
+    rng = random.Random(20250)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        spec = GroupSpec(n, tuple(rng.sample(range(n), n) for _ in range(rng.randint(1, 3))))
+        assert_same_group(perm.enumerate_by_cosets(spec), enumerate_group(spec).elements, n)
 
 
 def test_group_axioms_small(c5, s3, s4, a6):
