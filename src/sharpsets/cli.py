@@ -16,17 +16,17 @@ solves over Z or Z>=0. A file that cannot be read or written (a missing
 group file, a directory given as a path, an `--out` or `--export-*` path
 in a missing directory) exits 3 with one stderr line and no report, the
 report's own file included. Input refused for size exits 4, likewise: a
-group or orbit too large to enumerate (a group whose declared order
-passes the cap is refused before any element is built), an sp case past
+group or orbit too large to enumerate (refused on its declared order, or
+else its stabilizer chain's, before any element is built), an sp case past
 the orbit cap, a linear system past linsys.DENSE_CELL_CAP cells (systems
 are stored by column; the Z solver and `--export-system` densify, and the
 packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
 F_2's one-bit rows are not capped), or a `search-sharp` whose packed
-exact-cover table, |G| x N^2 fields, would pass that cap (checked on a
-declared order before enumeration). One rule, linsys.check_run_cap, names
+exact-cover table, |G| x N^2 fields, would pass that cap (checked on |G|
+before enumeration). One rule, linsys.check_run_cap, names
 a linsys run's first capped step and checks its [A | b] wherever the
 system's size is first known, with the line that step prints: a full
-system's N^2 x (|G| + 1) on a declared order before enumeration, the
+system's N^2 x (|G| + 1) on the order before enumeration, the
 columns --fpf or --pin-identity keep before any is built, and an
 unrestricted --subgroup collapse on its least shape, ceil(N^2/|H|) x
 (ceil(|G|/|H|) + 1), before it is built, so a file both too large and
@@ -47,7 +47,7 @@ import sys
 import time
 
 from . import certify, designs, linsys, sharp_search
-from .perm import GroupFileError, GroupTooLarge, enumerate_group, expect, induced_action, load_group
+from .perm import GroupFileError, GroupTooLarge, enumerate_group, expect, induced_action, load_group, stabilizer_chain
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
@@ -208,8 +208,7 @@ def _cmd_design_check(args) -> dict:
 
 def _cmd_search(args) -> dict:
     spec = load_group(args.group)
-    if spec.declared_order is not None:  # the file's order line lets the cap refuse before enumeration
-        sharp_search.check_cover_cap(spec.declared_order, spec.degree, args.t)
+    sharp_search.check_cover_cap(_order(spec), spec.degree, args.t)  # the cap refuses before enumeration
     result = sharp_search.find_sharp_set(enumerate_group(spec), args.t, args.budget)
     return {
         "case": "search-sharp",
@@ -219,6 +218,11 @@ def _cmd_search(args) -> dict:
         "witness": list(result.sharp_set.element_indices) if result.sharp_set else None,
         "nodes": result.nodes,
     }
+
+
+def _order(spec) -> int:
+    """|G| before enumeration: the file's order line, else the order of the group's stabilizer chain."""
+    return spec.declared_order if spec.declared_order is not None else math.prod(map(len, stabilizer_chain(spec)))
 
 
 def _search_summary(report: dict) -> str:
@@ -237,8 +241,8 @@ def _cmd_linsys(args) -> dict:
 
     spec = load_group(args.group)
     restrict = args.fpf or args.pin_identity
-    if not (args.subgroup or restrict) and spec.declared_order is not None:  # refused before enumeration
-        check_cap(math.perm(spec.degree, max(args.t, 0)) ** 2, spec.declared_order)
+    if not (args.subgroup or restrict):  # refused before enumeration
+        check_cap(math.perm(spec.degree, max(args.t, 0)) ** 2, _order(spec))
     _, G = induced_action(enumerate_group(spec), args.t)
     if args.subgroup:
         _, H = induced_action(enumerate_group(load_group(args.subgroup)), args.t)

@@ -208,12 +208,15 @@ def _declared_enumeration(spec: GroupSpec, cap: int, close) -> GroupEnumeration:
             f"{spec.path or spec.name or 'a group'} declares order {spec.declared_order}, past the cap of {cap} elements"
         )
     elements = close(spec, cap)
-    if spec.declared_order is not None and spec.declared_order != len(elements):
-        raise GroupFileError(
-            f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, "
-            f"enumerated {len(elements)}"
-        )
+    _check_declared(spec, len(elements))
     return GroupEnumeration(spec.degree, elements, spec.name)
+
+
+def _check_declared(spec: GroupSpec, order: int) -> None:
+    if spec.declared_order is not None and spec.declared_order != order:
+        raise GroupFileError(
+            f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, enumerated {order}"
+        )
 
 
 def _past_cap(spec: GroupSpec, cap: int) -> GroupTooLarge:
@@ -264,38 +267,70 @@ def _bfs_closure(spec: GroupSpec, cap: int) -> list[Perm]:
 
 
 def enumerate_by_cosets(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupEnumeration:
-    """The elements of enumerate_group's group, right coset by right coset (Dimino), with the same refusals.
+    """The elements of enumerate_group's group, listed from its stabilizer chain, with the same refusals.
 
-    Generators go by decreasing order, skipping any the group H built so far
-    holds. Each extends H by cosets: for r = 1, then each new representative,
-    and each generator t taken so far, r t is tested once and if new its coset
-    H (r t) is added, so every element is made once. The order is reproducible
-    but is not the BFS order.
+    Each element is one product u_k ... u_1, u_i from level i's transversal: from the bottom level up, each u
+    right-multiplies the list so far, so no element is made twice or looked up. The chain's order meets the cap
+    and the declared order first. The list starts with the identity and is reproducible, but not in BFS order.
     """
-    return _declared_enumeration(spec, cap, _coset_closure)
+    return _declared_enumeration(spec, cap, _chain_closure)
 
 
-def _coset_closure(spec: GroupSpec, cap: int) -> list[Perm]:
+def _chain_closure(spec: GroupSpec, cap: int) -> list[Perm]:
+    chain = stabilizer_chain(spec, cap)
+    _check_declared(spec, math.prod(map(len, chain)))
     table, product = _right_product(spec.degree)
     elements = [identity(spec.degree)]
-    seen = set(elements)
-    taken = []
-    for g in sorted(spec.generators, key=lambda g: -math.lcm(*cycle_type(g))):
-        if g in seen:
-            continue
-        taken.append(table(g))
-        H, reps = elements[:], elements[:1]  # of 1's products only 1 g = g is new
-        for r in reps:  # the list grows while it is walked
-            for c in (product(r, t) for t in taken):
-                if c not in seen:
-                    if len(elements) + len(H) > cap:
-                        raise _past_cap(spec, cap)
-                    right = table(c)
-                    coset = [product(h, right) for h in H]
-                    seen.update(coset)
-                    elements += coset
-                    reps.append(coset[0])  # 1 c, equal to c: one object per element, none kept twice
+    for transversal in reversed(chain):  # list() ends before elements is rebound
+        products = (map(product, elements, itertools.repeat(table(u))) for u in transversal.values())
+        elements = list(itertools.chain.from_iterable(products))
     return elements
+
+
+def stabilizer_chain(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[dict[int, Perm]]:
+    """A deterministic Schreier-Sims chain of the group: one transversal a level, its base point b first.
+
+    Level i maps each point x of b's orbit to a u with b^u = x, b to the identity, so |G| is the product of the
+    levels' sizes. What a generator leaves once sifted through the chain joins level 0, and what a Schreier
+    generator u_x s u_(x^s)^-1 of level i leaves once sifted through the levels below joins level i + 1; a new
+    level's base point is the first point its generator moves. Raises GroupTooLarge once the product of the
+    sizes, a lower bound on |G| at every step, passes `cap`.
+    """
+    one = identity(spec.degree)
+    chain, gens = [], []  # each level's transversal and strong generators
+
+    def sift(g: Perm, i: int) -> Perm:  # g stripped by the transversals of levels i, i + 1, ...
+        for transversal in chain[i:]:
+            u = transversal.get(g[next(iter(transversal))])
+            if u is None:
+                break
+            g = compose(g, inverse(u))
+        return g
+
+    def add(g: Perm, i: int) -> None:  # g, not the identity and fixing the first i base points, joins level i
+        if i == len(chain):
+            chain.append({next(x for x, y in enumerate(g) if x != y): one})
+            gens.append([])
+        transversal, strong = chain[i], gens[i]
+        strong.append(g)
+        pairs = [(x, g) for x in transversal]  # then every generator on each new point
+        for x, s in pairs:
+            y = s[x]
+            if y in transversal:
+                h = sift(compose(compose(transversal[x], s), inverse(transversal[y])), i + 1)
+                if h != one:
+                    add(h, i + 1)
+            else:
+                transversal[y] = compose(transversal[x], s)
+                if math.prod(map(len, chain)) > cap:
+                    raise _past_cap(spec, cap)
+                pairs += [(y, r) for r in strong]
+
+    for h in map(sift, spec.generators, itertools.repeat(0)):
+        if h != one:
+            add(h, 0)
+    expect(all(sift(g, 0) == one for g in spec.generators), "a generator does not sift through its own chain")
+    return chain
 
 
 def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:

@@ -299,6 +299,27 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
     assert err.startswith("refused for size") and "cap of 5000" in err and err.count("\n") == 1
 
 
+def test_group_without_an_order_line_is_refused_on_its_chain(tmp_path, capsys):
+    # at the default cap: the product of the levels' sizes of S22's stabilizer chain passes
+    # 2,000,000 while it is built, so no element is listed (the enumerations used to list
+    # 2,000,000 of them first)
+    import time
+    import tracemalloc
+
+    s22 = tmp_path / "s22.grp"
+    s22.write_text("n 22\n1 0 " + " ".join(map(str, range(2, 22))) + "\n" + " ".join(map(str, range(1, 22))) + " 0\n")
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, report = run_cli(tmp_path, "verify", "m22", "--group", str(s22))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, report) == (4, None)
+    assert time.perf_counter() - start < 1 and peak < 4 * 2**20, peak
+    assert capsys.readouterr().err == "refused for size: enumerating s22 passed the cap of 2000000 elements\n"
+
+
 def test_wrong_degree_group_file_is_refused_before_enumerating(tmp_path, monkeypatch, capsys):
     from sharpsets import certify
 
@@ -366,6 +387,26 @@ def test_search_cap_is_checked_before_enumeration(tmp_path, monkeypatch, capsys)
     assert run_cli(tmp_path, "search-sharp", "--group", m22, "--t", "1") == (4, None)
     err = capsys.readouterr().err
     assert err == "refused for size: a 443520 x 484 exact-cover table passes the cap of 8388608 cells\n", err
+
+
+def test_search_and_linsys_caps_use_the_chain_order_without_an_order_line(tmp_path, monkeypatch, capsys):
+    # m22.grp without its order line: the stabilizer chain's order, 443,520, refuses
+    # both runs with the lines the built table and system would give
+    from sharpsets import cli
+
+    def never(spec):
+        raise AssertionError("enumerated a group the cap refuses")
+
+    monkeypatch.setattr(cli, "enumerate_group", never)
+    unordered = tmp_path / "m22.grp"
+    lines = shipped_group_path("m22").read_text().splitlines(True)
+    unordered.write_text("".join(line for line in lines if not line.startswith("order")))
+    for argv, line in (
+        (["search-sharp", "--t", "1"], "a 443520 x 484 exact-cover table"),
+        (["linsys", "--ring", "q"], "a 484 x 443521 rational elimination"),
+    ):
+        assert run_cli(tmp_path, argv[0], "--group", str(unordered), *argv[1:]) == (4, None), argv
+        assert capsys.readouterr().err == f"refused for size: {line} passes the cap of 8388608 cells\n", argv
 
 
 @pytest.mark.parametrize(

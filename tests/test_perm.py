@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -255,6 +256,43 @@ def test_coset_enumeration_matches_bfs_on_random_groups():
         n = rng.randint(1, 8)
         spec = GroupSpec(n, tuple(rng.sample(range(n), n) for _ in range(rng.randint(1, 3))))
         assert_same_group(perm.enumerate_by_cosets(spec), enumerate_group(spec).elements, n)
+
+
+def chain_order(spec):
+    return math.prod(map(len, perm.stabilizer_chain(spec)))
+
+
+@pytest.mark.parametrize("case", ENUMERATION_CASES)
+def test_chain_order_is_the_enumerated_order(case):
+    # bytes and tuples (C256 and C300); the shipped files' order lines are not read by the chain
+    spec = ENUMERATION_CASES[case][0]()
+    assert chain_order(spec) == enumerate_group(spec).order
+
+
+def test_chain_order_of_the_shipped_m22_file(m22_enum):
+    spec = shipped("m22")
+    chain = perm.stabilizer_chain(spec)
+    assert [len(t) for t in chain] == [22, 21, 20, 16, 3]
+    assert math.prod(map(len, chain)) == m22_enum.order == 443520
+    for transversal in chain:  # the base point first, to the identity; u maps it to its point
+        b = next(iter(transversal))
+        assert transversal[b] == identity(22) and all(u[b] == x for x, u in transversal.items())
+
+
+def test_sp62_chain_order_is_sp_order_unlisted(monkeypatch):
+    space = geometry.symplectic_space(3, gf.field_for_q(2))
+
+    def never(n):
+        raise AssertionError("listed an element of the group")
+
+    monkeypatch.setattr(perm, "_right_product", never)
+    for action in ("projective", "vector"):
+        spec = geometry.symplectic_generators(space, action)
+        assert chain_order(spec) == geometry.sp_order(3, 2) == 1451520, action
+    # a wrong order line is refused on the chain's order, before any element is listed
+    wrong = GroupSpec(spec.degree, spec.generators, "sp", declared_order=1451521)
+    with pytest.raises(perm.GroupFileError, match="^sp: declared order 1451521, enumerated 1451520$"):
+        perm.enumerate_by_cosets(wrong)
 
 
 def test_group_axioms_small(c5, s3, s4, a6):
