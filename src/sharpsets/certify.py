@@ -14,7 +14,7 @@ domain, and end in the judge: "enumerated" walks every group element;
 the orbit of C under the group's generators (perm.set_orbit) or closed
 for a mathematical reason recorded as an assumption in the report. The
 family mode counts each size as the popcount of B ANDed with a member;
-the enumerated mode counts a chunk of elements at once, by columns.
+the enumerated mode counts a run of elements at once, by columns.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
-from itertools import chain, compress
+from itertools import compress
 
 from . import designs, geometry, gf, linsys
 from .perm import (
@@ -38,7 +38,6 @@ from .perm import (
     induced_action,
     is_sharply_transitive,
     load_group,
-    perm_type,
     set_orbit,
 )
 from .sharp_search import ZERO_ONE
@@ -46,7 +45,7 @@ from .sharp_search import ZERO_ONE
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
-WALK_CHUNK_BYTES = 1 << 20  # bytes of images per chunk of the enumerated walk
+WALK_CHUNK_BYTES = 1 << 20  # bytes of images per run of a listed enumeration's walk
 
 
 @dataclass(frozen=True)
@@ -154,27 +153,28 @@ def doublecount_check(S: list[Perm], b_set: int, c_set: int) -> DoublecountRepor
 
 
 def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: str = "") -> VerificationReport:
-    """Check p | |B & C^g| for every element of the enumerated group, a chunk of elements at a time.
+    """Check p | |B & C^g| for every element of the enumerated group, one of G.cosets' runs of elements h at a time.
 
-    Column x of a chunk's B-marks (block[x::n], 1 where g[x] is in B), summed as ints over the x in C, counts every g.
+    For g = h u, g[x] is in B where (marks o u)[h[x]] is 1: column x of the run's images (images[x::n]), translated
+    by marks o u and summed as ints over the x in C, counts every product g = h u of the run at once.
     """
     if cert.domain != G.degree:
         raise ValueError(f"certificate domain {cert.domain} != group degree {G.degree}")
     n = G.degree
     marks = bytes(cert.b_set >> x & 1 for x in range(max(n, 256)))  # a translate table up to degree 256
     at_c = [x for x in range(n) if cert.c_set >> x & 1]
-    width, chunk = (len(at_c).bit_length() + 7) // 8, max(1, WALK_CHUNK_BYTES // n)  # a count is at most |C|
+    width = (len(at_c).bit_length() + 7) // 8  # a count is at most |C|
     spectrum = Counter()  # its keys in first-seen order, as the walk meets the elements
-    for part in (G.elements[start : start + chunk] for start in range(0, G.order, chunk)):
-        block = b"".join(part).translate(marks) if perm_type(n) is bytes else bytes(map(marks.__getitem__, chain(*part)))
-        field, total = bytearray(len(part) * width), 0
-        for x in at_c:
-            field[::width] = block[x::n]
+    for images, u in G.cosets(max(1, WALK_CHUNK_BYTES // n)):
+        table = bytes(map(marks.__getitem__, u)) + marks[n:]  # marks o u
+        field, total = bytearray(len(images) // n * width), 0
+        for column in (images[x::n] for x in at_c):
+            field[::width] = column.translate(table) if type(column) is bytes else bytes(map(table.__getitem__, column))
             total += int.from_bytes(field, "little")
         counts = total.to_bytes(len(field), "little")
         if width > 1:
             spectrum.update(int.from_bytes(t, "little") for t in zip(*[iter(counts)] * width))
-        else:  # one count per size, in the order the chunk first meets them
+        else:  # one count per size, in the order the run first meets them
             for size in sorted(filter(counts.__contains__, range(len(at_c) + 1)), key=counts.find):
                 spectrum[size] += counts.count(size)
     assumptions = (f"all {G.order} group elements enumerated",)

@@ -29,8 +29,8 @@ system's size is first known, with the line that step prints: a full
 system's N^2 x (|G| + 1) on the order before enumeration, the
 columns --fpf or --pin-identity keep before any is built, and an
 unrestricted --subgroup collapse on its least shape, ceil(N^2/|H|) x
-(ceil(|G|/|H|) + 1), before it is built, so a file both too large and
-not a subgroup exits 4, not 2. The quadric's polarization is checked on
+(ceil(|G|/|H|) + 1), before either group is enumerated, so a file both
+too large and not a subgroup exits 4, not 2. The quadric's polarization is checked on
 every pair of an F_2-basis, complete because both sides are biadditive,
 so sp (2,8), (3,4) and (5,2) run in seconds in both actions.
 A failed `selftest` check carries an `error` field and makes the run exit 1.
@@ -239,18 +239,16 @@ def _cmd_linsys(args) -> dict:
     def check_cap(rows: int, cols: int) -> None:
         linsys.check_run_cap(rows, cols, args.ring, args.p, bool(args.export_system), bool(args.probe))
 
-    spec = load_group(args.group)
-    restrict = args.fpf or args.pin_identity
-    if not (args.subgroup or restrict):  # refused before enumeration
-        check_cap(math.perm(spec.degree, max(args.t, 0)) ** 2, _order(spec))
+    spec, sub = load_group(args.group), args.subgroup and load_group(args.subgroup)
+    restrict, order, h = args.fpf or args.pin_identity, _order(spec), _order(sub) if sub else 1  # before enumerating
+    if not restrict:  # the full system, or a collapse: an H-orbit of pairs or an H-class holds at most |H| members
+        check_cap(-(-math.perm(spec.degree, max(args.t, 0)) ** 2 // h), -(-order // h))
     _, G = induced_action(enumerate_group(spec), args.t)
-    if args.subgroup:
-        _, H = induced_action(enumerate_group(load_group(args.subgroup)), args.t)
+    if sub:
+        _, H = induced_action(enumerate_group(sub), args.t)
+        system = linsys.build_H_system(G, H)
         if restrict:  # the kept classes are known only once the collapse is built
-            system = linsys.restrict_to_fpf(linsys.build_H_system(G, H), pin_identity=args.pin_identity)
-        else:  # every H-orbit of pairs and every H-class holds at most |H| members
-            check_cap(-(-G.degree**2 // H.order), -(-G.order // H.order))
-            system = linsys.build_H_system(G, H)
+            system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)
     else:
         elements = G.elements
         if restrict:

@@ -11,6 +11,7 @@ sequence and convert it with as_perm.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -174,6 +175,11 @@ class GroupEnumeration:
     def order(self) -> int:
         return len(self.elements)
 
+    def cosets(self, size: int):
+        """(images, u) pairs: the products h u, h from the run of images, pair after pair, are the elements in order."""
+        join, one = _right_product(self.degree)[2], identity(self.degree)  # here runs of `size` elements, and u = 1
+        return ((join(self.elements[start : start + size]), one) for start in range(0, self.order, size))
+
     def index(self) -> PermIndex:
         if self._index is None:
             self._index = PermIndex((g, i) for i, g in enumerate(self.elements))
@@ -181,6 +187,26 @@ class GroupEnumeration:
 
     def __contains__(self, g) -> bool:
         return g in self.index()
+
+
+class CosetEnumeration(GroupEnumeration):
+    """G from its stabilizer chain's levels, as the products h u: u from the first level's transversal outer, and h
+    inner from that base point's stabilizer H, kept as one run of images. The elements are listed only when read."""
+
+    def __init__(self, degree: int, levels: list[list[Perm]], name: str = ""):
+        top, *below = levels or [[identity(degree)]]
+        self.degree, self.name, self.transversal, self._order = degree, name, top, math.prod(map(len, levels))
+        self.stabilizer = functools.reduce(_times, reversed(below), identity(degree))  # u_k ... u_2 from the bottom up
+
+    order = property(lambda self: self._order)
+
+    def cosets(self, size: int):
+        return ((self.stabilizer, u) for u in self.transversal)
+
+    @functools.cached_property
+    def elements(self) -> list[Perm]:
+        run, n = _times(self.stabilizer, self.transversal), self.degree
+        return [run[start : start + n] for start in range(0, len(run), n)]
 
 
 class PermIndex(dict):
@@ -199,17 +225,13 @@ class PermIndex(dict):
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
 
-def _declared_enumeration(spec: GroupSpec, cap: int, close) -> GroupEnumeration:
-    """The elements close(spec, cap) lists, held to the declared order: the refusals both enumerations share."""
+def _check_cap(spec: GroupSpec, cap: int) -> None:  # the refusals both enumerations share before they start
     if cap < 1:
         raise ValueError("cap must be >= 1")
     if spec.declared_order is not None and spec.declared_order > cap:
         raise GroupTooLarge(
             f"{spec.path or spec.name or 'a group'} declares order {spec.declared_order}, past the cap of {cap} elements"
         )
-    elements = close(spec, cap)
-    _check_declared(spec, len(elements))
-    return GroupEnumeration(spec.degree, elements, spec.name)
 
 
 def _check_declared(spec: GroupSpec, order: int) -> None:
@@ -224,10 +246,16 @@ def _past_cap(spec: GroupSpec, cap: int) -> GroupTooLarge:
 
 
 def _right_product(n: int):
-    """(table, product) for degree n: product(a, table(b)) is the Perm ab."""
+    """(table, product, join) for degree n: product(a, table(b)) is ab, a being a Perm or a run join(elements)."""
     if n <= 256:  # a 256-entry translate table
-        return (lambda g: g + bytes(range(n, 256))), bytes.translate
-    return (lambda g: g.__getitem__), (lambda a, gen: tuple(map(gen, a)))
+        return (lambda g: g + bytes(range(n, 256))), bytes.translate, b"".join
+    return (lambda g: g.__getitem__), (lambda a, gen: tuple(map(gen, a))), (lambda run: tuple(itertools.chain(*run)))
+
+
+def _times(run: Perm, transversal: list[Perm]) -> Perm:
+    """The run of images of the products h u, u from the transversal outer and h from the run inner."""
+    table, product, join = _right_product(len(transversal[0]))
+    return join([product(run, table(u)) for u in transversal])
 
 
 def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupEnumeration:
@@ -245,11 +273,8 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Grou
     to 256 entries, and bytes cache their hash, so the set lookup and add
     hash nothing twice. Degrees above 256 use tuples, in the same BFS order.
     """
-    return _declared_enumeration(spec, cap, _bfs_closure)
-
-
-def _bfs_closure(spec: GroupSpec, cap: int) -> list[Perm]:
-    table, product = _right_product(spec.degree)
+    _check_cap(spec, cap)
+    table, product, _ = _right_product(spec.degree)
     gens = list(map(table, spec.generators))
     start = identity(spec.degree)
     seen = {start}
@@ -263,28 +288,18 @@ def _bfs_closure(spec: GroupSpec, cap: int) -> list[Perm]:
                     raise _past_cap(spec, cap)
                 add(nxt)
                 append(nxt)
-    return elements
+    _check_declared(spec, len(elements))
+    return GroupEnumeration(spec.degree, elements, spec.name)
 
 
-def enumerate_by_cosets(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupEnumeration:
-    """The elements of enumerate_group's group, listed from its stabilizer chain, with the same refusals.
-
-    Each element is one product u_k ... u_1, u_i from level i's transversal: from the bottom level up, each u
-    right-multiplies the list so far, so no element is made twice or looked up. The chain's order meets the cap
-    and the declared order first. The list starts with the identity and is reproducible, but not in BFS order.
-    """
-    return _declared_enumeration(spec, cap, _chain_closure)
-
-
-def _chain_closure(spec: GroupSpec, cap: int) -> list[Perm]:
+def enumerate_by_cosets(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> CosetEnumeration:
+    """enumerate_group's group, with its refusals, from its stabilizer chain, whose order meets them first. Each
+    element is one product u_k ... u_1, u_i from level i's transversal, made once and never looked up; the elements
+    start with the identity, but not in BFS order (see CosetEnumeration)."""
+    _check_cap(spec, cap)
     chain = stabilizer_chain(spec, cap)
     _check_declared(spec, math.prod(map(len, chain)))
-    table, product = _right_product(spec.degree)
-    elements = [identity(spec.degree)]
-    for transversal in reversed(chain):  # list() ends before elements is rebound
-        products = (map(product, elements, itertools.repeat(table(u))) for u in transversal.values())
-        elements = list(itertools.chain.from_iterable(products))
-    return elements
+    return CosetEnumeration(spec.degree, [list(transversal.values()) for transversal in chain], spec.name)
 
 
 def stabilizer_chain(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[dict[int, Perm]]:
@@ -505,6 +520,8 @@ def load_group(path) -> GroupSpec:
                     (degree,) = map(int, parts[1:])
                 elif parts[0] == "order":
                     (declared,) = map(int, parts[1:])
+                    if declared < 1:  # no group has it, and the CLI divides by it
+                        raise ValueError(f"order {declared} is not positive")
                 else:
                     gens.append(tuple(int(p) for p in parts))
         if degree is None:

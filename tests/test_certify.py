@@ -293,6 +293,26 @@ def test_coset_and_bfs_enumerations_give_one_report(monkeypatch, witt, case, opt
     assert json.dumps(run_case(case, **options).as_dict()) == by_cosets
 
 
+def test_m22_walk_lists_no_element_of_the_group(monkeypatch, witt):
+    # the walk reads H's 20,160 images as one run, once for each of the 22 points of T: a list of the
+    # 443,520 elements, or one run of all their images (9.8 MB), would pass the peak
+    import tracemalloc
+
+    def listed(G):
+        raise AssertionError(f"listed the {G.order} elements")
+
+    monkeypatch.setattr(perm.CosetEnumeration, "elements", property(listed))
+    tracemalloc.start()
+    try:
+        report = run_case("m22", enumerated=True, design=witt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.spectrum, report.conclusion) == ({0: 2520, 4: 264600, 6: 176400}, "refuted")
+    assert report.assumptions == ("all 443520 group elements enumerated",)
+    assert peak < 4 * 2**20, peak
+
+
 def test_mclaughlin_spectrum_multiplicities(mclaughlin):
     # frozen from the first verified run; the counts sum to the 22275 pairs
     report = run_case("mclaughlin")

@@ -409,6 +409,44 @@ def test_search_and_linsys_caps_use_the_chain_order_without_an_order_line(tmp_pa
         assert capsys.readouterr().err == f"refused for size: {line} passes the cap of 8388608 cells\n", argv
 
 
+def test_linsys_takes_both_orders_before_enumerating_either(tmp_path, monkeypatch, capsys):
+    # with --subgroup, --fpf or --pin-identity: S22 with no order line is refused on its chain, and a collapse
+    # on its least shape, with the lines enumerating the files would give; a transposition group, not a
+    # subgroup of M22 and too coarse a collapse, is refused for size (4), not as bad input (2)
+    from sharpsets import cli
+
+    def never(spec):
+        raise AssertionError(f"enumerated {spec.name} before the caps were checked")
+
+    monkeypatch.setattr(cli, "enumerate_group", never)
+    s22, trivial, swap = tmp_path / "s22.grp", tmp_path / "trivial.grp", tmp_path / "swap.grp"
+    s22.write_text("n 22\n1 0 " + " ".join(map(str, range(2, 22))) + "\n" + " ".join(map(str, range(1, 22))) + " 0\n")
+    trivial.write_text(f"n 22\n{' '.join(map(str, range(22)))}\n")
+    swap.write_text(f"n 22\n1 0 {' '.join(map(str, range(2, 22)))}\n")
+    m22 = str(shipped_group_path("m22"))
+    past_chain = "enumerating s22 passed the cap of 2000000 elements"
+    for argv, line in (
+        (["--group", m22, "--subgroup", str(s22), "--ring", "q"], past_chain),
+        (["--group", str(s22), "--subgroup", m22, "--ring", "q", "--fpf"], past_chain),
+        (["--group", str(s22), "--ring", "f_p", "--p", "3", "--fpf"], past_chain),
+        (["--group", str(s22), "--ring", "q", "--pin-identity"], past_chain),
+        (["--group", m22, "--subgroup", str(trivial), "--ring", "q"], "a 484 x 443521 rational elimination"),
+        (["--group", m22, "--subgroup", str(swap), "--ring", "q"], "a 242 x 221761 rational elimination"),
+    ):
+        assert run_cli(tmp_path, "linsys", *argv) == (4, None), argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"refused for size: {line}") and err.count("\n") == 1, (argv, err)
+
+
+def test_order_line_below_one_is_malformed(tmp_path, capsys):
+    c5 = tmp_path / "c5.grp"
+    for order in (0, -5):
+        c5.write_text(f"n 5\norder {order}\n1 2 3 4 0\n")
+        argv = ["linsys", "--group", str(shipped_group_path("s5")), "--subgroup", str(c5), "--ring", "q"]
+        assert run_cli(tmp_path, *argv) == (2, None)
+        assert capsys.readouterr().err == f"malformed group file: {c5}: order {order} is not positive\n"
+
+
 @pytest.mark.parametrize(
     "argv, what",
     [

@@ -9,6 +9,7 @@ from conftest import shipped_group_path
 from oracles import dump_group
 
 from sharpsets import geometry, gf, perm
+from sharpsets.certify import Certificate, verify_certificate_enumerated
 from sharpsets.perm import (
     GroupSpec,
     arrangements,
@@ -256,6 +257,33 @@ def test_coset_enumeration_matches_bfs_on_random_groups():
         n = rng.randint(1, 8)
         spec = GroupSpec(n, tuple(rng.sample(range(n), n) for _ in range(rng.randint(1, 3))))
         assert_same_group(perm.enumerate_by_cosets(spec), enumerate_group(spec).elements, n)
+
+
+def assert_coset_walk_is_the_listed_walk(spec, rng, trials):
+    """Random (B, C, p): the walk over the cosets' runs reports what the walk over the BFS list reports, with the
+    key order of a walk over the coset enumeration's own listed elements."""
+    n, by_cosets, listed = spec.degree, perm.enumerate_by_cosets(spec), enumerate_group(spec)
+    for _ in range(trials):
+        b_set, c_set = (sum(1 << x for x in rng.sample(range(n), rng.randint(1, n))) for _ in "BC")
+        cert = Certificate(b_set, c_set, rng.choice((2, 3, 5)), n)
+        walked, bfs = verify_certificate_enumerated(by_cosets, cert), verify_certificate_enumerated(listed, cert)
+        assert walked.as_dict() == bfs.as_dict() and walked.spectrum == bfs.spectrum
+        in_order = verify_certificate_enumerated(perm.GroupEnumeration(n, by_cosets.elements), cert)
+        assert list(walked.spectrum.items()) == list(in_order.spectrum.items())
+
+
+@pytest.mark.parametrize("case", COSET_CASES)
+def test_coset_walk_is_the_listed_walk(case):
+    # bytes up to C256, tuples on C300; sp(2,2) in both actions
+    assert_coset_walk_is_the_listed_walk(COSET_CASES[case][0](), random.Random(case), trials=4)
+
+
+def test_coset_walk_is_the_listed_walk_on_random_groups():
+    rng = random.Random(27)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        spec = GroupSpec(n, tuple(rng.sample(range(n), n) for _ in range(rng.randint(1, 3))))
+        assert_coset_walk_is_the_listed_walk(spec, rng, trials=1)
 
 
 def chain_order(spec):
