@@ -13,8 +13,8 @@ matrices. Only the Hermite kernel and the export densify; F_p, Q and Z>=0
 work on packed or sparse rows, whose fill-in the dense cap bounds, except
 over F_2, whose one-bit rows take less memory than the columns they come from.
 
-All solver arithmetic is exact: rows packed into one Python integer over
-F_p (one bit per entry for p = 2, added by xor; else a field of
+All solver arithmetic is exact: rows packed byte by byte into one Python
+integer over F_p (one bit per entry for p = 2, added by xor; else a field of
 p.bit_length() + 1 bits, added mod p all at once; column 0 in the highest
 field and b in the lowest, so a row's lead is read off its bit_length),
 fraction-free integer rows over Q (Edmonds, Bareiss) and
@@ -22,7 +22,8 @@ arbitrary-precision integers for the Hermite normal form over Z. Floating
 point is never used. Each field has one elimination kernel, shared by its
 solver and its other users: over F_p one packed reduced echelon basis
 serves every prime, and the witness is read off it; over Q one sparse
-integer pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex.
+integer pivot step serves Gauss-Jordan and the Z>=0 phase-1 simplex, whose
+ratio test compares integers.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class SolveOutcome:
     def as_dict(self) -> dict:
         wit = None
         if self.witness is not None:
-            wit = [int(x) if Fraction(x).denominator == 1 else str(Fraction(x)) for x in self.witness]
+            wit = [int(x) if x.denominator == 1 else str(x) for x in self.witness]
         return {"status": self.status, "witness": wit, "notes": self.notes}
 
 
@@ -255,34 +256,45 @@ def _width(p: int) -> int:
     return 1 if p == 2 else p.bit_length() + 1
 
 
+def _packed_rows(system: ExactSystem, p: int) -> list[int]:
+    """[A | b]'s rows mod p, one int of _width(p)-bit fields each: column c in field cols - c, b in field 0.
+
+    A row is ORed together in a bytearray, one byte per entry unless the entry spans more, then made one int; the
+    buffers go one at a time, so they and the ints are never all alive together."""
+    ncols, w = system.cols, _width(p)
+    rows = [bytearray((w * (ncols + 1) + 7) // 8) for _ in system.rhs]
+    for c, col in enumerate([*system.columns, dict(enumerate(system.rhs))]):  # b as column ncols
+        at, s = divmod((ncols - c) * w, 8)
+        for r, a in col.items():
+            if (v := a % p << s) < 256:
+                rows[r][at] |= v
+            else:
+                row, end = rows[r], at + (v.bit_length() + 7) // 8
+                row[at:end] = (int.from_bytes(row[at:end], "little") | v).to_bytes(end - at, "little")
+    for r, row in enumerate(rows):
+        rows[r] = int.from_bytes(row, "little")
+    return rows
+
+
 def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
     """Reduced echelon basis of [A | b] mod p, built row by row: {lead: packed row}.
 
-    A row is one int of w = _width(p) bit fields, column c in field cols - c and b
-    in field 0, so its lead (lowest nonzero column) is its top nonzero field; rows
-    go in shortest first. Each basis row is 1 at its own lead and 0 at the others,
-    and `leads` masks every lead field: a row x clears the leads it holds top first,
-    each the top field of y = x & leads, and no other lead of x moves. A row still
-    nonzero opens a new lead, is scaled to 1 there, and that field is cleared from
-    the basis rows whose lead is above it (the rest are 0 there). The leads are the
-    pivots of the reduced row echelon form (a lead at cols: inconsistent). Rows add
-    mod p at once: xor for p = 2; else s = x + y, less p in every field where s +
-    2^k - p carries into bit k. A clear, or the scaling, is one step x - e*b:
-    x + (p-e)*b or x + (p in every field, less e*b), fields below 2p, by the
-    smaller multiple, summed from the doublings 2^i*b it needs; e = p - 1, as
-    always for p = 2, is one add. Only the basis and `leads` outlive a row; a new
-    row's doublings serve its one pass over the basis. The dense cap bounds
-    fill-in for odd p; one-bit rows take less memory than their columns, so
-    p = 2 is not capped.
+    Rows come from _packed_rows, so a row's lead (lowest nonzero column) is its top nonzero field; they go in
+    shortest first. Each basis row is 1 at its own lead and 0 at the others, and `leads` masks every lead field:
+    while y = x & leads is nonzero, the row x clears the top field of y, and no other lead of x moves. A row still
+    nonzero opens a new lead, is scaled to 1 there, and that field is cleared from the basis rows whose lead is
+    above it (the rest are 0 there). The leads are the pivots of the reduced row echelon form (a lead at cols:
+    inconsistent). Rows add mod p at once: xor for p = 2; else s = x + y, less p in every field where s + 2^k - p
+    carries into bit k. A clear x - e*b is one add: of b for e = p - 1 (always for p = 2), of p in every field less
+    b for e = 1 (fields below 2p). Any other e, and the scaling, is a step: x + (p-e)*b or x + (p in every field,
+    less e*b) by the smaller multiple, summed from the doublings 2^i*b it needs. Only the basis and `leads` outlive
+    a row; a new row's doublings serve its one pass over the basis. The dense cap bounds fill-in for odd p; one-bit
+    rows take less memory than their columns, so p = 2 is not capped.
     """
     ncols = system.cols
     if p != 2:
         _check_cap((system.rows, ncols + 1), "packed F_p elimination")
-    k, w = p.bit_length(), _width(p)
-    rows = [b % p for b in system.rhs]
-    for c, col in enumerate(system.columns):
-        for r, a in col.items():
-            rows[r] |= (a % p) << ((ncols - c) * w)
+    k, w, rows = p.bit_length(), _width(p), _packed_rows(system, p)
     mask = (1 << w) - 1
     ones = ((1 << (w * (ncols + 1))) - 1) // mask
     carry, all_p = ones * ((1 << k) - p), ones * p
@@ -295,28 +307,25 @@ def _echelon_mod_p(system: ExactSystem, p: int) -> dict[int, int]:
 
     def step(x: int, doubles: list[int], e: int) -> int:
         """x - e*b mod p for 0 < e < p, b = doubles[0]; doubles grows as far as the multiple needs."""
-        m, mb = min(e, p - e), doubles[0]
-        if m > 1:
-            for _ in range(len(doubles), m.bit_length()):
-                doubles.append(add_rows(doubles[-1], doubles[-1]))
-            mb = reduce(add_rows, [d for i, d in enumerate(doubles) if m >> i & 1])
+        m = min(e, p - e)
+        for _ in range(len(doubles), m.bit_length()):
+            doubles.append(add_rows(doubles[-1], doubles[-1]))
+        mb = reduce(add_rows, [d for i, d in enumerate(doubles) if m >> i & 1])
         return add_rows(x, mb if m == p - e else all_p - mb)
 
     basis: dict[int, int] = {}  # low bit of a lead field -> its row
     leads = 0
     for x in sorted(rows, key=int.bit_length):
-        y = x & leads
-        while y:
-            e = y >> (at := (y.bit_length() - 1) // w * w)
-            x = add_rows(x, basis[at]) if e == p - 1 else step(x, [basis[at]], e)
-            y ^= e << at
+        while y := x & leads:
+            e, b = y >> (at := (y.bit_length() - 1) // w * w), basis[at]
+            x = add_rows(x, b) if e == p - 1 else add_rows(x, all_p - b) if e == 1 else step(x, [b], e)
         if x:
             if (e := x >> (at := (x.bit_length() - 1) // w * w)) != 1:
                 x = step(x, [x], (1 - pow(e, -1, p)) % p)  # x - (1 - 1/e)*x
-            new = [x]
+            new, neg = [x], all_p - x
             for g, row in basis.items():
                 if g > at and (e := row >> at & mask):
-                    basis[g] = add_rows(row, x) if e == p - 1 else step(row, new, e)
+                    basis[g] = add_rows(row, x) if e == p - 1 else add_rows(row, neg) if e == 1 else step(row, new, e)
             basis[at] = x
             leads |= mask << at
     return {ncols - at // w: row for at, row in basis.items()}
@@ -535,8 +544,8 @@ def _lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
     objective sums the negated rows, each divided by the coefficient of its
     start basic variable (times their lcm, to stay integral), as rows scaled
     to 1 there would: weighted otherwise, Bland's rule pivots elsewhere. The
-    ratio test's Fraction(rhs, entry) and a basic value, right side over
-    coefficient, do not depend on a row's scale.
+    ratio test compares rhs/entry as integers cross-multiplied, and a basic
+    value is right side over coefficient: neither depends on a row's scale.
     """
     ncols = len(lo)
     rows = [{**row, RHS: row.get(RHS, 0) - sum(a * lo[k] for k, a in row.items() if k != RHS)} for row in rref]
@@ -561,9 +570,13 @@ def _lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
     rows.append(obj)
     steps = 0
     while (enter := min((k for k, a in obj.items() if k != RHS and a > 0), default=None)) is not None:
-        candidates = [i for i in range(m) if rows[i].get(enter, 0) > 0]
-        expect(bool(candidates), "phase-1 objective is bounded below, a ratio row must exist")
-        leave = min(candidates, key=lambda i: (Fraction(rows[i].get(RHS, 0), rows[i][enter]), basis[i]))
+        leave = None
+        for i, row in zip(range(m), rows):  # the least rhs/a over a > 0, cross-multiplied; ties to the lower basis[i]
+            if (a := row.get(enter, 0)) > 0:
+                r = row.get(RHS, 0)
+                if leave is None or (d := r * best_a - best_r * a) < 0 or d == 0 and basis[i] < basis[leave]:
+                    leave, best_r, best_a = i, r, a
+        expect(leave is not None, "phase-1 objective is bounded below, a ratio row must exist")
         _pivot(rows, leave, enter)
         basis[leave] = enter
         steps += 1

@@ -92,7 +92,7 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     if budget < 1:
         raise ValueError(f"budget {budget} is below 1")
     check_cover_cap(G.order, G.degree, t)
-    elements = induced_action(G, t)[1].elements
+    elements = G.elements if t == 1 else induced_action(G, t)[1].elements
     inst = build_cover_instance(elements)
     n, columns, units, width = inst.n_cells, inst.columns, inst.units, inst.width
     size, ones, pattern = inst.n_columns * width // 8, (1 << width) - 1, f"0{len(units)}b"
@@ -144,5 +144,5 @@ class _Budget(Exception):
 
 def verify_sharp_set(G: GroupEnumeration, indices, t: int = 1) -> bool:
     """Exactly one selected element maps c to c' for every ordered cell pair."""
-    elements = induced_action(G, t)[1].elements
+    elements = G.elements if t == 1 else induced_action(G, t)[1].elements
     return is_sharply_transitive([elements[i] for i in indices], len(elements[0]))

@@ -22,6 +22,12 @@ dump_group writes the group files that perm.load_group reads.
 seeded_integer_corpus is the seeded random corpus of small integer systems
 on which the Z solver is checked, each with its exhaustive box-search
 answer from bounded_solution_exists, computed once per session.
+reference_packed_rows packs [A | b] mod p by one shift and OR per entry,
+the layout the bytearray packer of linsys must reproduce, and
+fraction_keyed_lp_feasible_point is the phase-1 simplex on integer rows
+with its ratio test keyed by Fractions, as before the cross-multiplied
+integer comparison replaced it; it also counts the rows tied at each least
+ratio, so that a corpus can show it reaches ties.
 reference_proj_points is the canonical-representative rule (scale by the
 inverse of the first nonzero coordinate) that geometry's reading of a
 vector's projective point off the scalar maps replaced.
@@ -51,6 +57,8 @@ from sharpsets.linsys import (
     SolveOutcome,
     _back_substitute,
     _echelon_mod_p,
+    _pivot,
+    _width,
     build_full_system,
     build_H_system,
     solve_integer,
@@ -372,6 +380,59 @@ def _reference_lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi):
     for i, var in enumerate(basis):
         if var < ncols:
             x[var] += rows[i].get(RHS, 0)
+    return x, steps
+
+
+def reference_packed_rows(system: ExactSystem, p: int) -> list[int]:
+    """[A | b]'s rows mod p, one int each, built by one shift and OR per entry: column c in field cols - c, b in 0."""
+    w, ncols = _width(p), system.cols
+    rows = [b % p for b in system.rhs]
+    for c, col in enumerate(system.columns):
+        for r, a in col.items():
+            rows[r] |= a % p << (ncols - c) * w
+    return rows
+
+
+def fraction_keyed_lp_feasible_point(rref: list[dict], pivots: list[int], lo, hi, ties: list):
+    """linsys._lp_feasible_point with the leaving row keyed by (Fraction(rhs, entry), basis[i]).
+
+    Each ratio test appends to ties the number of candidate rows that share its least ratio.
+    """
+    ncols = len(lo)
+    rows = [{**row, RHS: row.get(RHS, 0) - sum(a * lo[k] for k, a in row.items() if k != RHS)} for row in rref]
+    basis = list(pivots)
+    for j in range(ncols):
+        if hi[j] is not None:
+            basis.append(ncols + len(rows))
+            rows.append({j: 1, ncols + len(rows): 1, RHS: hi[j] - lo[j]})
+    for i, j in enumerate(pivots):
+        if hi[j] is not None:
+            _pivot(rows, i, j)
+    m = len(rows)
+    negated = [i for i, row in enumerate(rows) if row.get(RHS, 0) < 0]
+    scale = math.lcm(*(rows[i][basis[i]] for i in negated))
+    obj = {}
+    for i in negated:
+        w = scale // rows[i][basis[i]]
+        for k, v in rows[i].items():
+            rows[i][k] = -v
+            obj[k] = obj.get(k, 0) - w * v
+        basis[i] = ncols + m + i
+    rows.append(obj)
+    steps = 0
+    while (enter := min((k for k, a in obj.items() if k != RHS and a > 0), default=None)) is not None:
+        ratio = {i: Fraction(rows[i].get(RHS, 0), rows[i][enter]) for i in range(m) if rows[i].get(enter, 0) > 0}
+        ties.append(list(ratio.values()).count(min(ratio.values())))
+        leave = min(ratio, key=lambda i: (ratio[i], basis[i]))
+        _pivot(rows, leave, enter)
+        basis[leave] = enter
+        steps += 1
+    if obj.get(RHS):
+        return None, steps
+    x = list(lo)
+    for i, var in enumerate(basis):
+        if var < ncols:
+            x[var] += Fraction(rows[i].get(RHS, 0), rows[i][var])
     return x, steps
 
 

@@ -438,6 +438,41 @@ def test_linsys_takes_both_orders_before_enumerating_either(tmp_path, monkeypatc
         assert err.startswith(f"refused for size: {line}") and err.count("\n") == 1, (argv, err)
 
 
+def test_linsys_and_search_enumerate_on_the_cells(tmp_path, monkeypatch):
+    # the t-arrangement action is faithful, so each command enumerates the group
+    # from its induced generators and never induces an enumerated group element
+    # by element; the columns, witnesses and indices are those of the elements
+    # induced one by one
+    from sharpsets import cli, linsys, perm, sharp_search
+
+    induced = perm.induced_action
+
+    def on_generators_only(group, t):
+        if isinstance(group, perm.GroupEnumeration):
+            raise AssertionError(f"induced_action given the {group.order} elements of {group.name}")
+        return induced(group, t)
+
+    s5, c5 = str(shipped_group_path("s5")), str(shipped_group_path("c5"))
+    listed = {path: induced(perm.enumerate_group(perm.load_group(path)), 2)[1] for path in (s5, c5)}
+    full = linsys.build_full_system(listed[s5].elements)
+    expected = [
+        (["--ring", "f_p", "--p", "3"], linsys.solve_mod_p(full, 3)),
+        (["--subgroup", c5, "--ring", "q"], linsys.solve_rational(linsys.build_H_system(listed[s5], listed[c5]))),
+        (["--fpf", "--ring", "f_p", "--p", "3"], linsys.solve_mod_p(linsys.restrict_to_fpf(full), 3)),
+        (["--fpf", "--pin-identity", "--ring", "znn"],
+         linsys.solve_nonneg_integer(linsys.restrict_to_fpf(full, pin_identity=True))),
+    ]
+    found = sharp_search.find_sharp_set(listed[s5], 1)
+    for module in (cli, perm, sharp_search):
+        monkeypatch.setattr(module, "induced_action", on_generators_only)
+    for argv, outcome in expected:
+        code, report = run_cli(tmp_path, "linsys", "--group", s5, "--t", "2", *argv)
+        assert code == 0 and {k: report[k] for k in ("status", "witness", "notes")} == outcome.as_dict(), argv
+    code, report = run_cli(tmp_path, "search-sharp", "--group", s5, "--t", "2")
+    assert (code, report["t"], report["nodes"]) == (0, 2, found.nodes)
+    assert report["witness"] == list(found.sharp_set.element_indices)
+
+
 def test_order_line_below_one_is_malformed(tmp_path, capsys):
     c5 = tmp_path / "c5.grp"
     for order in (0, -5):

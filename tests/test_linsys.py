@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 from oracles import (
+    fraction_keyed_lp_feasible_point,
     lemma_down_check,
     local_global_check,
     nullspace_mod_p,
+    reference_packed_rows,
     reference_solve_nonneg_integer,
     reference_solve_rational,
     seeded_integer_corpus,
@@ -19,6 +21,7 @@ from oracles import (
 from sharpsets import linsys, perm
 from sharpsets.linsys import (
     ExactSystem,
+    SolveOutcome,
     build_full_system,
     build_H_system,
     dump_system,
@@ -618,6 +621,43 @@ def test_packed_kernel_keeps_no_more_than_its_basis_beside_the_rows(s5):
     assert peak < 2 * packed_row_bytes(system, p), (peak, packed_row_bytes(system, p))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 251, 257, 65537, 4294967311])
+def test_byte_packer_matches_shift_or_reference(p, s5):
+    # each entry is ORed into its row's bytearray, over more than one byte only
+    # when (a % p) << (bit offset in its byte) passes 255: the rows must be the
+    # ints one shift and OR per entry makes, for coefficients of every kind, on
+    # S5 pairs and on its collapse by itself, whose counts pass 1
+    rng = random.Random(31 * p)
+    w = linsys._width(p)
+    kinds = {"negative": 0, "zero": 0, "at least p": 0, "multi-byte": 0}
+    pairs = induced_action(s5, 2)[1]
+    systems = [
+        build_full_system(pairs.elements),
+        build_H_system(pairs, pairs),
+        ExactSystem([{}, {}], []),
+        ExactSystem([], [0, 1, p, -1, 3 * p + 2]),
+        ExactSystem([{0: 0, 1: 0}, {}], [0, 0]),
+        ExactSystem.from_rows([[0, 0, 0], [1, 2, 0], [0, 0, 0]], [0, 1, p]),
+    ]
+    for _ in range(60):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 24)
+        choices = (0, 1, -1, p - 1, p, p + 1, 2 * p + 3, -p - 2, rng.randrange(-4 * p, 4 * p), rng.randrange(1 << 40))
+        columns = [{r: rng.choice(choices) for r in range(nrows) if rng.random() < 0.7} for _ in range(ncols)]
+        systems.append(ExactSystem(columns, [rng.choice(choices) for _ in range(nrows)]))
+    for k, system in enumerate(systems):
+        assert linsys._packed_rows(system, p) == reference_packed_rows(system, p), k
+        entries = [(c, a) for c, col in enumerate(system.columns) for a in col.values()]
+        entries += [(system.cols, b) for b in system.rhs]
+        for c, a in entries:
+            kinds["negative"] += a < 0
+            kinds["zero"] += a == 0
+            kinds["at least p"] += a >= p
+            kinds["multi-byte"] += a % p << (system.cols - c) * w % 8 > 255
+    if not any((p - 1) << f * w % 8 > 255 for f in range(8)):  # fields of 1 bit (p = 2) or 4 (p = 5, 7)
+        assert kinds.pop("multi-byte") == 0
+    assert min(kinds.values()) >= 20, kinds
+
+
 # ---------------------------------------------------------------------------
 # Z solver
 
@@ -757,6 +797,16 @@ def test_nonneg_full_system_is_the_sharp_set_search(c5, c6, s3, s4, s5, pin):
     assert found == 8  # C5 and C6 are not transitive on ordered pairs
 
 
+def test_witness_entries_print_as_ints_or_fractions():
+    # as_dict reads each entry's denominator (ints have one): a whole value is
+    # written as an int, whether it came as an int, a bool or a Fraction, and
+    # any other as its Fraction string
+    witness = [0, 3, True, Fraction(4, 2), Fraction(-1, 2), Fraction(7, 3)]
+    wit = SolveOutcome("solvable", witness).as_dict()["witness"]
+    assert wit == [0, 3, 1, 2, "-1/2", "7/3"] and [type(x) for x in wit[:4]] == [int] * 4
+    assert SolveOutcome("infeasible").as_dict() == {"status": "infeasible", "witness": None, "notes": {}}
+
+
 def test_nonneg_notes_count_simplex_pivots(s4):
     # S4 on its 4 points branches once, and both nodes pivot
     system = build_full_system(s4.elements)
@@ -831,6 +881,38 @@ def test_integer_rows_match_fraction_reference_on_random_systems():
         cut = assert_matches_fraction_reference(system, 1 + trial % 3, (trial, "cut"))
         seen["unknown-budget"] += cut.status == "unknown-budget"
     assert min(seen.values()) >= 20, seen
+
+
+def test_integer_ratio_test_matches_fraction_keyed_reference_on_ties():
+    # 0/1/2 rows with small right sides tie often at the least ratio; the
+    # cross-multiplied comparison, ties to the lower basis[i], must leave on
+    # the row the Fraction key does, so the point and the pivots agree, and
+    # the branch and bound above it matches the Fraction-row reference
+    rng = random.Random(2024)
+    seen = {"feasible": 0, "infeasible": 0, "tied runs": 0, "ties": 0}
+    for trial in range(300):
+        nrows, ncols = rng.randrange(2, 7), rng.randrange(3, 9)
+        matrix = [[rng.choice((0, 0, 1, 1, 2, -1)) for _ in range(ncols)] for _ in range(nrows)]
+        if trial % 3:
+            x0 = [rng.randrange(0, 3) for _ in range(ncols)]
+            rhs = [sum(a * x for a, x in zip(row, x0)) for row in matrix]
+        else:
+            rhs = [rng.randrange(-2, 4) for _ in range(nrows)]
+        system = ExactSystem.from_rows(matrix, rhs)
+        rows, pivots = linsys._rref_integer(system)
+        if rows is None:
+            continue
+        lo = [rng.randrange(0, 2) * (trial % 2) for _ in range(ncols)]
+        hi = [None if rng.random() < 0.6 else x + rng.randrange(1, 4) for x in lo]
+        ties = []
+        point, steps = linsys._lp_feasible_point(rows, pivots, lo, hi)
+        assert (point, steps) == fraction_keyed_lp_feasible_point(rows, pivots, lo, hi, ties), trial
+        seen["feasible" if point is not None else "infeasible"] += 1
+        seen["tied runs"] += max(ties, default=1) > 1
+        seen["ties"] += sum(n > 1 for n in ties)
+        if trial % 4 == 0:
+            assert_matches_fraction_reference(system, 40, trial)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_integer_rows_match_fraction_reference_on_pairs(s4, s5):
