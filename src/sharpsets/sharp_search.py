@@ -11,10 +11,9 @@ on t-arrangements, so one search core handles every arity.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, count
+from itertools import compress
 from operator import or_
 
 from .linsys import _check_cap
@@ -31,7 +30,8 @@ ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 @dataclass
 class CoverInstance:
     """Exact-cover matrix: columns[j] is the row bitset of column j, and
-    units[i] a 1 in the `width`-bit field of each of row i's columns."""
+    units[i] a 1 in bit width * j for each of row i's columns j. `width` is
+    the least with every column's row count below 2^width - 1."""
 
     n_cells: int
     columns: list[int]
@@ -49,12 +49,8 @@ def build_cover_instance(elements: list[Perm]) -> CoverInstance:
     for ri, g in enumerate(elements):
         for c in range(n):
             columns[c * n + g[c]] |= 1 << ri
-    width = 8  # whole bytes, with the all-ones field above every live-row count
-    while max(map(int.bit_count, columns)) >= (1 << width) - 1:
-        width *= 2
-    step = width // 8  # bytes per field; a unit is n blocks of n fields, block c holding a 1 in field g[c]
-    blocks = [bytes(j * step) + b"\1" + bytes((n - j) * step - 1) for j in range(n)]
-    units = [int.from_bytes(b"".join(map(blocks.__getitem__, g)), "little") for g in elements]
+    width = (max(map(int.bit_count, columns)) + 1).bit_length()  # at least 2, as some column holds a row
+    units = [sum(1 << width * (c * n + d) for c, d in enumerate(g)) for g in elements]
     return CoverInstance(n, columns, units, width)
 
 
@@ -82,11 +78,11 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     A node carries `alive`, the rows sharing no column with a chosen row;
     `counts`, each column's live rows in a packed field; and `covered`, all
     ones in each covered field. A chosen row kills the live rows of its
-    conflict mask (its columns' row bitsets ORed, made once) and subtracts
-    their units, so backtracking is a return. The column, found in C on the
-    bytes of `counts | covered`, is the lowest-index one with at most one
-    live row, else the lowest-index one of fewest; rows go in index order,
-    so the search and its witness are deterministic. The node budget (at
+    conflict mask (its columns' row bitsets ORed, made once), and the child's
+    counts subtract their units or sum the survivors', whichever are fewer.
+    Zero-field tests on `counts | covered` pick the lowest-index column with
+    at most one live row, else the lowest-index one of fewest; rows go in
+    index order, so search and witness are deterministic. The node budget (at
     least 1) makes the cutoff machine independent; check_cover_cap comes first.
     """
     if budget < 1:
@@ -95,22 +91,26 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     elements = G.elements if t == 1 else induced_action(G, t)[1].elements
     inst = build_cover_instance(elements)
     n, columns, units, width = inst.n_cells, inst.columns, inst.units, inst.width
-    size, ones, pattern = inst.n_columns * width // 8, (1 << width) - 1, f"0{len(units)}b"
-    read = bytes if width == 8 else struct.Struct(f"<{inst.n_columns}{'H' if width == 16 else 'I'}").unpack
-
+    ones, pattern = (1 << width) - 1, f"0{len(units)}b"
+    low = ((1 << width * inst.n_columns) - 1) // ones  # bit 0 of every field
+    high = low << width - 1  # bit w-1 of every field; `rest` holds bits 0..w-2 and `upper` bits 1..w-1
+    rest, upper = high - low, low * (ones - 1)
     nodes = 0
     chosen: list[int] = []
     conflicts: list[int | None] = [None] * len(elements)  # on first use: all at once is |G|^2 bits (200 MB for S8)
+
+    def picked(mask: int) -> int:  # the units of mask's rows summed, through one 0/1 byte per row
+        return sum(compress(units, format(mask, pattern)[::-1].encode().translate(ZERO_ONE)))
 
     def search(counts: int, covered: int, alive: int) -> bool:
         nonlocal nodes
         if len(chosen) == n:  # n disjoint rows of n columns each
             return True
-        view = read((counts | covered).to_bytes(size, "little"))
-        fewest = next(v for v in count() if v in view)
-        if fewest == 0 and 1 not in view[: view.index(0)]:
-            return False  # the first column of at most one live row has none
-        cands = columns[view.index(max(fewest, 1))] & alive
+        y = counts | covered
+        x, v = y & upper, 2  # a field of x is 0 where y holds 0 or 1; after that, where y holds v = 2, 3, ...
+        while not (zero := high & ~(((x & rest) + rest) | x)):  # bit w-1 of x's zero fields; no carry leaves one
+            x, v = y ^ v * low, v + 1
+        cands = columns[(zero & -zero).bit_length() // width - 1] & alive  # none when that column has no live row
         while cands:
             ri = (cands & -cands).bit_length() - 1
             cands ^= 1 << ri
@@ -120,9 +120,9 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
             if (kill := conflicts[ri]) is None:
                 kill = conflicts[ri] = reduce(or_, [columns[c * n + d] for c, d in enumerate(elements[ri])])
             kill &= alive
-            killed = format(kill, pattern)[::-1].encode().translate(ZERO_ONE)  # one 0/1 byte per row
+            child = picked(rows) if (rows := alive ^ kill).bit_count() < kill.bit_count() else counts - picked(kill)
             chosen.append(ri)
-            if search(counts - sum(compress(units, killed)), covered | units[ri] * ones, alive & ~kill):
+            if search(child, covered | units[ri] * ones, rows):
                 return True
             chosen.pop()
         return False

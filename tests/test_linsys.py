@@ -81,36 +81,34 @@ def sparse_rref_as_dense(system):
 
 
 def dense_rref_mod_p(system, p):
-    """Gauss-Jordan of [A | b] mod p on a NumPy array, first nonzero row as pivot: the reference for the packed kernel.
+    """Gauss-Jordan of [A | b] mod p on lists of Python ints, first nonzero row as pivot: the reference for the packed kernel.
 
-    Entries are int64 while (p-1)^2 fits, else Python ints. Returns (reduced array, pivots), all pivots < cols.
+    A pivot row is reduced mod p and zero left of its pivot, so a clear walks
+    only its nonzero entries, and other rows are reduced only where a pivot
+    is sought and at the end. Returns (reduced rows, pivots), all pivots < cols.
     """
-    import numpy as np
-
-    a = np.zeros((system.rows, system.cols + 1), dtype=np.int64 if (p - 1) ** 2 < 2**63 else object)
+    a = [[0] * (system.cols + 1) for _ in range(system.rows)]
     for c, col in enumerate(system.columns):
         for r, x in col.items():
-            a[r, c] = x % p
+            a[r][c] = x
     for r, b in enumerate(system.rhs):
-        a[r, -1] = b % p
+        a[r][-1] = b
     pivots = []
-    r = 0
     for c in range(system.cols):
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        r = len(pivots)
+        sel = next((i for i in range(r, system.rows) if a[i][c] % p), None)
+        if sel is None:
             continue
-        sel = r + int(nz[0])
-        if sel != r:
-            a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        for i in np.nonzero(a[:, c])[0]:
-            if i != r:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
+        a[r], a[sel] = a[sel], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        nonzero = [(j, x) for j, x in enumerate(a[r]) if x]
+        for i, row in enumerate(a):
+            if i != r and (f := row[c] % p):
+                for j, x in nonzero:
+                    row[j] -= f * x
         pivots.append(c)
-        r += 1
-        if r == system.rows:
-            break
-    return a, pivots
+    return [[x % p for x in row] for row in a], pivots
 
 
 def reference_mod_p(system, p):
@@ -122,13 +120,13 @@ def reference_mod_p(system, p):
         v = [0] * ncols
         v[f] = 1
         for i, c in enumerate(pivots):
-            v[c] = int(-a[i, f] % p)
+            v[c] = -a[i][f] % p
         null.append(v)
-    if a[rank:, ncols].any():
+    if any(row[ncols] for row in a[rank:]):
         return "infeasible", rank, None, null
     witness = [0] * ncols
     for i, c in enumerate(pivots):
-        witness[c] = int(a[i, ncols])
+        witness[c] = a[i][ncols]
     return "solvable", rank, witness, null
 
 
@@ -492,7 +490,7 @@ def assert_reduced_basis(system, p):
     for lead, row in rows.items():
         assert [row[c] for c in rows] == [int(c == lead) for c in rows], lead
     a, pivots = dense_rref_mod_p(system, p)
-    status = "infeasible" if a[len(pivots):, ncols].any() else "solvable"
+    status = "infeasible" if any(row[ncols] for row in a[len(pivots):]) else "solvable"
     assert sorted(rows) == pivots + [ncols] * (status == "infeasible")
     if status == "solvable":
         assert [rows[c] for c in pivots] == [[int(x) for x in a[i]] for i in range(len(pivots))]

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from oracles import certificate_search, reference_find_sharp_set
 
 from sharpsets import linsys
+from sharpsets.perm import GroupSpec, enumerate_group, induced_action
 from sharpsets.sharp_search import (
     FOUND,
     NONE_EXHAUSTIVE,
@@ -14,10 +17,10 @@ from sharpsets.sharp_search import (
 
 def test_cover_instance_row_shape(c5):
     inst = build_cover_instance(c5.elements)
-    assert (inst.n_columns, inst.width) == (25, 8)  # one byte per column
+    assert (inst.n_columns, inst.width) == (25, 2)  # the least width with every count below 2^width - 1
     assert all(members.bit_count() == 1 for members in inst.columns)  # C5 is regular: one element per pair
-    for i, g in enumerate(c5.elements):  # a 1 in the byte of each pair (c, c^g), and element i in its column
-        assert inst.units[i] == sum(1 << 8 * (c * 5 + g[c]) for c in range(5))
+    for i, g in enumerate(c5.elements):  # a 1 in the field of each pair (c, c^g), and element i in its column
+        assert inst.units[i] == sum(1 << 2 * (c * 5 + g[c]) for c in range(5))
         assert all(inst.columns[c * 5 + g[c]] >> i & 1 for c in range(5))
 
 
@@ -117,16 +120,59 @@ def test_doublecount_holds_for_every_found_witness(c5, c6, s3, s4, a4, s5):
 )
 def test_packed_counts_match_the_rescan_kernel(request, group, t):
     # same status, node count and witness as the full column rescan; S6 pairs
-    # is the 9,000-node exhaustive run, and S7's 720-row columns need 16-bit fields
+    # is the 9,000-node exhaustive run, and S7's 720-row columns need 10-bit fields
     enum = request.getfixturevalue(group)
     result = find_sharp_set(enum, t)
     assert result == reference_find_sharp_set(enum, t)
     if group == "s6":
         assert (result.status, result.nodes) == (NONE_EXHAUSTIVE, 9000)
     if group == "s7":
-        assert build_cover_instance(enum.elements).width == 16
+        assert build_cover_instance(enum.elements).width == 10
 
 
 def test_packed_counts_match_the_rescan_kernel_under_every_budget(s5):
     for budget in range(1, 41):
         assert find_sharp_set(s5, 2, budget) == reference_find_sharp_set(s5, 2, budget), budget
+
+
+def seeded_search_groups(count=60, seed=29, cover_cap=400_000):
+    """`count` seeded groups of degree 3..7 at t = 1 or 2, each generated by one
+    or two random permutations of a random set of points (all of them half of
+    the time; a group moving fewer is intransitive), kept when |G| x N^2 for N
+    cells is at most `cover_cap`, so that the rescan reference stays quick."""
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < count:
+        n, t = rng.randint(3, 7), rng.choice((1, 2))
+        moved = rng.sample(range(n), rng.choice((n, rng.randint(2, n))))
+        generators = []
+        for _ in range(rng.randint(1, 2)):
+            images = list(range(n))
+            for x, y in zip(moved, rng.sample(moved, len(moved))):
+                images[x] = y
+            generators.append(bytes(images))
+        G = enumerate_group(GroupSpec(n, tuple(generators), "random"))
+        if G.order * len(induced_action(G, t)[1].elements[0]) ** 2 <= cover_cap:
+            drawn.append((G, t))
+    return drawn
+
+
+def test_packed_counts_match_the_rescan_kernel_on_seeded_groups():
+    # status, node count and witness at the default budget and at every budget
+    # 1..20; the corpus reaches empty columns and the largest counts 2, 3 and 6
+    # on either side of a width step (2 = 2^2 - 2 fits 2 bits, 3 = 2^2 - 1 and
+    # 6 = 2^3 - 2 need 3), and both verdicts of the full search
+    largest, statuses, empty = set(), set(), 0
+    for G, t in seeded_search_groups():
+        elements = G.elements if t == 1 else induced_action(G, t)[1].elements
+        inst = build_cover_instance(elements)
+        counts = [members.bit_count() for members in inst.columns]
+        largest.add((max(counts), inst.width))
+        empty += min(counts) == 0
+        result = find_sharp_set(G, t)
+        assert result == reference_find_sharp_set(G, t), (G.name, G.degree, G.order, t)
+        statuses.add(result.status)
+        for budget in range(1, 21):
+            assert find_sharp_set(G, t, budget) == reference_find_sharp_set(G, t, budget), (G.order, t, budget)
+    assert {(2, 2), (3, 3), (6, 3)} <= largest
+    assert empty >= 10 and statuses == {FOUND, NONE_EXHAUSTIVE}
