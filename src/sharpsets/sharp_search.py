@@ -30,8 +30,10 @@ ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 @dataclass
 class CoverInstance:
     """Exact-cover matrix: columns[j] is the row bitset of column j, and
-    units[i] a 1 in bit width * j for each of row i's columns j. `width` is
-    the least with every column's row count below 2^width - 1."""
+    units[i] a 1 in bit width * j for each of row i's columns j, read as one
+    base-2^b numeral of per-cell digit blocks, b the largest of 1..5 dividing
+    width. `width` is the least with every column's row count below
+    2^width - 1."""
 
     n_cells: int
     columns: list[int]
@@ -50,7 +52,9 @@ def build_cover_instance(elements: list[Perm]) -> CoverInstance:
         for c in range(n):
             columns[c * n + g[c]] |= 1 << ri
     width = (max(map(int.bit_count, columns)) + 1).bit_length()  # at least 2, as some column holds a row
-    units = [sum(1 << width * (c * n + d) for c, d in enumerate(g)) for g in elements]
+    b = next(b for b in (5, 4, 3, 2, 1) if width % b == 0)  # a field is width // b base-2^b digits
+    blocks = [b"0" * ((n - d) * width // b - 1) + b"1" + b"0" * (d * width // b) for d in range(n)]  # top field first
+    units = [int(b"".join(map(blocks.__getitem__, reversed(g))), 1 << b) for g in elements]
     return CoverInstance(n, columns, units, width)
 
 
@@ -79,11 +83,14 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     `counts`, each column's live rows in a packed field; and `covered`, all
     ones in each covered field. A chosen row kills the live rows of its
     conflict mask (its columns' row bitsets ORed, made once), and the child's
-    counts subtract their units or sum the survivors', whichever are fewer.
-    Zero-field tests on `counts | covered` pick the lowest-index column with
-    at most one live row, else the lowest-index one of fewest; rows go in
-    index order, so search and witness are deterministic. The node budget (at
-    least 1) makes the cutoff machine independent; check_cover_cap comes first.
+    counts subtract their units or sum the survivors', whichever are fewer:
+    a sum over at most 24 rows walks the mask's set bits, a larger one goes
+    through one 0/1 byte per row. A candidate leaving no live row is counted
+    but entered only if it completes the cover. Zero-field tests on
+    `counts | covered` pick the lowest-index column with at most one live
+    row, else the lowest-index one of fewest; rows go in index order, so
+    search and witness are deterministic. The node budget (at least 1) makes
+    the cutoff machine independent; check_cover_cap comes first.
     """
     if budget < 1:
         raise ValueError(f"budget {budget} is below 1")
@@ -91,7 +98,7 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     elements = G.elements if t == 1 else induced_action(G, t)[1].elements
     inst = build_cover_instance(elements)
     n, columns, units, width = inst.n_cells, inst.columns, inst.units, inst.width
-    ones, pattern = (1 << width) - 1, f"0{len(units)}b"
+    ones, pattern, backwards = (1 << width) - 1, f"0{len(units)}b", units[::-1]
     low = ((1 << width * inst.n_columns) - 1) // ones  # bit 0 of every field
     high = low << width - 1  # bit w-1 of every field; `rest` holds bits 0..w-2 and `upper` bits 1..w-1
     rest, upper = high - low, low * (ones - 1)
@@ -99,8 +106,14 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
     chosen: list[int] = []
     conflicts: list[int | None] = [None] * len(elements)  # on first use: all at once is |G|^2 bits (200 MB for S8)
 
-    def picked(mask: int) -> int:  # the units of mask's rows summed, through one 0/1 byte per row
-        return sum(compress(units, format(mask, pattern)[::-1].encode().translate(ZERO_ONE)))
+    def picked(mask: int) -> int:  # the units of mask's rows summed
+        if mask.bit_count() > 24:  # past the measured crossover: one 0/1 byte per row, the last row's first
+            return sum(compress(backwards, format(mask, pattern).encode().translate(ZERO_ONE)))
+        total = 0
+        while mask:  # few rows: walk the set bits
+            total += units[(bit := mask & -mask).bit_length() - 1]
+            mask ^= bit
+        return total
 
     def search(counts: int, covered: int, alive: int) -> bool:
         nonlocal nodes
@@ -120,7 +133,9 @@ def find_sharp_set(G: GroupEnumeration, t: int = 1, budget: int = DEFAULT_BUDGET
             if (kill := conflicts[ri]) is None:
                 kill = conflicts[ri] = reduce(or_, [columns[c * n + d] for c, d in enumerate(elements[ri])])
             kill &= alive
-            child = picked(rows) if (rows := alive ^ kill).bit_count() < kill.bit_count() else counts - picked(kill)
+            if not (rows := alive ^ kill) and len(chosen) < n - 1:
+                continue  # no live row left and the cover not complete: the child fails at its first column
+            child = picked(rows) if rows.bit_count() < kill.bit_count() else counts - picked(kill)
             chosen.append(ri)
             if search(child, covered | units[ri] * ones, rows):
                 return True

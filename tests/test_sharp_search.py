@@ -1,10 +1,11 @@
 import random
 
 import pytest
+from conftest import make_group
 from oracles import certificate_search, reference_find_sharp_set
 
 from sharpsets import linsys
-from sharpsets.perm import GroupSpec, enumerate_group, induced_action
+from sharpsets.perm import GroupEnumeration, GroupSpec, enumerate_group, induced_action
 from sharpsets.sharp_search import (
     FOUND,
     NONE_EXHAUSTIVE,
@@ -22,6 +23,21 @@ def test_cover_instance_row_shape(c5):
     for i, g in enumerate(c5.elements):  # a 1 in the field of each pair (c, c^g), and element i in its column
         assert inst.units[i] == sum(1 << 2 * (c * 5 + g[c]) for c in range(5))
         assert all(inst.columns[c * 5 + g[c]] >> i & 1 for c in range(5))
+
+
+def test_digit_block_units_at_every_field_width(s3, s4, s5, a6, s6, s7):
+    # the units are built from base-2^b digit blocks, b the largest of 1..5
+    # dividing the width; widths 2..10 reach every base and fields of 1, 2, 3
+    # and 7 digits, and S7's first 1,000 elements have a largest count of 208
+    a5 = make_group(5, "A5", [(0, 1, 2)], [(0, 1, 2, 3, 4)])
+    a7 = make_group(7, "A7", [(0, 1, 2)], [(2, 3, 4, 5, 6)])
+    widths = []
+    for elements in [G.elements for G in (s3, s4, a5, s5, a6, s6)] + [s7.elements[:1000], a7.elements, s7.elements]:
+        inst = build_cover_instance(elements)
+        n, w = inst.n_cells, inst.width
+        widths.append(w)
+        assert inst.units == [sum(1 << w * (c * n + g[c]) for c in range(n)) for g in elements], w
+    assert widths == list(range(2, 11))
 
 
 def test_regular_group_found_whole(c5):
@@ -133,6 +149,27 @@ def test_packed_counts_match_the_rescan_kernel(request, group, t):
 def test_packed_counts_match_the_rescan_kernel_under_every_budget(s5):
     for budget in range(1, 41):
         assert find_sharp_set(s5, 2, budget) == reference_find_sharp_set(s5, 2, budget), budget
+
+
+def test_s6_pairs_match_the_rescan_kernel_when_cut_mid_search(s6):
+    # S6 pairs sums masks on both sides of the bit-walk threshold and meets
+    # candidates that leave no live row, which are counted but not entered
+    for budget in (1, 25, 433, 2000, 5000):
+        result = find_sharp_set(s6, 2, budget)
+        assert result == reference_find_sharp_set(s6, 2, budget), budget
+        assert (result.status, result.nodes) == (UNKNOWN_BUDGET, budget + 1)
+
+
+def test_s6_pair_row_subsets_match_the_rescan_kernel(s6):
+    # a cut-short run only shows that neither search ended early; exhausting
+    # S6 pairs less every k-th row compares whole node counts, which move if
+    # a sum, a skipped child or its count goes wrong
+    pairs = induced_action(s6, 2)[1].elements
+    for k, nodes in ((3, 242), (4, 630), (5, 998)):
+        rows = GroupEnumeration(30, [g for i, g in enumerate(pairs) if i % k], f"S6 pairs less every {k}th row")
+        result = find_sharp_set(rows, 1)
+        assert result == reference_find_sharp_set(rows, 1), k
+        assert (result.status, result.nodes) == (NONE_EXHAUSTIVE, nodes)
 
 
 def seeded_search_groups(count=60, seed=29, cover_cap=400_000):
