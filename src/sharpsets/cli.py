@@ -23,16 +23,18 @@ are stored by column; the Z solver and `--export-system` densify, and the
 packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
 F_2's one-bit rows are not capped), or a `search-sharp` whose packed
 exact-cover table, |G| x N^2 fields, would pass that cap (checked on |G|
-before enumeration). One rule, linsys.check_run_cap, names
-a linsys run's first capped step and checks its [A | b] wherever the
-system's size is first known, with the line that step prints: a full
-system's N^2 x (|G| + 1) on the order before enumeration, the
-columns --fpf or --pin-identity keep before any is built, and an
-unrestricted --subgroup collapse on its least shape, ceil(N^2/|H|) x
-(ceil(|G|/|H|) + 1), before either group is enumerated, so a file both
-too large and not a subgroup exits 4, not 2. The quadric's polarization is checked on
-every pair of an F_2-basis, complete because both sides are biadditive,
-so sp (2,8), (3,4) and (5,2) run in seconds in both actions.
+before enumeration). So does a computed report holding an int past
+Python's int-to-str limit, with nothing on stdout. One rule,
+linsys.check_run_cap, names a linsys run's first capped step and checks
+its [A | b] wherever the system's size is first known, with the line
+that step prints: a full system's N^2 x (|G| + 1) on the order before
+enumeration, the columns --fpf or --pin-identity keep before any is
+built, and an unrestricted --subgroup collapse on its least shape,
+ceil(N^2/|H|) x (ceil(|G|/|H|) + 1), before either group is enumerated,
+so a file both too large and not a subgroup exits 4, not 2. The quadric's
+polarization is checked on every pair of an F_2-basis, complete because
+both sides are biadditive, and generator permutations are read off
+packed one-bit images, so sp (5,2) and (3,4) run in about a second.
 A failed `selftest` check carries an `error` field and makes the run exit 1.
 Random probes take their seed from `--probe`; there is no `--seed` flag.
 """
@@ -51,7 +53,10 @@ from .perm import GroupFileError, GroupTooLarge, enumerate_group, expect, induce
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    except ValueError as exc:  # a computed int too long to print; nothing is written
+        raise GroupTooLarge(f"the report holds an int past Python's {sys.get_int_max_str_digits()}-digit limit for printing") from exc
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -3,11 +3,14 @@
 Points come in two flavours: nonzero vectors of F_q^(2n), and projective
 points of PG(2n-1, q) represented by the scalar multiple whose first nonzero
 coordinate is 1. Both are indexed deterministically (lexicographic vector
-order), so every downstream bitset is reproducible.
+order), so every downstream bitset is reproducible; vector index i packs
+to the int i + 1. Transvections, scalings and the Frobenius map are
+F_2-linear, so each is read off its images of the 2nm one-bit vectors.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -25,7 +28,6 @@ class SymplecticSpace:
     n: int
     field: FieldSpec
     vectors: list[Vector] = field(repr=False)           # all nonzero vectors, lex order
-    vec_index: dict = field(repr=False)
     proj_points: list[Vector] = field(repr=False)       # canonical representatives
     scalar_maps: list[tuple[int, ...]] = field(repr=False)  # for c = 1..q-1: projective index -> index of c * rep
     proj_of: list[int] = field(repr=False)              # vector index -> projective index, read off scalar_maps
@@ -46,8 +48,11 @@ class SymplecticSpace:
     def num_proj_points(self) -> int:
         return len(self.proj_points)
 
+    def pack(self, v: Vector) -> int:  # m bits per coordinate, the first highest: lex order is numeric order
+        return functools.reduce(lambda x, c: x << self.field.m | c, v, 0)
+
     def proj_point(self, v: Vector) -> int:
-        return self.proj_of[self.vec_index[v]]
+        return self.proj_of[self.pack(v) - 1]
 
     def add(self, u: Vector, v: Vector) -> Vector:
         return tuple(a ^ b for a, b in zip(u, v))
@@ -61,17 +66,17 @@ def symplectic_space(n: int, field: FieldSpec) -> SymplecticSpace:
         raise ValueError("need n >= 2")
     q = field.q
     vectors = [v for v in itertools.product(range(q), repeat=2 * n) if any(v)]
-    vec_index = {v: i for i, v in enumerate(vectors)}
     # lex order meets each point's representative (first nonzero coordinate 1) before its other multiples
-    proj_points = [v for v in vectors if next(filter(None, v)) == 1]
-    space = SymplecticSpace(n, field, vectors, vec_index, proj_points, [], [0] * len(vectors))
-    space.scalar_maps = [tuple(vec_index.get(space.scale(c, rep)) for rep in proj_points) for c in range(1, q)]
+    reps = [i for i, v in enumerate(vectors) if next(filter(None, v)) == 1]
+    space = SymplecticSpace(n, field, vectors, [vectors[i] for i in reps], [], [0] * len(vectors))
+    scalings = (_point_perm(space, functools.partial(space.scale, c), "vector") for c in range(1, q))
+    space.scalar_maps = [tuple(map(image.__getitem__, reps)) for image in scalings]
     expect(set(itertools.chain(*space.scalar_maps)) == set(range(len(vectors))), "c * rep, c != 0, misses a vector")
     for scalar_map in space.scalar_maps:
         for i, k in enumerate(scalar_map):
             space.proj_of[k] = i
     expect(len(vectors) == q ** (2 * n) - 1, "vector count")
-    expect(len(proj_points) == (q ** (2 * n) - 1) // (q - 1), "projective point count")
+    expect(len(reps) == (q ** (2 * n) - 1) // (q - 1), "projective point count")
     return space
 
 
@@ -239,19 +244,20 @@ def symplectic_generators(space: SymplecticSpace, action: str = "projective") ->
     u runs over e_0, ..., e_{2n-1} and e_{2i} + e_{2i+2}, lam over the basis
     1, x, ..., x^(m-1) of GF(2^m): (3n-1)m maps. Each is linear, so checking
     that it preserves the bilinear form on all pairs of unit vectors checks
-    it everywhere; then it becomes a permutation of the chosen point set
-    ("projective" or "vector").
+    it everywhere (the units' images against their Gram matrix); then it
+    becomes a permutation of the chosen point set ("projective" or "vector").
     """
     if action not in ("projective", "vector"):
         raise ValueError("action must be 'projective' or 'vector'")
     units = unit_vectors(space)
+    gram = [symplectic_form(space, x, y) for x, y in itertools.product(units, repeat=2)]
     axes = units + [space.add(units[i], units[i + 2]) for i in range(0, space.dim - 2, 2)]
     gens = []
     for u in axes:
         for k in range(space.field.m):
             t = _transvection(space, u, 1 << k)
-            for x, y in itertools.product(units, repeat=2):
-                expect(symplectic_form(space, t(x), t(y)) == symplectic_form(space, x, y), f"transvection along {u}")
+            for (x, y), form in zip(itertools.product(map(t, units), repeat=2), gram):  # t once per unit
+                expect(symplectic_form(space, x, y) == form, f"transvection along {u}")
             gens.append(_point_perm(space, t, action))
     degree = space.num_proj_points if action == "projective" else space.num_vectors
     return GroupSpec(
@@ -263,16 +269,24 @@ def symplectic_generators(space: SymplecticSpace, action: str = "projective") ->
 
 
 def _point_perm(space: SymplecticSpace, vec_map, action: str) -> Perm:
+    """An F_2-linear vec_map on vectors or projective points, read off its images of the 2nm one-bit vectors.
+
+    Packed, image[x | 1 << b] = image[x] ^ image[1 << b] for x < 2^b; vector i goes to image[i + 1] - 1.
+    """
+    image = [0]
+    for b in range(space.dim * space.field.m):
+        bit = space.pack(vec_map(space.vectors[(1 << b) - 1]))
+        image += [y ^ bit for y in image]
     if action == "vector":
-        return tuple(space.vec_index[vec_map(v)] for v in space.vectors)
-    return tuple(space.proj_point(vec_map(rep)) for rep in space.proj_points)
+        return tuple(y - 1 for y in image[1:])
+    return tuple(space.proj_of[image[k + 1] - 1] for k in space.scalar_maps[0])  # c = 1: each representative's index
 
 
 def frobenius_point_map(space: SymplecticSpace) -> Perm:
     """Coordinatewise squaring as a permutation of projective points.
 
     It is semilinear and fixes the form's (prime field) coefficients, so it
-    maps lines to lines and preserves nonsingularity.
+    maps lines to lines and preserves nonsingularity; it is F_2-linear.
     """
     F = space.field
 

@@ -352,13 +352,20 @@ def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) ->
     """The images of a bitset of points under the group the generators generate.
 
     BFS order from point_set, so the list starts with it and is reproducible.
-    Raises GroupTooLarge once more than `cap` images appear.
+    Raises GroupTooLarge once more than `cap` images appear. A member's image under g
+    is the sum of g's bit table [1 << y for y in g] at the member's points, listed once
+    (distinct bits: the sum is their union); the tables share one list of powers of two.
     """
+    pow2 = [1 << y for y in range(len(generators[0]))] if generators else []
+    tables = [[pow2[y] for y in gen] + [0] for gen in generators]
     seen = {point_set}
     orbit = [point_set]
     for member in orbit:
-        for gen in generators:
-            image = apply_to_set(gen, member)
+        points = [-1, -1]  # two reads of each table's appended 0, so the getter returns a tuple even for 0 points
+        while member:
+            points.append((low := member & -member).bit_length() - 1)
+            member ^= low
+        for image in map(sum, map(itemgetter(*points), tables)):
             if image not in seen:
                 if len(seen) >= cap:
                     raise GroupTooLarge(f"the orbit of a {point_set.bit_count()}-point set passed the cap of {cap}")

@@ -31,6 +31,11 @@ ratio, so that a corpus can show it reaches ties.
 reference_proj_points is the canonical-representative rule (scale by the
 inverse of the first nonzero coordinate) that geometry's reading of a
 vector's projective point off the scalar maps replaced.
+reference_point_perm evaluates a vector map on every vector or projective
+representative and looks each image up in a dict of vectors, as geometry
+did before it read F_2-linear maps off their packed one-bit images, and
+reference_set_orbit is the orbit BFS that maps every member by
+apply_to_set, as perm.set_orbit did before its per-generator bit tables.
 reference_golay_codewords, reference_mclaughlin_adjacency,
 reference_non_adjacent_family and reference_graph_error are the pairwise
 definitions (shift-and-add products, one test per pair of blocks or
@@ -65,7 +70,7 @@ from sharpsets.linsys import (
     solve_mod_p,
     verify_witness,
 )
-from sharpsets.perm import GroupEnumeration, GroupSpec, apply_to_set, induced_action
+from sharpsets.perm import GroupEnumeration, GroupSpec, GroupTooLarge, apply_to_set, induced_action
 from sharpsets.sharp_search import FOUND, NONE_EXHAUSTIVE, UNKNOWN_BUDGET, SearchResult, SharpSet
 
 
@@ -478,6 +483,30 @@ def reference_proj_points(space) -> list[int]:
         s = gf.inv(space.field, next(filter(None, v)))
         out.append(index[tuple(gf.mul(space.field, s, x) for x in v)])
     return out
+
+
+def reference_point_perm(space, vec_map, action: str) -> tuple:
+    """vec_map on every vector ("vector") or projective representative, each image looked up by value."""
+    index = {v: i for i, v in enumerate(space.vectors)}
+    if action == "vector":
+        return tuple(index[vec_map(v)] for v in space.vectors)
+    proj = reference_proj_points(space)
+    return tuple(proj[index[vec_map(rep)]] for rep in space.proj_points)
+
+
+def reference_set_orbit(generators, point_set: int, cap: int) -> list[int]:
+    """The BFS orbit of a bitset, each member mapped by apply_to_set once per generator."""
+    seen = {point_set}
+    orbit = [point_set]
+    for member in orbit:
+        for gen in generators:
+            image = apply_to_set(gen, member)
+            if image not in seen:
+                if len(seen) >= cap:
+                    raise GroupTooLarge(f"the orbit of a {point_set.bit_count()}-point set passed the cap of {cap}")
+                seen.add(image)
+                orbit.append(image)
+    return orbit
 
 
 def reference_golay_codewords() -> list[int]:

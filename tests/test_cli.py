@@ -711,6 +711,22 @@ def test_sp_past_the_orbit_cap_is_refused_at_once(tmp_path, capsys):
         assert err.startswith("refused for size") and "nonsingular lines" in err
 
 
+def test_a_result_too_long_to_print_is_refused_for_size(tmp_path, monkeypatch, capsys):
+    # a witness entry past Python's int-to-str limit was computed, so it is not bad input (2): exit 4, no report
+    import sys
+
+    from sharpsets import linsys
+
+    monkeypatch.setattr(linsys, "solve_integer", lambda system: linsys.SolveOutcome("solvable", [10**5000]))
+    line = f"refused for size: the report holds an int past Python's {sys.get_int_max_str_digits()}-digit limit for printing\n"
+    c5 = str(shipped_group_path("c5"))
+    assert main(["linsys", "--group", c5, "--ring", "z"]) == 4
+    assert capsys.readouterr() == ("", line)
+    code, report = run_cli(tmp_path, "linsys", "--group", c5, "--ring", "z")
+    assert (code, report) == (4, None)
+    assert capsys.readouterr() == ("", line)
+
+
 def test_export_system_format(tmp_path):
     # c5 is generated by i -> i+1, so its k-th element maps i to i+k; the
     # row of pair (i, j) holds a 1 in column k exactly when j = i + k mod 5

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from oracles import reference_proj_points
+from oracles import reference_point_perm, reference_proj_points
 
 from sharpsets import geometry, gf, perm
 
@@ -41,6 +41,35 @@ def test_proj_point_is_the_canonical_representative(n, q):
     sp = space(n, q)
     assert [sp.proj_point(v) for v in sp.vectors] == reference_proj_points(sp)
     assert all(next(filter(None, rep)) == 1 for rep in sp.proj_points)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 4), (3, 2), (2, 8)])
+def test_scalar_maps_are_the_scaled_representatives(n, q):
+    sp = space(n, q)
+    index = {v: i for i, v in enumerate(sp.vectors)}
+    assert sp.scalar_maps == [tuple(index[sp.scale(c, rep)] for rep in sp.proj_points) for c in range(1, q)]
+
+
+def transvections(sp):
+    """The maps symplectic_generators turns into permutations, in its order."""
+    units = geometry.unit_vectors(sp)
+    axes = units + [sp.add(units[i], units[i + 2]) for i in range(0, sp.dim - 2, 2)]
+    return [geometry._transvection(sp, u, 1 << k) for u in axes for k in range(sp.field.m)]
+
+
+@pytest.mark.parametrize("n, q, modulus", [(2, 2, None), (3, 2, None), (2, 4, None), (2, 8, None), (4, 2, None), (2, 8, 13)])
+def test_packed_point_perms_match_the_per_point_reference(n, q, modulus):
+    # every transvection and the Frobenius map, read off the 2nm one-bit vectors, against evaluation on every point
+    sp = geometry.symplectic_space(n, gf.field_for_q(q, modulus))
+    for action in ("projective", "vector"):
+        reference = tuple(perm.as_perm(reference_point_perm(sp, t, action)) for t in transvections(sp))
+        assert geometry.symplectic_generators(sp, action).generators == reference
+
+    def sq(v):
+        return tuple(gf.mul(sp.field, c, c) for c in v)
+
+    assert geometry.frobenius_point_map(sp) == reference_point_perm(sp, sq, "projective")
+    assert geometry._point_perm(sp, sq, "vector") == reference_point_perm(sp, sq, "vector")
 
 
 def test_point_counts():

@@ -6,10 +6,11 @@ import re
 
 import pytest
 from conftest import shipped_group_path
-from oracles import dump_group
+from oracles import dump_group, reference_set_orbit
 
 from sharpsets import geometry, gf, perm
 from sharpsets.certify import Certificate, verify_certificate_enumerated
+from sharpsets.designs import blocks_avoiding
 from sharpsets.perm import (
     GroupSpec,
     arrangements,
@@ -106,6 +107,49 @@ def test_set_orbit():
     with pytest.raises(perm.GroupTooLarge, match="cap of 19"):
         perm.set_orbit(gens, 0b000111, cap=19)
     assert len(perm.set_orbit(gens, 0b000111, cap=20)) == 20
+
+
+def sp_line_orbit_input(n, q):
+    """The generators and line whose orbit the sp case builds."""
+    space = geometry.symplectic_space(n, gf.field_for_q(q))
+    gens = geometry.symplectic_generators(space).generators + (geometry.frobenius_point_map(space),)
+    e0, e1 = geometry.unit_vectors(space)[:2]
+    return gens, geometry.line_through(space, e0, e1).points
+
+
+def seeded_orbit_inputs(seed=31, count=40):
+    """Random sets under random groups of degree 3..40: one permutation, or two with a set whose orbit stays small."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        degree = rng.randint(3, 40)
+        if rng.random() < 0.5:
+            yield (tuple(rng.sample(range(degree), degree)),), rng.getrandbits(degree)
+        else:
+            k = rng.choice([k for k in range(degree + 1) if math.comb(degree, k) <= 5000])
+            gens = tuple(tuple(rng.sample(range(degree), degree)) for _ in range(2))
+            yield gens, sum(1 << x for x in rng.sample(range(degree), k))
+
+
+@pytest.fixture(scope="module")
+def orbit_inputs(witt, m22_spec):
+    full = (1 << 22) - 1
+    m22 = [(m22_spec.generators, full ^ block) for block in blocks_avoiding(witt, 22)[:4]]
+    return [sp_line_orbit_input(3, 2), sp_line_orbit_input(2, 4), sp_line_orbit_input(2, 8), *m22, *seeded_orbit_inputs()]
+
+
+def test_set_orbit_matches_the_apply_to_set_bfs(orbit_inputs):
+    # the bit tables against apply_to_set: the same list, in the same order, and the same refusals
+    for gens, c_set in orbit_inputs:
+        orbit = reference_set_orbit(gens, c_set, cap=perm.DEFAULT_ENUMERATION_CAP)
+        assert perm.set_orbit(gens, c_set) == orbit
+        for cap in (len(orbit), len(orbit) + 1):
+            assert perm.set_orbit(gens, c_set, cap=cap) == orbit
+        if len(orbit) > 1:
+            with pytest.raises(perm.GroupTooLarge) as expected:
+                reference_set_orbit(gens, c_set, cap=len(orbit) - 1)
+            with pytest.raises(perm.GroupTooLarge) as refused:
+                perm.set_orbit(gens, c_set, cap=len(orbit) - 1)
+            assert str(refused.value) == str(expected.value)
 
 
 def test_declared_order_past_the_cap_is_refused_unenumerated(tmp_path):
