@@ -155,28 +155,37 @@ def doublecount_check(S: list[Perm], b_set: int, c_set: int) -> DoublecountRepor
 def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: str = "") -> VerificationReport:
     """Check p | |B & C^g| for every element of the enumerated group, one of G.cosets' runs of elements h at a time.
 
-    For g = h u, g[x] is in B where (marks o u)[h[x]] is 1: column x of the run's images (images[x::n]), translated
-    by marks o u and summed as ints over the x in C, counts every product g = h u of the run at once.
+    g permutes the points, so |B & C^g| = |B| - |B & (Omega - C)^g|: the walk counts over the smaller side W of C and
+    Omega - C, mapping k to |B| - k if W = Omega - C, which keeps the first-seen key order. For g = h u, g[x] is in B
+    where (marks o u)[h[x]] is 1: column x of the run's images (images[x::n]), sliced once a run, translated by
+    marks o u for each u and summed as ints over the x in W, counts every product g = h u of the run at once.
     """
     if cert.domain != G.degree:
         raise ValueError(f"certificate domain {cert.domain} != group degree {G.degree}")
     n = G.degree
     marks = bytes(cert.b_set >> x & 1 for x in range(max(n, 256)))  # a translate table up to degree 256
-    at_c = [x for x in range(n) if cert.c_set >> x & 1]
-    width = (len(at_c).bit_length() + 7) // 8  # a count is at most |C|
+    flip = 2 * cert.c_size > n  # walk the smaller of C and its complement
+    walked = [x for x in range(n) if (cert.c_set >> x & 1) != flip]
+    width = max(1, (len(walked).bit_length() + 7) // 8)  # a count is at most |W|; walking no point counts zeros
     spectrum = Counter()  # its keys in first-seen order, as the walk meets the elements
-    for images, u in G.cosets(max(1, WALK_CHUNK_BYTES // n)):
-        table = bytes(map(marks.__getitem__, u)) + marks[n:]  # marks o u
-        field, total = bytearray(len(images) // n * width), 0
-        for column in (images[x::n] for x in at_c):
-            field[::width] = column.translate(table) if type(column) is bytes else bytes(map(table.__getitem__, column))
-            total += int.from_bytes(field, "little")
-        counts = total.to_bytes(len(field), "little")
-        if width > 1:
-            spectrum.update(int.from_bytes(t, "little") for t in zip(*[iter(counts)] * width))
-        else:  # one count per size, in the order the run first meets them
-            for size in sorted(filter(counts.__contains__, range(len(at_c) + 1)), key=counts.find):
-                spectrum[size] += counts.count(size)
+    for images, us in G.cosets(max(1, WALK_CHUNK_BYTES // n)):
+        columns, length = [images[x::n] for x in walked], len(images) // n * width
+        for u in us:
+            table = bytes(map(marks.__getitem__, u)) + marks[n:]  # marks o u
+            marked = (c.translate(table) if type(c) is bytes else bytes(map(table.__getitem__, c)) for c in columns)
+            if width == 1:  # a marked column is itself a field of one-byte counts, tallied one size at a time
+                counts = sum(int.from_bytes(column, "little") for column in marked).to_bytes(length, "little")
+                for size in sorted(filter(counts.__contains__, range(len(walked) + 1)), key=counts.find):
+                    spectrum[size] += counts.count(size)
+            else:
+                field, total = bytearray(length), 0
+                for column in marked:
+                    field[::width] = column
+                    total += int.from_bytes(field, "little")
+                counts = total.to_bytes(length, "little")
+                spectrum.update(int.from_bytes(t, "little") for t in zip(*[iter(counts)] * width))
+    if flip:
+        spectrum = Counter({cert.b_size - k: m for k, m in spectrum.items()})
     assumptions = (f"all {G.order} group elements enumerated",)
     return VerificationReport.judge(case or G.name, "enumerated", cert, spectrum, assumptions)
 

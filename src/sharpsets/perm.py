@@ -176,9 +176,9 @@ class GroupEnumeration:
         return len(self.elements)
 
     def cosets(self, size: int):
-        """(images, u) pairs: the products h u, h from the run of images, pair after pair, are the elements in order."""
-        join, one = _right_product(self.degree)[2], identity(self.degree)  # here runs of `size` elements, and u = 1
-        return ((join(self.elements[start : start + size]), one) for start in range(0, self.order, size))
+        """(images, us) pairs: the products h u, u from us outer and h from the run inner, are the elements in order."""
+        join, ones = _right_product(self.degree)[2], (identity(self.degree),)  # here runs of `size` elements, u = 1
+        return ((join(self.elements[start : start + size]), ones) for start in range(0, self.order, size))
 
     def index(self) -> PermIndex:
         if self._index is None:
@@ -201,7 +201,7 @@ class CosetEnumeration(GroupEnumeration):
     order = property(lambda self: self._order)
 
     def cosets(self, size: int):
-        return ((self.stabilizer, u) for u in self.transversal)
+        return [(self.stabilizer, self.transversal)]
 
     @functools.cached_property
     def elements(self) -> list[Perm]:

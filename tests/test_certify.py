@@ -11,7 +11,7 @@ from oracles import (
     zero_one_vectors,
 )
 
-from sharpsets import certify, geometry, gf, linsys, perm, sharp_search
+from sharpsets import certify, designs, geometry, gf, linsys, perm, sharp_search
 from sharpsets.certify import (
     Certificate,
     doublecount_check,
@@ -147,6 +147,47 @@ def test_enumerated_walk_over_several_chunks_matches_brute_force(monkeypatch, n,
     G = dihedral(n)
     assert G.order > 7 and G.order % 7
     assert_walk_matches_brute_force(G, c_size, trials=3, b_size=b_size)
+
+
+COSET_GROUPS = {  # name -> (generators, degree, order)
+    "sp(4,2)": (lambda: geometry.symplectic_generators(geometry.symplectic_space(2, gf.field_for_q(2))), 15, 720),
+    "A6 on pairs": (lambda: induced_action(certify._alt_generators(6), 2)[1], 30, 360),
+}
+
+
+@pytest.mark.parametrize("case, c_size", [("sp(4,2)", 7), ("sp(4,2)", 8), ("sp(4,2)", 15), ("A6 on pairs", 15),
+                                          ("A6 on pairs", 16), ("A6 on pairs", 30)])
+def test_coset_walk_matches_brute_force(case, c_size):
+    # groups walked one coset at a time, on 15 and on 30 points: C of at most half the degree is walked itself, a
+    # larger C and the whole domain through its complement, with the listed elements' key order
+    build, degree, order = COSET_GROUPS[case]
+    G = perm.enumerate_by_cosets(build())
+    assert (G.degree, G.order) == (degree, order)
+    assert_walk_matches_brute_force(G, c_size, trials=3)
+
+
+class SliceCountingBytes(bytes):
+    """A run of images that counts the slices taken of it."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        self.slices += isinstance(key, slice)
+        return bytes.__getitem__(self, key)
+
+
+@pytest.mark.parametrize("complement", [True, False])
+def test_coset_walk_slices_each_walked_column_once(m22_spec, witt, complement):
+    # one slice per walked point for the whole run, not one per (point, u) for the 22 cosets; C = the 15-point
+    # complement of a heptad B is walked through B's 7 points, and C = B through its own 7
+    b_set = designs.blocks_avoiding(witt, 22)[0]
+    G = perm.enumerate_by_cosets(m22_spec)
+    G.stabilizer = SliceCountingBytes(G.stabilizer)
+    report = verify_certificate_enumerated(G, Certificate(b_set, (1 << 22) - 1 ^ b_set if complement else b_set, 2, 22))
+    assert len(G.transversal) == 22 and G.stabilizer.slices == 7
+    spectrum = {0: 2520, 4: 264600, 6: 176400}
+    assert report.spectrum == (spectrum if complement else {7 - k: m for k, m in spectrum.items()})
+    assert report.conclusion == ("refuted" if complement else "inconclusive")
 
 
 def test_enumerated_inconclusive_for_regular_group(c5):

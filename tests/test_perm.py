@@ -303,12 +303,13 @@ def test_coset_enumeration_matches_bfs_on_random_groups():
         assert_same_group(perm.enumerate_by_cosets(spec), enumerate_group(spec).elements, n)
 
 
-def assert_coset_walk_is_the_listed_walk(spec, rng, trials):
-    """Random (B, C, p): the walk over the cosets' runs reports what the walk over the BFS list reports, with the
-    key order of a walk over the coset enumeration's own listed elements."""
+def assert_coset_walk_is_the_listed_walk(spec, rng, trials=1, c_sizes=()):
+    """Random (B, C, p), C of each of c_sizes if given: the walk over the cosets' runs reports what the walk over the
+    BFS list reports, with the key order of a walk over the coset enumeration's own listed elements."""
     n, by_cosets, listed = spec.degree, perm.enumerate_by_cosets(spec), enumerate_group(spec)
-    for _ in range(trials):
-        b_set, c_set = (sum(1 << x for x in rng.sample(range(n), rng.randint(1, n))) for _ in "BC")
+    for c_size in c_sizes or [None] * trials:
+        b_set = sum(1 << x for x in rng.sample(range(n), rng.randint(1, n)))
+        c_set = sum(1 << x for x in rng.sample(range(n), c_size or rng.randint(1, n)))
         cert = Certificate(b_set, c_set, rng.choice((2, 3, 5)), n)
         walked, bfs = verify_certificate_enumerated(by_cosets, cert), verify_certificate_enumerated(listed, cert)
         assert walked.as_dict() == bfs.as_dict() and walked.spectrum == bfs.spectrum
@@ -320,6 +321,12 @@ def assert_coset_walk_is_the_listed_walk(spec, rng, trials):
 def test_coset_walk_is_the_listed_walk(case):
     # bytes up to C256, tuples on C300; sp(2,2) in both actions
     assert_coset_walk_is_the_listed_walk(COSET_CASES[case][0](), random.Random(case), trials=4)
+
+
+def test_coset_walk_is_the_listed_walk_on_m22():
+    # the shipped M22 file: C of 11 points, half the degree, is walked itself; C of 15 and of all 22 points is
+    # walked through its complement, of 7 points and of none
+    assert_coset_walk_is_the_listed_walk(shipped("m22"), random.Random(22), c_sizes=(11, 15, 22))
 
 
 def test_coset_walk_is_the_listed_walk_on_random_groups():
