@@ -37,6 +37,7 @@ both sides are biadditive, and generator permutations are read off
 packed one-bit images, so sp (5,2) and (3,4) run in about a second.
 A failed `selftest` check carries an `error` field and makes the run exit 1.
 Random probes take their seed from `--probe`; there is no `--seed` flag.
+A run builds only the argparse parsers of the command it names.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ def _write_report(report: dict, out_path: str | None) -> None:
 def probe(text: str) -> dict[str, int]:
     """keep=N,trials=M,seed=S; argparse turns a ValueError here into exit 2."""
     opts = {key: int(value) for key, value in (part.split("=") for part in text.split(","))}
-    if not opts.keys() <= {"keep", "trials", "seed"}:
-        raise ValueError(f"unknown option in {text!r}")
+    if not opts.keys() <= {"keep", "trials", "seed"} or min(opts.get("keep", 1), opts.get("trials", 1)) < 1:
+        raise ValueError(f"unknown option, or keep or trials below 1, in {text!r}")
     return opts
 
 
@@ -83,63 +84,65 @@ def prime(text: str) -> int:
     return p
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the JSON report here instead of stdout")
+# name -> (help, its arguments after --out), or (help, a table of its own commands) for verify
+CASES = {
+    "sp": ("symplectic groups in even characteristic",
+           ("--n", dict(type=int, required=True, help="half-dimension, at least 2")),
+           ("--q", dict(type=int, required=True, help="field size, a power of 2")),
+           ("--modulus", dict(type=int, help="field polynomial bitmask override")),
+           ("--action", dict(choices=["projective", "vector"], default="projective")),
+           ("--enumerate-group", dict(action="store_true", dest="enumerate_group"))),
+    "m22": ("degree-22 point stabilizer of the Witt design",
+            ("--group", dict(help="generator file; switches to enumerated mode")),
+            ("--enumerated", dict(action="store_true", help="enumerated mode with the derived generators")),
+            ("--export-design", dict(help="write the Witt design to this path"))),
+    "mclaughlin": ("automorphisms of the 275-vertex graph", ("--export-graph", dict(help="write the graph to this path"))),
+    "alt": ("alternating group on ordered pairs", ("--n", dict(type=int, required=True))),
+    "m23": ("degree-23 reduction to the m22 case",),
+}
+COMMANDS = {
+    "verify": ("run a nonexistence case", CASES),
+    "design-check": ("symmetric-design stabilizer arithmetic",
+                     ("--v", dict(type=int, required=True)), ("--k", dict(type=int, required=True)),
+                     ("--lambda", dict(type=int, required=True, dest="lam"))),
+    "search-sharp": ("exact-cover search for a sharply transitive set",
+                     ("--group", dict(required=True, help="group generator file")),
+                     ("--t", dict(type=int, default=1)),
+                     ("--budget", dict(type=int, default=sharp_search.DEFAULT_BUDGET))),
+    "linsys": ("build and solve the linear system of an action",
+               ("--group", dict(required=True, help="group generator file")),
+               ("--t", dict(type=int, default=1, help="re-express on t-arrangements first")),
+               ("--subgroup", dict(help="collapse by this subgroup's orbits and classes")),
+               ("--ring", dict(choices=["f_p", "q", "z", "znn"], required=True)),
+               ("--p", dict(type=prime, help="prime for --ring f_p")),
+               ("--fpf", dict(action="store_true", help="keep identity and fixed-point-free columns only")),
+               ("--pin-identity", dict(action="store_true", dest="pin_identity")),
+               ("--probe", dict(type=probe, help="keep=N,trials=M,seed=S random restriction probe")),
+               ("--export-system", dict(help="dump the matrix to this path"))),
+    "selftest": ("run the built-in invariant corpus",),
+}
 
-    top = argparse.ArgumentParser(prog="sharpsets")
-    sub = top.add_subparsers(dest="command", required=True)
 
-    verify = sub.add_parser("verify", help="run a nonexistence case")
-    vsub = verify.add_subparsers(dest="case", required=True)
-
-    sp = vsub.add_parser("sp", help="symplectic groups in even characteristic", parents=[common])
-    sp.add_argument("--n", type=int, required=True, help="half-dimension, at least 2")
-    sp.add_argument("--q", type=int, required=True, help="field size, a power of 2")
-    sp.add_argument("--modulus", type=int, help="field polynomial bitmask override")
-    sp.add_argument("--action", choices=["projective", "vector"], default="projective")
-    sp.add_argument("--enumerate-group", action="store_true", dest="enumerate_group")
-
-    m22 = vsub.add_parser("m22", help="degree-22 point stabilizer of the Witt design", parents=[common])
-    m22.add_argument("--group", help="generator file; switches to enumerated mode")
-    m22.add_argument("--enumerated", action="store_true", help="enumerated mode with the derived generators")
-    m22.add_argument("--export-design", help="write the Witt design to this path")
-
-    mcl = vsub.add_parser("mclaughlin", help="automorphisms of the 275-vertex graph", parents=[common])
-    mcl.add_argument("--export-graph", help="write the graph to this path")
-
-    alt = vsub.add_parser("alt", help="alternating group on ordered pairs", parents=[common])
-    alt.add_argument("--n", type=int, required=True)
-
-    vsub.add_parser("m23", help="degree-23 reduction to the m22 case", parents=[common])
-
-    dc = sub.add_parser("design-check", help="symmetric-design stabilizer arithmetic", parents=[common])
-    dc.add_argument("--v", type=int, required=True)
-    dc.add_argument("--k", type=int, required=True)
-    dc.add_argument("--lambda", type=int, required=True, dest="lam")
-
-    ss = sub.add_parser("search-sharp", help="exact-cover search for a sharply transitive set", parents=[common])
-    ss.add_argument("--group", required=True, help="group generator file")
-    ss.add_argument("--t", type=int, default=1)
-    ss.add_argument("--budget", type=int, default=sharp_search.DEFAULT_BUDGET)
-
-    ls = sub.add_parser("linsys", help="build and solve the linear system of an action", parents=[common])
-    ls.add_argument("--group", required=True, help="group generator file")
-    ls.add_argument("--t", type=int, default=1, help="re-express on t-arrangements first")
-    ls.add_argument("--subgroup", help="collapse by this subgroup's orbits and classes")
-    ls.add_argument("--ring", choices=["f_p", "q", "z", "znn"], required=True)
-    ls.add_argument("--p", type=prime, help="prime for --ring f_p")
-    ls.add_argument("--fpf", action="store_true", help="keep identity and fixed-point-free columns only")
-    ls.add_argument("--pin-identity", action="store_true", dest="pin_identity")
-    ls.add_argument("--probe", type=probe, help="keep=N,trials=M,seed=S random restriction probe")
-    ls.add_argument("--export-system", help="dump the matrix to this path")
-
-    sub.add_parser("selftest", help="run the built-in invariant corpus", parents=[common])
-    return top
+def _build_parser(argv, parser=None, dest="command", table=COMMANDS) -> argparse.ArgumentParser:
+    """The parsers argv's command needs (for verify, its case's), or every one when argv names none."""
+    parser = parser or argparse.ArgumentParser(prog="sharpsets")
+    names = argv[:1] if argv and argv[0] in table else list(table)
+    # one command built: the metavar keeps every name in the usage; all built: argparse lists them, errors name dest
+    metavar = None if len(names) == len(table) else "{" + ",".join(table) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=metavar)
+    for name in names:
+        help_text, *spec = table[name]
+        child = sub.add_parser(name, help=help_text)
+        if spec and isinstance(spec[0], dict):
+            _build_parser(argv[1:], child, "case", spec[0])
+            continue
+        for flag, kwargs in (("--out", dict(help="write the JSON report here instead of stdout")), *spec):
+            child.add_argument(flag, **kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
     if args.command == "linsys" and args.ring == "f_p" and args.p is None:
         parser.error("--ring f_p needs --p")

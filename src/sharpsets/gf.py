@@ -72,7 +72,7 @@ class FieldSpec:
 def field_for_q(q: int, modulus: int | None = None) -> FieldSpec:
     """FieldSpec for GF(q), q a power of two."""
     m = q.bit_length() - 1
-    if q != 1 << m or m < 1:
+    if m < 1 or q != 1 << m:
         raise ValueError(f"q must be a power of two >= 2, got {q}")
     return FieldSpec(m, default_modulus(m) if modulus is None else modulus)
 

@@ -229,6 +229,9 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["linsys", "--group", c5, "--ring", "znn", "--p", "618970019642690137449562111"],
         ["linsys", "--group", c5, "--ring", "f_p", "--p", "3", "--probe", "keep=3,trials=2"],
         ["linsys", "--group", c5, "--ring", "q", "--probe", "keep=3,trials=2"],
+        ["linsys", "--group", c5, "--ring", "z", "--probe", "trials=-3"],
+        ["linsys", "--group", c5, "--ring", "znn", "--probe", "keep=3,trials=0"],
+        ["linsys", "--group", c5, "--ring", "z", "--probe", "keep=-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -271,6 +274,63 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         assert (code, report) == (2, None), argv
         err = capsys.readouterr().err
         assert err.startswith("bad input:") and err.count("\n") == 1, err
+    # q = 0 is refused on its exponent before a shift by -1 is tried
+    assert run_cli(tmp_path, "verify", "sp", "--n", "2", "--q", "0") == (2, None)
+    assert capsys.readouterr().err == "bad input: q must be a power of two >= 2, got 0\n"
+
+
+def _exit(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, capsys, columns):
+    # a run builds only its command's parser; help, usage and every error must read as with all of them built
+    from sharpsets import cli
+
+    c5 = str(shipped_group_path("c5"))
+    argvs = [
+        ["-h"], [], ["bogus"], ["verify"], ["verify", "-h"], ["verify", "bogus"],
+        *([command, "-h"] for command in cli.COMMANDS if command != "verify"),
+        *(["verify", case, "-h"] for case in cli.CASES),
+        ["verify", "alt", "--n", "5", "--bogus"], ["verify", "sp", "--action", "bogus"],
+        ["design-check", "--v", "x"], ["search-sharp", "--budget", "1"],
+        ["linsys", "--group", c5, "--ring", "bogus"], ["selftest", "--bogus"],
+        # the three checks in main print the top-level usage, which must still list every command
+        ["linsys", "--group", c5, "--ring", "f_p"],
+        ["linsys", "--group", c5, "--ring", "q", "--p", "7"],
+        ["linsys", "--group", c5, "--ring", "q", "--probe", "keep=3"],
+    ]
+    monkeypatch.setenv("COLUMNS", columns)
+    alone = [_exit(argv, capsys) for argv in argvs]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda argv, *nested: build([], *nested))
+    full = [_exit(argv, capsys) for argv in argvs]
+    for argv, got, want in zip(argvs, alone, full):
+        assert got == want, argv
+    assert [code for code, _, _ in full].count(0) == 11 and all(out or err for _, out, err in full)
+    # with every parser built, argparse names the subparsers by their dest, so no metavar is set there
+    assert [full[argvs.index(argv)][2].splitlines()[-1] for argv in ([], ["bogus"], ["verify"], ["verify", "bogus"])] == [
+        "sharpsets: error: the following arguments are required: command",
+        "sharpsets: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'verify', 'design-check', 'search-sharp', 'linsys', 'selftest')",
+        "sharpsets verify: error: the following arguments are required: case",
+        "sharpsets verify: error: argument case: invalid choice: 'bogus' (choose from 'sp', 'm22', 'mclaughlin', 'alt', 'm23')",
+    ]
+
+
+def test_a_run_builds_only_its_commands_parsers(tmp_path, monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(self) or init(self, *a, **kw))
+    for argv in (["verify", "alt", "--n", "5"], ["linsys", "--group", str(shipped_group_path("c5")), "--ring", "z"]):
+        built.clear()
+        assert run_cli(tmp_path, *argv)[0] == 0
+        assert 1 <= len(built) <= 4, (argv, len(built))
 
 
 def test_large_prime_is_decided_at_once_or_refused(tmp_path, capsys):
