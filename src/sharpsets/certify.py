@@ -32,7 +32,6 @@ from .perm import (
     GroupTooLarge,
     Perm,
     apply_to_set,
-    enumerate_by_cosets,
     enumerate_group,
     expect,
     induced_action,
@@ -45,7 +44,6 @@ from .sharp_search import ZERO_ONE
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
-WALK_CHUNK_BYTES = 1 << 20  # bytes of images per run of a listed enumeration's walk
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,7 @@ def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: 
     walked = [x for x in range(n) if (cert.c_set >> x & 1) != flip]
     width = max(1, (len(walked).bit_length() + 7) // 8)  # a count is at most |W|; walking no point counts zeros
     spectrum = Counter()  # its keys in first-seen order, as the walk meets the elements
-    for images, us in G.cosets(max(1, WALK_CHUNK_BYTES // n)):
+    for images, us in G.cosets():
         columns, length = [images[x::n] for x in walked], len(images) // n * width
         for u in us:
             table = bytes(map(marks.__getitem__, u)) + marks[n:]  # marks o u
@@ -255,11 +253,11 @@ def _run_alt(n: int) -> VerificationReport:
     if order > DEFAULT_ENUMERATION_CAP:  # refused before anything of size n is built
         shown = order if n <= 20 else f"{n}!/2"
         raise GroupTooLarge(f"A{n} declares order {shown}, past the cap of {DEFAULT_ENUMERATION_CAP} elements")
-    action, on_pairs = induced_action(_alt_generators(n), 2)  # enumerated on its pairs, in the BFS order of its points
+    action, on_pairs = induced_action(enumerate_group(_alt_generators(n)), 2)  # in the chain order of its points
     asc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x < y)
     desc = sum(1 << i for i, (x, y) in enumerate(action.cells) if x > y)
     cert = Certificate(asc, desc, 2, action.size)
-    report = verify_certificate_enumerated(enumerate_group(on_pairs), cert, case=f"alt(n={n})")
+    report = verify_certificate_enumerated(on_pairs, cert, case=f"alt(n={n})")
     report.notes["cells"] = action.size
     return report
 
@@ -282,7 +280,7 @@ def _run_m22(group_file=None, enumerated: bool = False, design: designs.Design |
         spec = load_group(group_file) if group_file else designs.witt_stabilizer_generators(design)
         if spec.degree != cert.domain:  # refused before enumerating, as the walk would refuse it after
             raise ValueError(f"certificate domain {cert.domain} != group degree {spec.degree}")
-        return verify_certificate_enumerated(enumerate_by_cosets(spec), cert, case="m22")
+        return verify_certificate_enumerated(enumerate_group(spec), cert, case="m22")
     gens = designs.witt_stabilizer_generators(design).generators
     family = set_orbit(gens, cert.c_set)
     census = {points ^ block for block in avoiding}
@@ -400,7 +398,7 @@ def _run_sp(
         case=case,
     )
     if enumerate_group_flag:
-        G = enumerate_by_cosets(geometry.symplectic_generators(space, action) if action == "vector" else spec)
+        G = enumerate_group(geometry.symplectic_generators(space, action) if action == "vector" else spec)
         enum_report = verify_certificate_enumerated(G, cert, case=case)
         expect(enum_report.conclusion == report.conclusion, "the enumerated and orbit verdicts differ")
         report.notes["enumerated_order"] = G.order

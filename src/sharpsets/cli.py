@@ -217,7 +217,7 @@ def _cmd_design_check(args) -> dict:
 def _cmd_search(args) -> dict:
     spec = load_group(args.group)
     sharp_search.check_cover_cap(_order(spec), spec.degree, args.t)  # the cap refuses before enumeration
-    result = sharp_search.find_sharp_set(enumerate_group(induced_action(spec, args.t)[1]), 1, args.budget)
+    result = sharp_search.find_sharp_set(induced_action(enumerate_group(spec), args.t)[1], 1, args.budget)
     return {
         "case": "search-sharp",
         "group": spec.name,
@@ -251,9 +251,9 @@ def _cmd_linsys(args) -> dict:
     restrict, order, h = args.fpf or args.pin_identity, _order(spec), _order(sub) if sub else 1  # before enumerating
     if not restrict:  # the full system, or a collapse: an H-orbit of pairs or an H-class holds at most |H| members
         check_cap(-(-math.perm(spec.degree, max(args.t, 0)) ** 2 // h), -(-order // h))
-    G = enumerate_group(induced_action(spec, args.t)[1])  # faithful: the points' list, in order
+    G = induced_action(enumerate_group(spec), args.t)[1]  # the points' chain order, each level induced
     if sub:
-        H = enumerate_group(induced_action(sub, args.t)[1])
+        H = induced_action(enumerate_group(sub), args.t)[1]
         system = linsys.build_H_system(G, H)
         if restrict:  # the kept classes are known only once the collapse is built
             system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)

@@ -175,10 +175,10 @@ class GroupEnumeration:
     def order(self) -> int:
         return len(self.elements)
 
-    def cosets(self, size: int):
-        """(images, us) pairs: the products h u, u from us outer and h from the run inner, are the elements in order."""
-        join, ones = _right_product(self.degree)[2], (identity(self.degree),)  # here runs of `size` elements, u = 1
-        return ((join(self.elements[start : start + size]), ones) for start in range(0, self.order, size))
+    def cosets(self):
+        """(images, us) pairs: the products h u, u from us outer and h from the run inner, are the elements in order.
+        A listed enumeration is one run, the joined images of its elements, with u = 1."""
+        return [(_right_product(self.degree)[2](self.elements), (identity(self.degree),))]
 
     def index(self) -> PermIndex:
         if self._index is None:
@@ -195,12 +195,12 @@ class CosetEnumeration(GroupEnumeration):
 
     def __init__(self, degree: int, levels: list[list[Perm]], name: str = ""):
         top, *below = levels or [[identity(degree)]]
-        self.degree, self.name, self.transversal, self._order = degree, name, top, math.prod(map(len, levels))
+        self.degree, self.name, self.levels, self.transversal = degree, name, levels, top
         self.stabilizer = functools.reduce(_times, reversed(below), identity(degree))  # u_k ... u_2 from the bottom up
 
-    order = property(lambda self: self._order)
+    order = property(lambda self: math.prod(map(len, self.levels)))
 
-    def cosets(self, size: int):
+    def cosets(self):
         return [(self.stabilizer, self.transversal)]
 
     @functools.cached_property
@@ -225,26 +225,6 @@ class PermIndex(dict):
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
 
-def _check_cap(spec: GroupSpec, cap: int) -> None:  # the refusals both enumerations share before they start
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    if spec.declared_order is not None and spec.declared_order > cap:
-        raise GroupTooLarge(
-            f"{spec.path or spec.name or 'a group'} declares order {spec.declared_order}, past the cap of {cap} elements"
-        )
-
-
-def _check_declared(spec: GroupSpec, order: int) -> None:
-    if spec.declared_order is not None and spec.declared_order != order:
-        raise GroupFileError(
-            f"{spec.path or spec.name or 'group'}: declared order {spec.declared_order}, enumerated {order}"
-        )
-
-
-def _past_cap(spec: GroupSpec, cap: int) -> GroupTooLarge:
-    return GroupTooLarge(f"enumerating {spec.name or 'a group'} passed the cap of {cap} elements")
-
-
 def _right_product(n: int):
     """(table, product, join) for degree n: product(a, table(b)) is ab, a being a Perm or a run join(elements)."""
     if n <= 256:  # a 256-entry translate table
@@ -258,48 +238,25 @@ def _times(run: Perm, transversal: list[Perm]) -> Perm:
     return join([product(run, table(u)) for u in transversal])
 
 
-def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupEnumeration:
-    """Breadth-first closure of the generators under composition.
+def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> CosetEnumeration:
+    """The group the generators generate, from its stabilizer chain (see stabilizer_chain and CosetEnumeration).
 
-    Element order is the BFS insertion order, starting from the identity,
-    with generators applied in their listed order; it is reproducible.
-    Raises GroupTooLarge at once if the declared order passes `cap`, else
-    once more than `cap` elements appear, and GroupFileError naming the
-    file if the declared order disagrees.
-
-    Elements are kept and returned as the degree's Perm type. Up to degree
-    256 that is image bytes: the product x -> gen[cur[x]] is one
-    cur.translate(table) call, table being the generator's images padded
-    to 256 entries, and bytes cache their hash, so the set lookup and add
-    hash nothing twice. Degrees above 256 use tuples, in the same BFS order.
+    Element order is the chain's: each element is one product u_k ... u_1, u_i from level i's transversal, u_1 varying
+    slowest and u_k fastest, each transversal in its insertion order, so the identity comes first and the order is
+    reproducible. Each element is made once and never looked up. linsys columns and search witness indices follow this
+    order. Raises GroupTooLarge at once if the declared order passes `cap`, else once the chain's order does, and
+    GroupFileError naming the file if the declared order disagrees with the chain's.
     """
-    _check_cap(spec, cap)
-    table, product, _ = _right_product(spec.degree)
-    gens = list(map(table, spec.generators))
-    start = identity(spec.degree)
-    seen = {start}
-    elements = [start]
-    add, append = seen.add, elements.append
-    for cur in elements:  # the list grows while it is walked: a BFS queue
-        for gen in gens:
-            nxt = product(cur, gen)
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise _past_cap(spec, cap)
-                add(nxt)
-                append(nxt)
-    _check_declared(spec, len(elements))
-    return GroupEnumeration(spec.degree, elements, spec.name)
-
-
-def enumerate_by_cosets(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> CosetEnumeration:
-    """enumerate_group's group, with its refusals, from its stabilizer chain, whose order meets them first. Each
-    element is one product u_k ... u_1, u_i from level i's transversal, made once and never looked up; the elements
-    start with the identity, but not in BFS order (see CosetEnumeration)."""
-    _check_cap(spec, cap)
-    chain = stabilizer_chain(spec, cap)
-    _check_declared(spec, math.prod(map(len, chain)))
-    return CosetEnumeration(spec.degree, [list(transversal.values()) for transversal in chain], spec.name)
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    where = spec.path or spec.name
+    if spec.declared_order is not None and spec.declared_order > cap:
+        raise GroupTooLarge(f"{where or 'a group'} declares order {spec.declared_order}, past the cap of {cap} elements")
+    levels = [list(transversal.values()) for transversal in stabilizer_chain(spec, cap)]
+    order = math.prod(map(len, levels))
+    if spec.declared_order not in (None, order):
+        raise GroupFileError(f"{where or 'group'}: declared order {spec.declared_order}, enumerated {order}")
+    return CosetEnumeration(spec.degree, levels, spec.name)
 
 
 def stabilizer_chain(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[dict[int, Perm]]:
@@ -338,7 +295,7 @@ def stabilizer_chain(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> lis
             else:
                 transversal[y] = compose(transversal[x], s)
                 if math.prod(map(len, chain)) > cap:
-                    raise _past_cap(spec, cap)
+                    raise GroupTooLarge(f"enumerating {spec.name or 'a group'} passed the cap of {cap} elements")
                 pairs += [(y, r) for r in strong]
 
     for h in map(sift, spec.generators, itertools.repeat(0)):
@@ -453,12 +410,17 @@ def induced_action(group, t: int):
     """Re-express a group on the cells of its t-arrangement action.
 
     Returns (action, group-on-cells) where the second component has the same
-    kind as the input (GroupSpec or GroupEnumeration, element order kept).
+    kind as the input (GroupSpec, CosetEnumeration or GroupEnumeration, element
+    order kept). The action is a homomorphism, so a CosetEnumeration is induced
+    level by level, one cell_perm per transversal element: its products list
+    the induced elements in the order of the points' elements.
     """
     action = arrangements(group.degree, t)
     if isinstance(group, GroupSpec):
         gens = tuple(action.cell_perm(g) for g in group.generators)
         out = GroupSpec(action.size, gens, group.name, group.declared_order, group.path)
+    elif isinstance(group, CosetEnumeration):
+        out = CosetEnumeration(action.size, [list(map(action.cell_perm, level)) for level in group.levels], group.name)
     else:
         elems = [action.cell_perm(g) for g in group.elements]
         out = GroupEnumeration(action.size, elems, group.name)

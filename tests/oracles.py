@@ -35,7 +35,11 @@ reference_point_perm evaluates a vector map on every vector or projective
 representative and looks each image up in a dict of vectors, as geometry
 did before it read F_2-linear maps off their packed one-bit images, and
 reference_set_orbit is the orbit BFS that maps every member by
-apply_to_set, as perm.set_orbit did before its per-generator bit tables.
+apply_to_set, as perm.set_orbit did before its per-generator bit tables,
+and reference_enumeration is the BFS closure of a group's generators that
+perm.enumerate_group was before it listed the stabilizer chain: the tests
+check the chain's element set against it, and build from it the inputs of
+the tests whose node counts and widths were pinned on its order.
 reference_golay_codewords, reference_mclaughlin_adjacency,
 reference_non_adjacent_family and reference_graph_error are the pairwise
 definitions (shift-and-add products, one test per pair of blocks or
@@ -70,7 +74,7 @@ from sharpsets.linsys import (
     solve_mod_p,
     verify_witness,
 )
-from sharpsets.perm import GroupEnumeration, GroupSpec, GroupTooLarge, apply_to_set, induced_action
+from sharpsets.perm import GroupEnumeration, GroupSpec, GroupTooLarge, apply_to_set, as_perm, induced_action
 from sharpsets.sharp_search import FOUND, NONE_EXHAUSTIVE, UNKNOWN_BUDGET, SearchResult, SharpSet
 
 
@@ -507,6 +511,20 @@ def reference_set_orbit(generators, point_set: int, cap: int) -> list[int]:
                 seen.add(image)
                 orbit.append(image)
     return orbit
+
+
+def reference_enumeration(spec: GroupSpec) -> GroupEnumeration:
+    """The plain BFS closure over tuples: from the identity, generators applied in their listed order."""
+    start = tuple(range(spec.degree))
+    seen = {start}
+    elements = [start]
+    for cur in elements:
+        for gen in spec.generators:
+            nxt = tuple(map(gen.__getitem__, cur))
+            if nxt not in seen:
+                seen.add(nxt)
+                elements.append(nxt)
+    return GroupEnumeration(spec.degree, list(map(as_perm, elements)), spec.name)
 
 
 def reference_golay_codewords() -> list[int]:

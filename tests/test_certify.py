@@ -140,13 +140,13 @@ def test_enumerated_walk_on_degree_256_bytes_matches_brute_force(b_size, c_size)
 
 
 @pytest.mark.parametrize("n, b_size, c_size", [(22, None, 9), (256, 256, 256), (300, 280, 280)])
-def test_enumerated_walk_over_several_chunks_matches_brute_force(monkeypatch, n, b_size, c_size):
-    # chunks of 7 elements, and an order that is not a multiple of 7: the last chunk is short, and the
-    # spectrum keeps its first-seen order across chunks; |B & C^g| reaches 256 on D256 and 260-280 on D300
-    monkeypatch.setattr(certify, "WALK_CHUNK_BYTES", 7 * n)
+def test_enumerated_walk_over_several_cosets_matches_brute_force(n, b_size, c_size):
+    # n cosets of a run of 2 elements: the spectrum keeps its first-seen order across cosets, and as the walk of the
+    # same elements listed in one run; |B & C^g| reaches 256 on D256 and 260-280 on D300
     G = dihedral(n)
-    assert G.order > 7 and G.order % 7
+    assert (len(G.transversal), len(G.stabilizer)) == (n, 2 * n)
     assert_walk_matches_brute_force(G, c_size, trials=3, b_size=b_size)
+    assert_walk_matches_brute_force(perm.GroupEnumeration(n, G.elements), c_size, trials=3, b_size=b_size)
 
 
 COSET_GROUPS = {  # name -> (generators, degree, order)
@@ -161,7 +161,7 @@ def test_coset_walk_matches_brute_force(case, c_size):
     # groups walked one coset at a time, on 15 and on 30 points: C of at most half the degree is walked itself, a
     # larger C and the whole domain through its complement, with the listed elements' key order
     build, degree, order = COSET_GROUPS[case]
-    G = perm.enumerate_by_cosets(build())
+    G = enumerate_group(build())
     assert (G.degree, G.order) == (degree, order)
     assert_walk_matches_brute_force(G, c_size, trials=3)
 
@@ -181,7 +181,7 @@ def test_coset_walk_slices_each_walked_column_once(m22_spec, witt, complement):
     # one slice per walked point for the whole run, not one per (point, u) for the 22 cosets; C = the 15-point
     # complement of a heptad B is walked through B's 7 points, and C = B through its own 7
     b_set = designs.blocks_avoiding(witt, 22)[0]
-    G = perm.enumerate_by_cosets(m22_spec)
+    G = enumerate_group(m22_spec)
     G.stabilizer = SliceCountingBytes(G.stabilizer)
     report = verify_certificate_enumerated(G, Certificate(b_set, (1 << 22) - 1 ^ b_set if complement else b_set, 2, 22))
     assert len(G.transversal) == 22 and G.stabilizer.slices == 7
@@ -326,11 +326,17 @@ def test_run_case_m22_modes_agree(m22_enum):
     ],
 )
 def test_coset_and_bfs_enumerations_give_one_report(monkeypatch, witt, case, options):
-    # the coset order never reaches a report: the spectrum is written sorted
+    # the walk over the cosets and the walk over the same elements listed in one run, as a BFS-ordered or hand-built
+    # enumeration is walked, give one report: the spectrum is written sorted
     if case == "m22":
         options = {**options, "design": witt}
     by_cosets = json.dumps(run_case(case, **options).as_dict())
-    monkeypatch.setattr(certify, "enumerate_by_cosets", perm.enumerate_group)
+
+    def listed(spec):
+        G = perm.enumerate_group(spec)
+        return perm.GroupEnumeration(G.degree, G.elements, G.name)
+
+    monkeypatch.setattr(certify, "enumerate_group", listed)
     assert json.dumps(run_case(case, **options).as_dict()) == by_cosets
 
 

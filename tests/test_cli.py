@@ -351,7 +351,7 @@ def test_group_too_large_is_refused_not_substituted(tmp_path, monkeypatch, capsy
 
     s22 = tmp_path / "s22.grp"
     s22.write_text("n 22\n1 0 " + " ".join(map(str, range(2, 22))) + "\n" + " ".join(map(str, range(1, 22))) + " 0\n")
-    monkeypatch.setattr(certify, "enumerate_by_cosets", lambda spec: perm.enumerate_by_cosets(spec, cap=5000))
+    monkeypatch.setattr(certify, "enumerate_group", lambda spec: perm.enumerate_group(spec, cap=5000))
     code, report = run_cli(tmp_path, "verify", "m22", "--group", str(s22))
     assert code == 4
     assert report is None
@@ -383,10 +383,10 @@ def test_group_without_an_order_line_is_refused_on_its_chain(tmp_path, capsys):
 def test_wrong_degree_group_file_is_refused_before_enumerating(tmp_path, monkeypatch, capsys):
     from sharpsets import certify
 
-    def enumerate_by_cosets(spec):
+    def enumerate_group(spec):
         raise AssertionError(f"enumerated {spec.name}, whose degree cannot carry the m22 certificate")
 
-    monkeypatch.setattr(certify, "enumerate_by_cosets", enumerate_by_cosets)
+    monkeypatch.setattr(certify, "enumerate_group", enumerate_group)
     code, report = run_cli(tmp_path, "verify", "m22", "--group", str(shipped_group_path("s5")))
     assert (code, report) == (2, None)
     assert capsys.readouterr().err == "bad input: certificate domain 22 != group degree 5\n"
@@ -498,39 +498,54 @@ def test_linsys_takes_both_orders_before_enumerating_either(tmp_path, monkeypatc
         assert err.startswith(f"refused for size: {line}") and err.count("\n") == 1, (argv, err)
 
 
-def test_linsys_and_search_enumerate_on_the_cells(tmp_path, monkeypatch):
-    # the t-arrangement action is faithful, so each command enumerates the group
-    # from its induced generators and never induces an enumerated group element
-    # by element; the columns, witnesses and indices are those of the elements
-    # induced one by one
-    from sharpsets import cli, linsys, perm, sharp_search
+def test_linsys_and_search_columns_follow_the_points_chain(tmp_path, monkeypatch):
+    # each command enumerates the group on its points and induces the chain level
+    # by level, so its columns and witness indices are those of the checker's
+    # induced_action(enumerate_group(spec), t), whose order is the products
+    # u_k ... u_1 of the points' stabilizer chain; cell_perm runs at most once
+    # per transversal element
+    import functools
+    import itertools
 
-    induced = perm.induced_action
+    from sharpsets import linsys, perm, sharp_search
 
-    def on_generators_only(group, t):
-        if isinstance(group, perm.GroupEnumeration):
-            raise AssertionError(f"induced_action given the {group.order} elements of {group.name}")
-        return induced(group, t)
+    def induced_points_chain(path, t):
+        spec = perm.load_group(path)
+        G = perm.enumerate_group(perm.GroupSpec(spec.degree, tuple(map(tuple, spec.generators)), spec.name))
+        levels = [list(transversal.values()) for transversal in perm.stabilizer_chain(spec)]
+        assert G.elements == [functools.reduce(perm.compose, reversed(us)) for us in itertools.product(*levels)]
+        return perm.induced_action(G, t)[1], sum(map(len, levels))
 
     s5, c5 = str(shipped_group_path("s5")), str(shipped_group_path("c5"))
-    listed = {path: induced(perm.enumerate_group(perm.load_group(path)), 2)[1] for path in (s5, c5)}
-    full = linsys.build_full_system(listed[s5].elements)
+    (G, g_levels), (H, h_levels) = induced_points_chain(s5, 2), induced_points_chain(c5, 2)
+    full = linsys.build_full_system(G.elements)
     expected = [
-        (["--ring", "f_p", "--p", "3"], linsys.solve_mod_p(full, 3)),
-        (["--subgroup", c5, "--ring", "q"], linsys.solve_rational(linsys.build_H_system(listed[s5], listed[c5]))),
-        (["--fpf", "--ring", "f_p", "--p", "3"], linsys.solve_mod_p(linsys.restrict_to_fpf(full), 3)),
+        (["--ring", "f_p", "--p", "3"], linsys.solve_mod_p(full, 3), g_levels),
+        (["--ring", "q"], linsys.solve_rational(full), g_levels),
+        (["--subgroup", c5, "--ring", "q"], linsys.solve_rational(linsys.build_H_system(G, H)), g_levels + h_levels),
+        (["--fpf", "--ring", "f_p", "--p", "3"], linsys.solve_mod_p(linsys.restrict_to_fpf(full), 3), g_levels),
         (["--fpf", "--pin-identity", "--ring", "znn"],
-         linsys.solve_nonneg_integer(linsys.restrict_to_fpf(full, pin_identity=True))),
+         linsys.solve_nonneg_integer(linsys.restrict_to_fpf(full, pin_identity=True)), g_levels),
     ]
-    found = sharp_search.find_sharp_set(listed[s5], 1)
-    for module in (cli, perm, sharp_search):
-        monkeypatch.setattr(module, "induced_action", on_generators_only)
-    for argv, outcome in expected:
+    found = sharp_search.find_sharp_set(G, 1)
+    cell_perm, calls = perm.ArrangementAction.cell_perm, []
+
+    def counted(action, g):
+        calls.append(g)
+        return cell_perm(action, g)
+
+    monkeypatch.setattr(perm.ArrangementAction, "cell_perm", counted)
+    for argv, outcome, levels in expected:
+        calls.clear()
         code, report = run_cli(tmp_path, "linsys", "--group", s5, "--t", "2", *argv)
         assert code == 0 and {k: report[k] for k in ("status", "witness", "notes")} == outcome.as_dict(), argv
+        assert len(calls) <= levels, argv
+    assert any(o.witness for _, o, _ in expected) and g_levels == 5 + 4 + 3 + 2
+    calls.clear()
     code, report = run_cli(tmp_path, "search-sharp", "--group", s5, "--t", "2")
-    assert (code, report["t"], report["nodes"]) == (0, 2, found.nodes)
+    assert (code, report["t"], report["nodes"]) == (0, 2, found.nodes) and len(calls) <= g_levels
     assert report["witness"] == list(found.sharp_set.element_indices)
+    assert sharp_search.verify_sharp_set(G, report["witness"])
 
 
 def test_order_line_below_one_is_malformed(tmp_path, capsys):

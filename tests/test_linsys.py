@@ -12,6 +12,7 @@ from oracles import (
     lemma_down_check,
     local_global_check,
     nullspace_mod_p,
+    reference_enumeration,
     reference_packed_rows,
     reference_solve_nonneg_integer,
     reference_solve_rational,
@@ -805,8 +806,9 @@ def test_witness_entries_print_as_ints_or_fractions():
     assert SolveOutcome("infeasible").as_dict() == {"status": "infeasible", "witness": None, "notes": {}}
 
 
-def test_nonneg_notes_count_simplex_pivots(s4):
-    # S4 on its 4 points branches once, and both nodes pivot
+def test_nonneg_notes_count_simplex_pivots():
+    # S4 on its 4 points, its columns in BFS order, branches once, and both nodes pivot
+    s4 = reference_enumeration(GroupSpec(4, (from_cycles(4, (0, 1)), from_cycles(4, (0, 1, 2, 3))), "S4"))
     system = build_full_system(s4.elements)
     first, again = solve_nonneg_integer(system), solve_nonneg_integer(system)
     assert first.notes == again.notes == {"nodes": 2, "simplex_pivots": 13}

@@ -6,7 +6,7 @@ import re
 
 import pytest
 from conftest import shipped_group_path
-from oracles import dump_group, reference_set_orbit
+from oracles import dump_group, reference_enumeration, reference_set_orbit
 
 from sharpsets import geometry, gf, perm
 from sharpsets.certify import Certificate, verify_certificate_enumerated
@@ -73,11 +73,16 @@ def test_enumerate_m22(m22_enum):
     assert m22_enum.order == 443520
 
 
-def test_m22_enumeration_order_is_pinned(m22_enum):
+def digest(elements):
+    return hashlib.sha256(b"".join(map(bytes, elements))).hexdigest()
+
+
+def test_m22_enumeration_order_is_pinned(m22_spec, m22_enum):
     # search witnesses, linsys columns and the spectrum's key order all follow
-    # the BFS order of the shipped generators; this digest is of that order
-    digest = hashlib.sha256(b"".join(bytes(g) for g in m22_enum.elements)).hexdigest()
-    assert digest == "f2bca64f7ec77fd746a6e81bb7dd05c8c1edd739dbf24700e13df2d1fe99445d"
+    # the chain order of the generators; this digest is of that order
+    assert m22_enum.elements[0] == identity(22)
+    assert digest(m22_enum.elements) == "eecdad7f7bdd45406cb07cac20c13759bf10809d3e6365ce34c0294dc29f14ea"
+    assert perm.enumerate_group(m22_spec).elements == m22_enum.elements
 
 
 def test_apply_to_set():
@@ -156,10 +161,9 @@ def test_declared_order_past_the_cap_is_refused_unenumerated(tmp_path):
     # a wrong order line past the cap is refused for size: nothing is enumerated to find it wrong
     path = tmp_path / "c5.grp"
     path.write_text("n 5\norder 101\n1 2 3 4 0\n")
-    for enumerate_ in ENUMERATIONS:
-        with pytest.raises(perm.GroupTooLarge, match=f"^{re.escape(str(path))} declares order 101, past the cap of 100 elements$"):
-            enumerate_(perm.load_group(path), cap=100)
-        assert enumerate_(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), declared_order=5), cap=5).order == 5
+    with pytest.raises(perm.GroupTooLarge, match=f"^{re.escape(str(path))} declares order 101, past the cap of 100 elements$"):
+        enumerate_group(perm.load_group(path), cap=100)
+    assert enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), declared_order=5), cap=5).order == 5
 
 
 def test_enumerate_declared_order_mismatch():
@@ -173,20 +177,6 @@ def test_enumeration_deterministic(s4):
     assert again.elements == s4.elements
 
 
-def reference_enumeration(spec):
-    """The plain BFS closure over tuples: the order enumerate_group must keep."""
-    start = tuple(range(spec.degree))
-    seen = {start}
-    elements = [start]
-    for cur in elements:
-        for gen in spec.generators:
-            nxt = tuple(map(gen.__getitem__, cur))
-            if nxt not in seen:
-                seen.add(nxt)
-                elements.append(nxt)
-    return elements
-
-
 def shipped(name):
     return perm.load_group(shipped_group_path(name))
 
@@ -196,7 +186,6 @@ def sp22_projective():
     return geometry.symplectic_generators(space, "projective")
 
 
-ENUMERATIONS = (enumerate_group, perm.enumerate_by_cosets)
 ENUMERATION_CASES = {
     "A6": (lambda: GroupSpec(6, (from_cycles(6, (0, 1, 2)), from_cycles(6, (1, 2, 3, 4, 5))), "A6"), 360),
     "A7": (lambda: GroupSpec(7, (from_cycles(7, (0, 1, 2)), from_cycles(7, (2, 3, 4, 5, 6))), "A7"), 2520),
@@ -211,12 +200,13 @@ ENUMERATION_CASES = {
 
 @pytest.mark.parametrize("case", ENUMERATION_CASES)
 def test_enumeration_matches_tuple_reference(case):
+    # the BFS closure's elements, each once, the identity first, in an order that a second run repeats
     build, order = ENUMERATION_CASES[case]
     spec = build()
     enum = enumerate_group(spec)
-    assert enum.order == order
-    assert [tuple(g) for g in enum.elements] == reference_enumeration(spec)
-    assert all(type(g) is (bytes if spec.degree <= 256 else tuple) for g in enum.elements)
+    assert enum.order == order and enum.elements[0] == identity(spec.degree)
+    assert_same_group(enum, reference_enumeration(spec).elements, spec.degree)
+    assert enumerate_group(build()).elements == enum.elements
 
 
 @pytest.mark.parametrize("n", [256, 257])
@@ -245,16 +235,15 @@ def test_every_constructor_returns_the_degree_type(n):
 
 @pytest.mark.parametrize("case", ["S6", "C256", "C300"])
 def test_enumeration_refusals_on_both_paths(case):
-    # bytes and tuples, BFS and cosets: the same refusals, word for word
+    # bytes and tuples: the same refusals, word for word
     build, order = ENUMERATION_CASES[case]
     spec = build()
-    for enumerate_ in ENUMERATIONS:
-        assert enumerate_(spec, cap=order).order == order
-        with pytest.raises(perm.GroupTooLarge, match=f"^enumerating {spec.name} passed the cap of {order - 1} elements$"):
-            enumerate_(spec, cap=order - 1)
-        wrong = GroupSpec(spec.degree, spec.generators, spec.name, declared_order=order + 1)
-        with pytest.raises(perm.GroupFileError, match=f"^{spec.name}: declared order {order + 1}, enumerated {order}$"):
-            enumerate_(wrong)
+    assert enumerate_group(spec, cap=order).order == order
+    with pytest.raises(perm.GroupTooLarge, match=f"^enumerating {spec.name} passed the cap of {order - 1} elements$"):
+        enumerate_group(spec, cap=order - 1)
+    wrong = GroupSpec(spec.degree, spec.generators, spec.name, declared_order=order + 1)
+    with pytest.raises(perm.GroupFileError, match=f"^{spec.name}: declared order {order + 1}, enumerated {order}$"):
+        enumerate_group(wrong)
 
 
 def sp22_vector():
@@ -276,23 +265,25 @@ COSET_CASES = {**ENUMERATION_CASES, "sp(2,2)-vector": (sp22_vector, 720)}
 def test_coset_enumeration_is_the_reference_set(case):
     build, order = COSET_CASES[case]
     spec = build()
-    enum = perm.enumerate_by_cosets(spec)
+    enum = enumerate_group(spec)
     assert enum.order == order and enum.elements[0] == identity(spec.degree)
-    assert_same_group(enum, reference_enumeration(spec), spec.degree)
+    assert_same_group(enum, reference_enumeration(spec).elements, spec.degree)
 
 
-def test_coset_enumeration_of_m22_is_the_bfs_set(m22_spec, m22_enum):
-    # against the BFS enumeration pinned above; the tuple reference would take seconds here
-    assert_same_group(perm.enumerate_by_cosets(m22_spec), m22_enum.elements, 22)
+def test_coset_enumeration_of_m22_is_the_bfs_set(m22_enum):
+    # the digest of the sorted elements, which the BFS closure of the same generators (reference_enumeration)
+    # also gives; that reference would take seconds here
+    assert m22_enum.order == len(set(m22_enum.elements)) == 443520
+    assert digest(sorted(m22_enum.elements)) == "a0447dc8ef0cab366d87147fd0041e22b11b52ac2d6999cfa12291650a9f7d58"
 
 
 def test_coset_enumeration_skips_the_identity_and_repeated_generators():
     cycle, swap = from_cycles(5, (0, 1, 2, 3, 4)), from_cycles(5, (0, 1))
     spec = GroupSpec(5, (identity(5), swap, cycle, swap, compose(swap, cycle)), "S5")
-    enum = perm.enumerate_by_cosets(spec, cap=120)
+    enum = enumerate_group(spec, cap=120)
     assert enum.order == 120
-    assert_same_group(enum, reference_enumeration(spec), 5)
-    assert perm.enumerate_by_cosets(GroupSpec(3, (identity(3),) * 2)).elements == [identity(3)]
+    assert_same_group(enum, reference_enumeration(spec).elements, 5)
+    assert enumerate_group(GroupSpec(3, (identity(3),) * 2)).elements == [identity(3)]
 
 
 def test_coset_enumeration_matches_bfs_on_random_groups():
@@ -300,21 +291,20 @@ def test_coset_enumeration_matches_bfs_on_random_groups():
     for _ in range(200):
         n = rng.randint(1, 8)
         spec = GroupSpec(n, tuple(rng.sample(range(n), n) for _ in range(rng.randint(1, 3))))
-        assert_same_group(perm.enumerate_by_cosets(spec), enumerate_group(spec).elements, n)
+        assert_same_group(enumerate_group(spec), reference_enumeration(spec).elements, n)
 
 
 def assert_coset_walk_is_the_listed_walk(spec, rng, trials=1, c_sizes=()):
-    """Random (B, C, p), C of each of c_sizes if given: the walk over the cosets' runs reports what the walk over the
-    BFS list reports, with the key order of a walk over the coset enumeration's own listed elements."""
-    n, by_cosets, listed = spec.degree, perm.enumerate_by_cosets(spec), enumerate_group(spec)
+    """Random (B, C, p), C of each of c_sizes if given: the walk over the cosets reports what the walk over the
+    listed elements, one run with u = 1, reports, with the same key order."""
+    n, by_cosets = spec.degree, enumerate_group(spec)
+    listed = perm.GroupEnumeration(n, by_cosets.elements, by_cosets.name)
     for c_size in c_sizes or [None] * trials:
         b_set = sum(1 << x for x in rng.sample(range(n), rng.randint(1, n)))
         c_set = sum(1 << x for x in rng.sample(range(n), c_size or rng.randint(1, n)))
         cert = Certificate(b_set, c_set, rng.choice((2, 3, 5)), n)
-        walked, bfs = verify_certificate_enumerated(by_cosets, cert), verify_certificate_enumerated(listed, cert)
-        assert walked.as_dict() == bfs.as_dict() and walked.spectrum == bfs.spectrum
-        in_order = verify_certificate_enumerated(perm.GroupEnumeration(n, by_cosets.elements), cert)
-        assert list(walked.spectrum.items()) == list(in_order.spectrum.items())
+        walked, in_order = verify_certificate_enumerated(by_cosets, cert), verify_certificate_enumerated(listed, cert)
+        assert walked.as_dict() == in_order.as_dict() and list(walked.spectrum.items()) == list(in_order.spectrum.items())
 
 
 @pytest.mark.parametrize("case", COSET_CASES)
@@ -344,8 +334,8 @@ def chain_order(spec):
 @pytest.mark.parametrize("case", ENUMERATION_CASES)
 def test_chain_order_is_the_enumerated_order(case):
     # bytes and tuples (C256 and C300); the shipped files' order lines are not read by the chain
-    spec = ENUMERATION_CASES[case][0]()
-    assert chain_order(spec) == enumerate_group(spec).order
+    build, order = ENUMERATION_CASES[case]
+    assert chain_order(build()) == order == reference_enumeration(build()).order
 
 
 def test_chain_order_of_the_shipped_m22_file(m22_enum):
@@ -371,7 +361,7 @@ def test_sp62_chain_order_is_sp_order_unlisted(monkeypatch):
     # a wrong order line is refused on the chain's order, before any element is listed
     wrong = GroupSpec(spec.degree, spec.generators, "sp", declared_order=1451521)
     with pytest.raises(perm.GroupFileError, match="^sp: declared order 1451521, enumerated 1451520$"):
-        perm.enumerate_by_cosets(wrong)
+        enumerate_group(wrong)
 
 
 def test_group_axioms_small(c5, s3, s4, a6):
@@ -428,15 +418,19 @@ def test_induced_action_higher_arity(s4):
 
 
 def test_enumerating_induced_generators_induces_every_element():
-    # the induced map is an isomorphism that commutes with compose, so the
-    # breadth-first closure of the induced generators meets the images in order
+    # the induced map is an isomorphism that commutes with compose, so inducing
+    # the chain level by level lists each element's image in the points' order,
+    # and the chain of the induced generators lists the same set
     from sharpsets.certify import _alt_generators
 
     s5 = GroupSpec(5, (from_cycles(5, (0, 1)), from_cycles(5, (0, 1, 2, 3, 4))), "S5")
     m22 = perm.load_group(shipped_group_path("m22"))
-    for spec, t in ((_alt_generators(6), 2), (_alt_generators(7), 2), (s5, 2), (m22, 1)):
-        _, on_cells = induced_action(spec, t)
-        assert enumerate_group(on_cells).elements == induced_action(enumerate_group(spec), t)[1].elements, spec.name
+    for spec, t in ((_alt_generators(6), 2), (_alt_generators(7), 2), (s5, 2), (s5, 3), (m22, 1)):
+        G = enumerate_group(spec)
+        action, induced = induced_action(G, t)
+        assert type(induced) is perm.CosetEnumeration and len(induced.levels) == len(G.levels), spec.name
+        assert induced.elements == [action.cell_perm(g) for g in G.elements], spec.name
+        assert set(enumerate_group(induced_action(spec, t)[1]).elements) == set(induced.elements), spec.name
 
 
 def test_inversions_basics():

@@ -1,8 +1,8 @@
 import random
 
 import pytest
-from conftest import make_group
-from oracles import certificate_search, reference_find_sharp_set
+from conftest import cyc, make_group
+from oracles import certificate_search, reference_enumeration, reference_find_sharp_set
 
 from sharpsets import linsys
 from sharpsets.perm import GroupEnumeration, GroupSpec, enumerate_group, induced_action
@@ -28,11 +28,12 @@ def test_cover_instance_row_shape(c5):
 def test_digit_block_units_at_every_field_width(s3, s4, s5, a6, s6, s7):
     # the units are built from base-2^b digit blocks, b the largest of 1..5
     # dividing the width; widths 2..10 reach every base and fields of 1, 2, 3
-    # and 7 digits, and S7's first 1,000 elements have a largest count of 208
+    # and 7 digits, and S7's first 1,000 elements in BFS order have a largest count of 208
     a5 = make_group(5, "A5", [(0, 1, 2)], [(0, 1, 2, 3, 4)])
     a7 = make_group(7, "A7", [(0, 1, 2)], [(2, 3, 4, 5, 6)])
+    s7_bfs = reference_enumeration(GroupSpec(7, (cyc(7, (0, 1)), cyc(7, (0, 1, 2, 3, 4, 5, 6))), "S7"))
     widths = []
-    for elements in [G.elements for G in (s3, s4, a5, s5, a6, s6)] + [s7.elements[:1000], a7.elements, s7.elements]:
+    for elements in [G.elements for G in (s3, s4, a5, s5, a6, s6)] + [s7_bfs.elements[:1000], a7.elements, s7.elements]:
         inst = build_cover_instance(elements)
         n, w = inst.n_cells, inst.width
         widths.append(w)
@@ -160,10 +161,11 @@ def test_s6_pairs_match_the_rescan_kernel_when_cut_mid_search(s6):
         assert (result.status, result.nodes) == (UNKNOWN_BUDGET, budget + 1)
 
 
-def test_s6_pair_row_subsets_match_the_rescan_kernel(s6):
+def test_s6_pair_row_subsets_match_the_rescan_kernel():
     # a cut-short run only shows that neither search ended early; exhausting
     # S6 pairs less every k-th row compares whole node counts, which move if
-    # a sum, a skipped child or its count goes wrong
+    # a sum, a skipped child or its count goes wrong; the rows are in BFS order
+    s6 = reference_enumeration(GroupSpec(6, (cyc(6, (0, 1)), cyc(6, (0, 1, 2, 3, 4, 5))), "S6"))
     pairs = induced_action(s6, 2)[1].elements
     for k, nodes in ((3, 242), (4, 630), (5, 998)):
         rows = GroupEnumeration(30, [g for i, g in enumerate(pairs) if i % k], f"S6 pairs less every {k}th row")
