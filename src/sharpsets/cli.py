@@ -50,7 +50,7 @@ import sys
 import time
 
 from . import certify, designs, linsys, sharp_search
-from .perm import GroupFileError, GroupTooLarge, enumerate_group, expect, induced_action, load_group, stabilizer_chain
+from .perm import GroupFileError, GroupTooLarge, enumerate_group, expect, induced_action, load_group
 
 
 def _write_report(report: dict, out_path: str | None) -> None:
@@ -216,8 +216,9 @@ def _cmd_design_check(args) -> dict:
 
 def _cmd_search(args) -> dict:
     spec = load_group(args.group)
-    sharp_search.check_cover_cap(_order(spec), spec.degree, args.t)  # the cap refuses before enumeration
-    result = sharp_search.find_sharp_set(induced_action(enumerate_group(spec), args.t)[1], 1, args.budget)
+    order, G = _order(spec)
+    sharp_search.check_cover_cap(order, spec.degree, args.t)  # the cap refuses before any element is listed
+    result = sharp_search.find_sharp_set(induced_action(G or enumerate_group(spec), args.t)[1], 1, args.budget)
     return {
         "case": "search-sharp",
         "group": spec.name,
@@ -228,9 +229,13 @@ def _cmd_search(args) -> dict:
     }
 
 
-def _order(spec) -> int:
-    """|G| before enumeration: the file's order line, else the order of the group's stabilizer chain."""
-    return spec.declared_order if spec.declared_order is not None else math.prod(map(len, stabilizer_chain(spec)))
+def _order(spec):
+    """(|G|, None) from the file's order line, with nothing built; else (|G|, G), G enumerated from its stabilizer chain,
+    whose order it is, and handed on so that the chain is built once. No element is listed either way."""
+    if spec.declared_order is not None:
+        return spec.declared_order, None
+    G = enumerate_group(spec)
+    return G.order, G
 
 
 def _search_summary(report: dict) -> str:
@@ -248,12 +253,12 @@ def _cmd_linsys(args) -> dict:
         linsys.check_run_cap(rows, cols, args.ring, args.p, bool(args.export_system), bool(args.probe))
 
     spec, sub = load_group(args.group), args.subgroup and load_group(args.subgroup)
-    restrict, order, h = args.fpf or args.pin_identity, _order(spec), _order(sub) if sub else 1  # before enumerating
+    restrict, (order, G), (h, H) = args.fpf or args.pin_identity, _order(spec), _order(sub) if sub else (1, None)
     if not restrict:  # the full system, or a collapse: an H-orbit of pairs or an H-class holds at most |H| members
         check_cap(-(-math.perm(spec.degree, max(args.t, 0)) ** 2 // h), -(-order // h))
-    G = induced_action(enumerate_group(spec), args.t)[1]  # the points' chain order, each level induced
+    G = induced_action(G or enumerate_group(spec), args.t)[1]  # the points' chain order, each level induced
     if sub:
-        H = induced_action(enumerate_group(sub), args.t)[1]
+        H = induced_action(H or enumerate_group(sub), args.t)[1]
         system = linsys.build_H_system(G, H)
         if restrict:  # the kept classes are known only once the collapse is built
             system = linsys.restrict_to_fpf(system, pin_identity=args.pin_identity)

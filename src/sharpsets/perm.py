@@ -7,6 +7,12 @@ makes or stores has its degree's Perm type, bytes up to degree 256 and a
 tuple of ints above, so elements compare and hash alike wherever they
 came from; functions that take permutations from callers accept any int
 sequence and convert it with as_perm.
+
+Every enumerated group is one GroupEnumeration: the levels of its
+stabilizer chain (enumerate_group), or, for an explicit list of
+elements, that list as one level under the identity (listed). Its
+elements are the products u_k ... u_1 of the levels' members, in one
+fixed order, walked a run at a time and listed only when read.
 """
 
 from __future__ import annotations
@@ -162,45 +168,20 @@ class GroupSpec:
         object.__setattr__(self, "generators", tuple(map(as_perm, self.generators)))
 
 
-@dataclass
 class GroupEnumeration:
-    """All elements of a finite permutation group, in a fixed deterministic order."""
-
-    degree: int
-    elements: list[Perm]
-    name: str = ""
-    _index: dict | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def cosets(self):
-        """(images, us) pairs: the products h u, u from us outer and h from the run inner, are the elements in order.
-        A listed enumeration is one run, the joined images of its elements, with u = 1."""
-        return [(_right_product(self.degree)[2](self.elements), (identity(self.degree),))]
-
-    def index(self) -> PermIndex:
-        if self._index is None:
-            self._index = PermIndex((g, i) for i, g in enumerate(self.elements))
-        return self._index
-
-    def __contains__(self, g) -> bool:
-        return g in self.index()
-
-
-class CosetEnumeration(GroupEnumeration):
-    """G from its stabilizer chain's levels, as the products h u: u from the first level's transversal outer, and h
-    inner from that base point's stabilizer H, kept as one run of images. The elements are listed only when read."""
+    """A finite permutation group from its stabilizer chain's levels, as the products h u: u from the first level's
+    transversal outer, and h inner from that base point's stabilizer H, kept as one run of images. The elements are
+    listed only when read. A listed group (see listed) is one level of its elements under the identity."""
 
     def __init__(self, degree: int, levels: list[list[Perm]], name: str = ""):
-        top, *below = levels or [[identity(degree)]]
-        self.degree, self.name, self.levels, self.transversal = degree, name, levels, top
+        self.degree, self.name, self.levels = degree, name, levels or [[identity(degree)]]  # a trivial chain has none
+        self.transversal, *below = self.levels
         self.stabilizer = functools.reduce(_times, reversed(below), identity(degree))  # u_k ... u_2 from the bottom up
 
     order = property(lambda self: math.prod(map(len, self.levels)))
 
     def cosets(self):
+        """(images, us) pairs: the products h u, u from us outer and h from the run inner, are the elements in order."""
         return [(self.stabilizer, self.transversal)]
 
     @functools.cached_property
@@ -208,38 +189,36 @@ class CosetEnumeration(GroupEnumeration):
         run, n = _times(self.stabilizer, self.transversal), self.degree
         return [run[start : start + n] for start in range(0, len(run), n)]
 
+    _positions = functools.cached_property(lambda self: {g: i for i, g in enumerate(self.elements)})
 
-class PermIndex(dict):
-    """Element -> position; a key given as another int sequence is looked up as its Perm."""
-
-    def __missing__(self, g):
-        key = as_perm(g)
-        if key is g:
-            raise KeyError(g)
-        return self[key]
+    def index(self) -> dict[Perm, int]:
+        """Element -> position, keyed by Perms: look another int sequence up as as_perm(g)."""
+        return self._positions
 
     def __contains__(self, g) -> bool:
-        return dict.__contains__(self, as_perm(g))
+        return as_perm(g) in self._positions
+
+
+def listed(degree: int, elements, name: str = "") -> GroupEnumeration:
+    """The int sequences as Perms, in their order, as one level under the identity; not checked to form a group."""
+    return GroupEnumeration(degree, [[identity(degree)], list(map(perm_type(degree), elements))], name)
 
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
 
 
-def _right_product(n: int):
-    """(table, product, join) for degree n: product(a, table(b)) is ab, a being a Perm or a run join(elements)."""
-    if n <= 256:  # a 256-entry translate table
-        return (lambda g: g + bytes(range(n, 256))), bytes.translate, b"".join
-    return (lambda g: g.__getitem__), (lambda a, gen: tuple(map(gen, a))), (lambda run: tuple(itertools.chain(*run)))
+_BYTE_IDENTITY = bytes(range(256))
 
 
 def _times(run: Perm, transversal: list[Perm]) -> Perm:
     """The run of images of the products h u, u from the transversal outer and h from the run inner."""
-    table, product, join = _right_product(len(transversal[0]))
-    return join([product(run, table(u)) for u in transversal])
+    if type(run) is bytes:  # u's images, then the identity's above u's degree: a 256-entry translate table
+        return b"".join([run.translate(u + _BYTE_IDENTITY[len(u) :]) for u in transversal])
+    return tuple(itertools.chain.from_iterable(map(u.__getitem__, run) for u in transversal))
 
 
-def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> CosetEnumeration:
-    """The group the generators generate, from its stabilizer chain (see stabilizer_chain and CosetEnumeration).
+def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> GroupEnumeration:
+    """The group the generators generate, as the GroupEnumeration of its stabilizer chain's levels (stabilizer_chain).
 
     Element order is the chain's: each element is one product u_k ... u_1, u_i from level i's transversal, u_1 varying
     slowest and u_k fastest, each transversal in its insertion order, so the identity comes first and the order is
@@ -256,7 +235,7 @@ def enumerate_group(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> Cose
     order = math.prod(map(len, levels))
     if spec.declared_order not in (None, order):
         raise GroupFileError(f"{where or 'group'}: declared order {spec.declared_order}, enumerated {order}")
-    return CosetEnumeration(spec.degree, levels, spec.name)
+    return GroupEnumeration(spec.degree, levels, spec.name)
 
 
 def stabilizer_chain(spec: GroupSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> list[dict[int, Perm]]:
@@ -332,22 +311,10 @@ def set_orbit(generators, point_set: int, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
 
 def enumeration_from_elements(degree, elements, name="") -> GroupEnumeration:
-    """Wrap an explicit list of int sequences as Perms, checked to form a group."""
-    elements = list(map(as_perm, elements))
-    eset = set(elements)
-    if len(eset) != len(elements):
-        raise ValueError("duplicate elements")
-    if identity(degree) not in eset:
-        raise ValueError("identity missing")
-    for g in elements:
-        if inverse(g) not in eset:
-            raise ValueError(f"inverse of {g} missing")
-    if len(elements) <= 2000:
-        for a in elements:
-            for b in elements:
-                if compose(a, b) not in eset:
-                    raise ValueError("not closed under composition")
-    return GroupEnumeration(degree, elements, name)
+    """An explicit list of int sequences as a listed group, checked by check_group_axioms."""
+    group = listed(degree, elements, name)
+    check_group_axioms(group)
+    return group
 
 
 AXIOM_INVERSE_LIMIT = 10_000  # elements whose inverse check_group_axioms looks up
@@ -363,7 +330,7 @@ def check_group_axioms(enum: GroupEnumeration, samples: int = 200):
     for g in enum.elements[:AXIOM_INVERSE_LIMIT]:
         if inverse(g) not in eset:
             raise InvariantViolation(f"inverse missing for {g}")
-    if enum.order <= 400:  # order^2 products is cheap here
+    if enum.order <= 2000:  # order^2 products, a few seconds at most
         pairs = itertools.product(enum.elements, repeat=2)
     else:
         rng = random.Random(0)
@@ -409,22 +376,17 @@ def arrangements(n: int, t: int) -> ArrangementAction:
 def induced_action(group, t: int):
     """Re-express a group on the cells of its t-arrangement action.
 
-    Returns (action, group-on-cells) where the second component has the same
-    kind as the input (GroupSpec, CosetEnumeration or GroupEnumeration, element
-    order kept). The action is a homomorphism, so a CosetEnumeration is induced
-    level by level, one cell_perm per transversal element: its products list
-    the induced elements in the order of the points' elements.
+    Returns (action, group-on-cells) where the second component has the same kind as the input (GroupSpec or
+    GroupEnumeration, element order kept). The action is a homomorphism, so an enumeration is induced level by level,
+    one cell_perm per level element: its products list the induced elements in the order of the points' elements,
+    and a listed group's one level induces each element.
     """
     action = arrangements(group.degree, t)
     if isinstance(group, GroupSpec):
         gens = tuple(action.cell_perm(g) for g in group.generators)
-        out = GroupSpec(action.size, gens, group.name, group.declared_order, group.path)
-    elif isinstance(group, CosetEnumeration):
-        out = CosetEnumeration(action.size, [list(map(action.cell_perm, level)) for level in group.levels], group.name)
-    else:
-        elems = [action.cell_perm(g) for g in group.elements]
-        out = GroupEnumeration(action.size, elems, group.name)
-    return action, out
+        return action, GroupSpec(action.size, gens, group.name, group.declared_order, group.path)
+    levels = [list(map(action.cell_perm, level)) for level in group.levels]
+    return action, GroupEnumeration(action.size, levels, group.name)
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ from sharpsets.linsys import (
     solve_mod_p,
     verify_witness,
 )
-from sharpsets.perm import GroupEnumeration, GroupSpec, GroupTooLarge, apply_to_set, as_perm, induced_action
+from sharpsets.perm import GroupEnumeration, GroupSpec, GroupTooLarge, apply_to_set, induced_action, listed
 from sharpsets.sharp_search import FOUND, NONE_EXHAUSTIVE, UNKNOWN_BUDGET, SearchResult, SharpSet
 
 
@@ -524,7 +524,7 @@ def reference_enumeration(spec: GroupSpec) -> GroupEnumeration:
             if nxt not in seen:
                 seen.add(nxt)
                 elements.append(nxt)
-    return GroupEnumeration(spec.degree, list(map(as_perm, elements)), spec.name)
+    return listed(spec.degree, elements, spec.name)
 
 
 def reference_golay_codewords() -> list[int]:

@@ -194,8 +194,8 @@ def test_criterion_8_collapsed_systems():
             for c in range(system.cols):
                 ok &= sum(system.columns[c].values()) == G.degree
             ok &= sum(system.rhs) == G.degree**2
-    one3 = perm.GroupEnumeration(3, [perm.identity(3)], "1")
-    one4 = perm.GroupEnumeration(4, [perm.identity(4)], "1")
+    one3 = perm.listed(3, [perm.identity(3)], "1")
+    one4 = perm.listed(4, [perm.identity(4)], "1")
     ok &= lemma_down_check(s3, one3, subgroups["S3"][0])["implication_holds"]
     ok &= lemma_down_check(s4, subgroups["S4"][0], subgroups["S4"][1])["implication_holds"]
     ok &= lemma_down_check(a4, subgroups["A4"][0], build(4, "V4", [(0, 1), (2, 3)], [(0, 2), (1, 3)]))[

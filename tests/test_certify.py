@@ -146,7 +146,7 @@ def test_enumerated_walk_over_several_cosets_matches_brute_force(n, b_size, c_si
     G = dihedral(n)
     assert (len(G.transversal), len(G.stabilizer)) == (n, 2 * n)
     assert_walk_matches_brute_force(G, c_size, trials=3, b_size=b_size)
-    assert_walk_matches_brute_force(perm.GroupEnumeration(n, G.elements), c_size, trials=3, b_size=b_size)
+    assert_walk_matches_brute_force(perm.listed(n, G.elements), c_size, trials=3, b_size=b_size)
 
 
 COSET_GROUPS = {  # name -> (generators, degree, order)
@@ -334,7 +334,7 @@ def test_coset_and_bfs_enumerations_give_one_report(monkeypatch, witt, case, opt
 
     def listed(spec):
         G = perm.enumerate_group(spec)
-        return perm.GroupEnumeration(G.degree, G.elements, G.name)
+        return perm.listed(G.degree, G.elements, G.name)
 
     monkeypatch.setattr(certify, "enumerate_group", listed)
     assert json.dumps(run_case(case, **options).as_dict()) == by_cosets
@@ -348,7 +348,7 @@ def test_m22_walk_lists_no_element_of_the_group(monkeypatch, witt):
     def listed(G):
         raise AssertionError(f"listed the {G.order} elements")
 
-    monkeypatch.setattr(perm.CosetEnumeration, "elements", property(listed))
+    monkeypatch.setattr(perm.GroupEnumeration, "elements", property(listed))
     tracemalloc.start()
     try:
         report = run_case("m22", enumerated=True, design=witt)
@@ -499,7 +499,7 @@ def test_a_spectrum_without_the_identity_size_does_not_refute():
     # B = C = {0}, p = 2: no walk has met the identity, so nothing is refuted, whatever p divides
     cert = Certificate(0b1, 0b1, 2, 5)
     assert certify.VerificationReport.judge("x", "family", cert, {}, ("a",)).conclusion == "inconclusive"
-    report = verify_certificate_enumerated(perm.GroupEnumeration(5, []), cert)
+    report = verify_certificate_enumerated(perm.listed(5, []), cert)
     assert (report.spectrum, report.conclusion) == ({}, "inconclusive")
     with pytest.raises(AssertionError):
         certify.VerificationReport("x", "family", cert, {}, "refuted")

@@ -451,13 +451,13 @@ def test_search_cap_is_checked_before_enumeration(tmp_path, monkeypatch, capsys)
 
 def test_search_and_linsys_caps_use_the_chain_order_without_an_order_line(tmp_path, monkeypatch, capsys):
     # m22.grp without its order line: the stabilizer chain's order, 443,520, refuses
-    # both runs with the lines the built table and system would give
-    from sharpsets import cli
+    # both runs with the lines the built table and system would give, before any element is listed
+    from sharpsets import perm
 
-    def never(spec):
-        raise AssertionError("enumerated a group the cap refuses")
+    def never(G):
+        raise AssertionError("listed a group the cap refuses")
 
-    monkeypatch.setattr(cli, "enumerate_group", never)
+    monkeypatch.setattr(perm.GroupEnumeration, "elements", property(never))
     unordered = tmp_path / "m22.grp"
     lines = shipped_group_path("m22").read_text().splitlines(True)
     unordered.write_text("".join(line for line in lines if not line.startswith("order")))
@@ -472,13 +472,14 @@ def test_search_and_linsys_caps_use_the_chain_order_without_an_order_line(tmp_pa
 def test_linsys_takes_both_orders_before_enumerating_either(tmp_path, monkeypatch, capsys):
     # with --subgroup, --fpf or --pin-identity: S22 with no order line is refused on its chain, and a collapse
     # on its least shape, with the lines enumerating the files would give; a transposition group, not a
-    # subgroup of M22 and too coarse a collapse, is refused for size (4), not as bad input (2)
-    from sharpsets import cli
+    # subgroup of M22 and too coarse a collapse, is refused for size (4), not as bad input (2); no element is
+    # listed before the caps are checked
+    from sharpsets import perm
 
-    def never(spec):
-        raise AssertionError(f"enumerated {spec.name} before the caps were checked")
+    def never(G):
+        raise AssertionError(f"listed {G.name} before the caps were checked")
 
-    monkeypatch.setattr(cli, "enumerate_group", never)
+    monkeypatch.setattr(perm.GroupEnumeration, "elements", property(never))
     s22, trivial, swap = tmp_path / "s22.grp", tmp_path / "trivial.grp", tmp_path / "swap.grp"
     s22.write_text("n 22\n1 0 " + " ".join(map(str, range(2, 22))) + "\n" + " ".join(map(str, range(1, 22))) + " 0\n")
     trivial.write_text(f"n 22\n{' '.join(map(str, range(22)))}\n")
@@ -496,6 +497,40 @@ def test_linsys_takes_both_orders_before_enumerating_either(tmp_path, monkeypatc
         assert run_cli(tmp_path, "linsys", *argv) == (4, None), argv
         err = capsys.readouterr().err
         assert err.startswith(f"refused for size: {line}") and err.count("\n") == 1, (argv, err)
+
+
+def test_a_group_file_with_no_order_line_builds_its_chain_once(tmp_path, monkeypatch):
+    # the chain whose order the caps read is the one the command then enumerates: one stabilizer_chain call per
+    # file, wherever the function is reachable from, and the reports of the files with their order lines
+    import sys
+
+    from sharpsets import perm
+
+    chain, calls = perm.stabilizer_chain, []
+
+    def counted(spec, *args, **kwargs):
+        calls.append(spec.name)
+        return chain(spec, *args, **kwargs)
+
+    for module in [module for name, module in sys.modules.items() if name.startswith("sharpsets")]:
+        if getattr(module, "stabilizer_chain", None) is chain:
+            monkeypatch.setattr(module, "stabilizer_chain", counted)
+    ordered = {name: shipped_group_path(name) for name in ("s5", "c5")}
+    bare = {name: tmp_path / path.name for name, path in ordered.items()}
+    for name, path in ordered.items():
+        bare[name].write_text("".join(line for line in path.read_text().splitlines(True) if not line.startswith("order")))
+    for argv, groups in (
+        (["linsys", "--group", "{s5}", "--t", "2", "--ring", "q"], ["s5"]),
+        (["linsys", "--group", "{s5}", "--subgroup", "{c5}", "--t", "2", "--ring", "q"], ["s5", "c5"]),
+        (["search-sharp", "--group", "{s5}", "--t", "2"], ["s5"]),
+    ):
+        reports = []
+        for files in (ordered, bare):
+            calls.clear()
+            code, report = run_cli(tmp_path, *(a.format_map(files) for a in argv))
+            assert code == 0 and calls == groups, (argv, files, calls)
+            reports.append({k: v for k, v in report.items() if k != "elapsed_ms"})
+        assert reports[0] == reports[1], argv
 
 
 def test_linsys_and_search_columns_follow_the_points_chain(tmp_path, monkeypatch):

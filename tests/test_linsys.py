@@ -181,7 +181,7 @@ def test_full_system_sizes_a6_pairs(a6):
 
 
 def test_full_system_trivial_group_infeasible():
-    one = perm.GroupEnumeration(2, [identity(2)], "1")
+    one = perm.listed(2, [identity(2)], "1")
     system = build_full_system(one.elements)
     assert solve_mod_p(system, 2).status == "infeasible"
     assert solve_rational(system).status == "infeasible"
@@ -189,7 +189,7 @@ def test_full_system_trivial_group_infeasible():
 
 
 def test_H_system_trivial_subgroup_equals_full(s3):
-    one = perm.GroupEnumeration(3, [identity(3)], "1")
+    one = perm.listed(3, [identity(3)], "1")
     collapsed = build_H_system(s3, one)
     full = build_full_system(s3.elements)
     assert collapsed.columns == full.columns
@@ -387,7 +387,7 @@ def test_rational_full_collapse_fast_path(c5, s3, s4, a4, fano_stabilizer):
     # collapsing by the whole group must not change rational solvability:
     # averaging a full solution over G gives a collapsed one, and a collapsed
     # solution spreads back out evenly, because |G| is invertible over Q
-    one = perm.GroupEnumeration(2, [identity(2)], "1")
+    one = perm.listed(2, [identity(2)], "1")
     for enum in (c5, s3, s4, a4, fano_stabilizer, one):
         direct = solve_rational(build_full_system(enum.elements)).status
         collapsed = solve_rational(build_H_system(enum, enum)).status
@@ -998,7 +998,7 @@ def test_probe_deterministic(c6):
 
 
 def test_lemma_down_trivial_bottom(s4):
-    one = perm.GroupEnumeration(4, [identity(4)], "1")
+    one = perm.listed(4, [identity(4)], "1")
     u = enumerate_group(GroupSpec(4, (from_cycles(4, (0, 1), (2, 3)),), "C2"))
     report = lemma_down_check(s4, one, u)
     assert report["implication_holds"]
@@ -1019,7 +1019,7 @@ def test_lemma_down_a4(a4):
 
 
 def test_lemma_down_containment_errors(s4, s3):
-    one = perm.GroupEnumeration(4, [identity(4)], "1")
+    one = perm.listed(4, [identity(4)], "1")
     with pytest.raises(ValueError):
         lemma_down_check(s4, s4, one)
 

@@ -224,13 +224,12 @@ def test_every_constructor_returns_the_degree_type(n):
     made += [*on_cells.generators, *enum_on_cells.elements, *wrapped.elements]
     assert all(type(g) is kind for g in made)
     assert G.order == 6 and wrapped.elements == G.elements and spec.generators == (a, b)
-    for gen in (tuple(a), tuple(b), list(b)):
-        assert gen in G and gen in G.index()
-        if not isinstance(gen, list):  # a list is unhashable, as a dict key
-            assert G.elements[G.index()[gen]] == kind(gen)
+    for gen in (tuple(a), tuple(b), list(b)):  # `in` converts; index() is keyed by Perms
+        assert gen in G and perm.as_perm(gen) in G.index()
+        assert G.elements[G.index()[perm.as_perm(gen)]] == kind(gen)
     assert tuple(compose(a, a)) in G and tuple(from_cycles(n, (0, 2))) not in G
     with pytest.raises(KeyError):
-        G.index()[tuple(from_cycles(n, (0, 2)))]
+        G.index()[from_cycles(n, (0, 2))]
 
 
 @pytest.mark.parametrize("case", ["S6", "C256", "C300"])
@@ -298,7 +297,7 @@ def assert_coset_walk_is_the_listed_walk(spec, rng, trials=1, c_sizes=()):
     """Random (B, C, p), C of each of c_sizes if given: the walk over the cosets reports what the walk over the
     listed elements, one run with u = 1, reports, with the same key order."""
     n, by_cosets = spec.degree, enumerate_group(spec)
-    listed = perm.GroupEnumeration(n, by_cosets.elements, by_cosets.name)
+    listed = perm.listed(n, by_cosets.elements, by_cosets.name)
     for c_size in c_sizes or [None] * trials:
         b_set = sum(1 << x for x in rng.sample(range(n), rng.randint(1, n)))
         c_set = sum(1 << x for x in rng.sample(range(n), c_size or rng.randint(1, n)))
@@ -327,6 +326,20 @@ def test_coset_walk_is_the_listed_walk_on_random_groups():
         assert_coset_walk_is_the_listed_walk(spec, rng, trials=1)
 
 
+@pytest.mark.parametrize("case", ["s5.grp", "C17"])
+def test_a_listed_group_is_one_level_under_the_identity(case):
+    # listed keeps the given order as one level under the identity; inducing it induces each element (C17 on its
+    # 272 pairs as tuples), and listed in the chain's order it has the chain enumeration's index and walk report
+    spec = shipped("s5") if case == "s5.grp" else GroupSpec(17, (from_cycles(17, tuple(range(17))),), case)
+    n, G = spec.degree, enumerate_group(spec)
+    backwards = perm.listed(n, [tuple(g) for g in reversed(G.elements)], "backwards")
+    assert backwards.levels == [[identity(n)], G.elements[::-1]] and backwards.elements == G.elements[::-1]
+    action, induced = induced_action(backwards, 2)
+    assert induced.elements == [action.cell_perm(g) for g in backwards.elements]
+    assert perm.listed(n, G.elements).index() == G.index()
+    assert_coset_walk_is_the_listed_walk(spec, random.Random(case), trials=4)
+
+
 def chain_order(spec):
     return math.prod(map(len, perm.stabilizer_chain(spec)))
 
@@ -351,10 +364,10 @@ def test_chain_order_of_the_shipped_m22_file(m22_enum):
 def test_sp62_chain_order_is_sp_order_unlisted(monkeypatch):
     space = geometry.symplectic_space(3, gf.field_for_q(2))
 
-    def never(n):
+    def never(run, transversal):
         raise AssertionError("listed an element of the group")
 
-    monkeypatch.setattr(perm, "_right_product", never)
+    monkeypatch.setattr(perm, "_times", never)
     for action in ("projective", "vector"):
         spec = geometry.symplectic_generators(space, action)
         assert chain_order(spec) == geometry.sp_order(3, 2) == 1451520, action
@@ -428,7 +441,7 @@ def test_enumerating_induced_generators_induces_every_element():
     for spec, t in ((_alt_generators(6), 2), (_alt_generators(7), 2), (s5, 2), (s5, 3), (m22, 1)):
         G = enumerate_group(spec)
         action, induced = induced_action(G, t)
-        assert type(induced) is perm.CosetEnumeration and len(induced.levels) == len(G.levels), spec.name
+        assert type(induced) is perm.GroupEnumeration and len(induced.levels) == len(G.levels), spec.name
         assert induced.elements == [action.cell_perm(g) for g in G.elements], spec.name
         assert set(enumerate_group(induced_action(spec, t)[1]).elements) == set(induced.elements), spec.name
 
@@ -469,7 +482,7 @@ def test_compose_associative_fuzz():
 
 
 def test_orbits_on_pairs_trivial_group():
-    one = perm.GroupEnumeration(3, [identity(3)], "1")
+    one = perm.listed(3, [identity(3)], "1")
     blocks = orbits_on_pairs(one)
     assert len(blocks) == 9
     assert all(len(b) == 1 for b in blocks)
@@ -495,7 +508,7 @@ def test_orbits_are_generator_invariant(s4):
 
 
 def test_conjugation_trivial_subgroup(s3):
-    one = perm.GroupEnumeration(3, [identity(3)], "1")
+    one = perm.listed(3, [identity(3)], "1")
     classes = conjugation_reps(s3, one)
     assert classes == [[g] for g in s3.elements]
 

@@ -5,7 +5,7 @@ from conftest import cyc, make_group
 from oracles import certificate_search, reference_enumeration, reference_find_sharp_set
 
 from sharpsets import linsys
-from sharpsets.perm import GroupEnumeration, GroupSpec, enumerate_group, induced_action
+from sharpsets.perm import GroupSpec, as_perm, enumerate_group, induced_action, listed
 from sharpsets.sharp_search import (
     FOUND,
     NONE_EXHAUSTIVE,
@@ -73,7 +73,7 @@ def test_verify_rejects_duplicates(c5):
 def test_verify_agl15_inside_s5(s5):
     agl = {tuple((a * x + b) % 5 for x in range(5)) for a in range(1, 5) for b in range(5)}
     idx = s5.index()
-    indices = sorted(idx[g] for g in agl)
+    indices = sorted(idx[as_perm(g)] for g in agl)
     assert verify_sharp_set(s5, indices, 2)
 
 
@@ -168,7 +168,7 @@ def test_s6_pair_row_subsets_match_the_rescan_kernel():
     s6 = reference_enumeration(GroupSpec(6, (cyc(6, (0, 1)), cyc(6, (0, 1, 2, 3, 4, 5))), "S6"))
     pairs = induced_action(s6, 2)[1].elements
     for k, nodes in ((3, 242), (4, 630), (5, 998)):
-        rows = GroupEnumeration(30, [g for i, g in enumerate(pairs) if i % k], f"S6 pairs less every {k}th row")
+        rows = listed(30, [g for i, g in enumerate(pairs) if i % k], f"S6 pairs less every {k}th row")
         result = find_sharp_set(rows, 1)
         assert result == reference_find_sharp_set(rows, 1), k
         assert (result.status, result.nodes) == (NONE_EXHAUSTIVE, nodes)
