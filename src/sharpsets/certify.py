@@ -151,12 +151,13 @@ def doublecount_check(S: list[Perm], b_set: int, c_set: int) -> DoublecountRepor
 
 
 def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: str = "") -> VerificationReport:
-    """Check p | |B & C^g| for every element of the enumerated group, one of G.cosets' runs of elements h at a time.
+    """Check p | |B & C^g| for every element g = h u of the enumerated group, u from G.transversal outer and h from
+    the run of images G.stabilizer inner, as the elements are ordered.
 
     g permutes the points, so |B & C^g| = |B| - |B & (Omega - C)^g|: the walk counts over the smaller side W of C and
     Omega - C, mapping k to |B| - k if W = Omega - C, which keeps the first-seen key order. For g = h u, g[x] is in B
-    where (marks o u)[h[x]] is 1: column x of the run's images (images[x::n]), sliced once a run, translated by
-    marks o u for each u and summed as ints over the x in W, counts every product g = h u of the run at once.
+    where (marks o u)[h[x]] is 1: column x of the run (stabilizer[x::n]), sliced once, translated by marks o u for
+    each u and summed as ints over the x in W, counts every product h u with that u at once.
     """
     if cert.domain != G.degree:
         raise ValueError(f"certificate domain {cert.domain} != group degree {G.degree}")
@@ -166,22 +167,21 @@ def verify_certificate_enumerated(G: GroupEnumeration, cert: Certificate, case: 
     walked = [x for x in range(n) if (cert.c_set >> x & 1) != flip]
     width = max(1, (len(walked).bit_length() + 7) // 8)  # a count is at most |W|; walking no point counts zeros
     spectrum = Counter()  # its keys in first-seen order, as the walk meets the elements
-    for images, us in G.cosets():
-        columns, length = [images[x::n] for x in walked], len(images) // n * width
-        for u in us:
-            table = bytes(map(marks.__getitem__, u)) + marks[n:]  # marks o u
-            marked = (c.translate(table) if type(c) is bytes else bytes(map(table.__getitem__, c)) for c in columns)
-            if width == 1:  # a marked column is itself a field of one-byte counts, tallied one size at a time
-                counts = sum(int.from_bytes(column, "little") for column in marked).to_bytes(length, "little")
-                for size in sorted(filter(counts.__contains__, range(len(walked) + 1)), key=counts.find):
-                    spectrum[size] += counts.count(size)
-            else:
-                field, total = bytearray(length), 0
-                for column in marked:
-                    field[::width] = column
-                    total += int.from_bytes(field, "little")
-                counts = total.to_bytes(length, "little")
-                spectrum.update(int.from_bytes(t, "little") for t in zip(*[iter(counts)] * width))
+    columns, length = [G.stabilizer[x::n] for x in walked], len(G.stabilizer) // n * width
+    for u in G.transversal:
+        table = bytes(map(marks.__getitem__, u)) + marks[n:]  # marks o u
+        marked = (c.translate(table) if type(c) is bytes else bytes(map(table.__getitem__, c)) for c in columns)
+        if width == 1:  # a marked column is itself a field of one-byte counts, tallied one size at a time
+            counts = sum(int.from_bytes(column, "little") for column in marked).to_bytes(length, "little")
+            for size in sorted(filter(counts.__contains__, range(len(walked) + 1)), key=counts.find):
+                spectrum[size] += counts.count(size)
+        else:
+            field, total = bytearray(length), 0
+            for column in marked:
+                field[::width] = column
+                total += int.from_bytes(field, "little")
+            counts = total.to_bytes(length, "little")
+            spectrum.update(int.from_bytes(t, "little") for t in zip(*[iter(counts)] * width))
     if flip:
         spectrum = Counter({cert.b_size - k: m for k, m in spectrum.items()})
     assumptions = (f"all {G.order} group elements enumerated",)
@@ -222,7 +222,9 @@ def run_case(case: str, **options) -> VerificationReport:
     """Assemble and verify one of the named nonexistence cases.
 
     Cases: "alt" (alternating groups on ordered pairs, needs n), "m22",
-    "m23", "mclaughlin", "sp" (needs n and q). Options: see the CLI.
+    "m23", "mclaughlin", "sp" (needs n and q). The options are the keyword
+    parameters of the case's runner, which are the dests of its flags under
+    `sharpsets verify <case>`, so the CLI passes what it parsed unchanged.
     """
     runners = {
         "alt": _run_alt,
@@ -262,15 +264,17 @@ def _run_alt(n: int) -> VerificationReport:
     return report
 
 
-def _run_m22(group_file=None, enumerated: bool = False, design: designs.Design | None = None) -> VerificationReport:
+def _run_m22(group_file=None, enumerated: bool = False, export_design: str | None = None) -> VerificationReport:
     """B = a block avoiding the special point, C = its complement in the 22 points, p = 2.
 
     Every automorphism fixing the special point permutes the 176 blocks
     avoiding it, so in family mode an orbit equal to their complements
     holds C^g for every g of the true stabilizer, whatever the generators.
-    The Witt design is built unless it is given.
+    The Witt design is built once, and written to export_design if given.
     """
-    design = designs.golay_witt_design() if design is None else design
+    design = designs.golay_witt_design()
+    if export_design:
+        designs.write_design(design, export_design)
     avoiding = designs.blocks_avoiding(design, 22)
     points = (1 << 22) - 1
     cert = Certificate(avoiding[0], points ^ avoiding[0], 2, 22)
@@ -324,9 +328,12 @@ def _run_m23() -> VerificationReport:
     return report
 
 
-def _run_mclaughlin(mcl: designs.McLaughlinData | None = None) -> VerificationReport:
-    """275-vertex graph, built unless it is given; B = point vertices, C = a non-adjacent pair's common neighborhood."""
-    mcl = designs.mclaughlin_graph() if mcl is None else mcl
+def _run_mclaughlin(export_graph: str | None = None) -> VerificationReport:
+    """275-vertex graph, written to export_graph if given; B = point vertices, C = a non-adjacent pair's common
+    neighborhood."""
+    mcl = designs.mclaughlin_graph()
+    if export_graph:
+        designs.write_graph(mcl.graph, export_graph)
     g = mcl.graph
     family, full = [], (1 << g.n) - 1
     for i, row in enumerate(g.adj):  # a 0/1 byte per vertex j, 1 when j > i is not adjacent to i; pairs in (i, j) order
@@ -348,6 +355,9 @@ def _run_mclaughlin(mcl: designs.McLaughlinData | None = None) -> VerificationRe
         "class contradicts the 77 blocks through the special point"
     )
     return report
+
+
+SP_FAMILY_BIT_CAP = 1 << 33  # bits of an sp family's members, census x domain (both domains for vector): 1 GiB
 
 
 def _run_sp(
@@ -374,6 +384,10 @@ def _run_sp(
     if census > DEFAULT_ENUMERATION_CAP:  # set_orbit would refuse it, after building everything
         shown = census if n <= 7 and census < 1 << 64 else f"{q}^{2 * n - 2}({q}^{2 * n} - 1)/({q}^2 - 1)"
         raise GroupTooLarge(f"sp({2 * n},{q}) has {shown} nonsingular lines, past the cap of {DEFAULT_ENUMERATION_CAP}")
+    points, vectors = (q ** (2 * n) - 1) // (q - 1), q ** (2 * n) - 1  # the vector family lifts the projective one
+    bits = census * (points + vectors if action == "vector" else points)
+    if bits > SP_FAMILY_BIT_CAP:
+        raise GroupTooLarge(f"sp({2 * n},{q}) {action}: {census} lines hold {bits} bits, past the cap of {SP_FAMILY_BIT_CAP}")
     space = geometry.symplectic_space(n, fspec)
     quad = geometry.elliptic_quadric(space)
     spec = geometry.symplectic_generators(space)

@@ -18,26 +18,28 @@ in a missing directory) exits 3 with one stderr line and no report, the
 report's own file included. Input refused for size exits 4, likewise: a
 group or orbit too large to enumerate (refused on its declared order, or
 else its stabilizer chain's, before any element is built), an sp case past
-the orbit cap, a linear system past linsys.DENSE_CELL_CAP cells (systems
-are stored by column; the Z solver and `--export-system` densify, and the
-packed odd-p rows and the sparse Q and Z>=0 rows can fill in that far;
-F_2's one-bit rows are not capped), or a `search-sharp` whose packed
-exact-cover table, |G| x N^2 fields, would pass that cap (checked on |G|
-before enumeration). So does a computed report holding an int past
-Python's int-to-str limit, with nothing on stdout. One rule,
-linsys.check_run_cap, names a linsys run's first capped step and checks
-its [A | b] wherever the system's size is first known, with the line
+the orbit cap or certify.SP_FAMILY_BIT_CAP, a linear system past
+linsys.DENSE_CELL_CAP cells (systems are stored by column; the Z solver and
+`--export-system` densify, and the packed odd-p rows and the sparse Q and
+Z>=0 rows can fill in that far; F_2's one-bit rows are not capped), or a
+`search-sharp` whose packed exact-cover table, |G| x N^2 fields, would pass
+that cap (checked on |G| before enumeration). So does a computed report
+holding an int past Python's int-to-str limit, with nothing on stdout. One
+rule, linsys.check_run_cap, names a linsys run's first capped step and
+checks its [A | b] wherever the system's size is first known, with the line
 that step prints: a full system's N^2 x (|G| + 1) on the order before
-enumeration, the columns --fpf or --pin-identity keep before any is
-built, and an unrestricted --subgroup collapse on its least shape,
-ceil(N^2/|H|) x (ceil(|G|/|H|) + 1), before either group is enumerated,
-so a file both too large and not a subgroup exits 4, not 2. The quadric's
-polarization is checked on every pair of an F_2-basis, complete because
-both sides are biadditive, and generator permutations are read off
-packed one-bit images, so sp (5,2) and (3,4) run in about a second.
+enumeration, the columns --fpf or --pin-identity keep before any is built,
+and an unrestricted --subgroup collapse on its least shape, ceil(N^2/|H|) x
+(ceil(|G|/|H|) + 1), before either group is enumerated, so a file both too
+large and not a subgroup exits 4, not 2. The quadric's polarization is
+checked on every pair of an F_2-basis, complete because both sides are
+biadditive, and generator permutations are read off packed one-bit images,
+so sp (5,2) and (3,4) run in about a second.
 A failed `selftest` check carries an `error` field and makes the run exit 1.
 Random probes take their seed from `--probe`; there is no `--seed` flag.
-A run builds only the argparse parsers of the command it names.
+A run builds only the argparse parsers of the command it names. `verify`
+hands what it parsed, less `--out`, to certify.run_case, whose runners
+take the flags' dests as keywords and write the `--export-*` files.
 """
 
 from __future__ import annotations
@@ -84,16 +86,16 @@ def prime(text: str) -> int:
     return p
 
 
-# name -> (help, its arguments after --out), or (help, a table of its own commands) for verify
+# name -> (help, its arguments after --out), or (help, a table of its own commands) for verify: dests = runner keywords
 CASES = {
     "sp": ("symplectic groups in even characteristic",
            ("--n", dict(type=int, required=True, help="half-dimension, at least 2")),
            ("--q", dict(type=int, required=True, help="field size, a power of 2")),
            ("--modulus", dict(type=int, help="field polynomial bitmask override")),
            ("--action", dict(choices=["projective", "vector"], default="projective")),
-           ("--enumerate-group", dict(action="store_true", dest="enumerate_group"))),
+           ("--enumerate-group", dict(action="store_true", dest="enumerate_group_flag"))),
     "m22": ("degree-22 point stabilizer of the Witt design",
-            ("--group", dict(help="generator file; switches to enumerated mode")),
+            ("--group", dict(dest="group_file", metavar="GROUP", help="generator file; switches to enumerated mode")),
             ("--enumerated", dict(action="store_true", help="enumerated mode with the derived generators")),
             ("--export-design", dict(help="write the Witt design to this path"))),
     "mclaughlin": ("automorphisms of the 275-vertex graph", ("--export-graph", dict(help="write the graph to this path"))),
@@ -182,31 +184,8 @@ def main(argv=None) -> int:
 
 
 def _cmd_verify(args) -> dict:
-    case = args.case
-    if case == "sp":
-        report = certify.run_case(
-            "sp",
-            n=args.n,
-            q=args.q,
-            modulus=args.modulus,
-            action=args.action,
-            enumerate_group_flag=args.enumerate_group,
-        )
-    elif case == "m22":  # one design for the export and the report
-        design = designs.golay_witt_design()
-        if args.export_design:
-            designs.write_design(design, args.export_design)
-        report = certify.run_case("m22", group_file=args.group, enumerated=args.enumerated, design=design)
-    elif case == "mclaughlin":
-        mcl = designs.mclaughlin_graph()
-        if args.export_graph:
-            designs.write_graph(mcl.graph, args.export_graph)
-        report = certify.run_case("mclaughlin", mcl=mcl)
-    elif case == "alt":
-        report = certify.run_case("alt", n=args.n)
-    else:
-        report = certify.run_case("m23")
-    return report.as_dict()
+    options = {key: value for key, value in vars(args).items() if key not in ("command", "case", "out")}
+    return certify.run_case(args.case, **options).as_dict()
 
 
 def _cmd_design_check(args) -> dict:

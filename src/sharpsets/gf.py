@@ -56,6 +56,8 @@ class FieldSpec:
     def __post_init__(self):
         if not 1 <= self.m <= MAX_M:
             raise ValueError(f"extension degree must be in 1..{MAX_M}")
+        if self.modulus < 0:  # bit_length ignores the sign, and poly_mod would never end on it
+            raise ValueError(f"modulus {self.modulus} is negative")
         if self.modulus.bit_length() - 1 != self.m:
             raise ValueError(f"modulus degree {self.modulus.bit_length() - 1} != m={self.m}")
         if not is_irreducible(self.modulus):

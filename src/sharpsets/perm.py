@@ -12,7 +12,8 @@ Every enumerated group is one GroupEnumeration: the levels of its
 stabilizer chain (enumerate_group), or, for an explicit list of
 elements, that list as one level under the identity (listed). Its
 elements are the products u_k ... u_1 of the levels' members, in one
-fixed order, walked a run at a time and listed only when read.
+fixed order: h u, h from the run of images of the first base point's
+stabilizer and u from the first transversal, listed only when read.
 """
 
 from __future__ import annotations
@@ -170,8 +171,9 @@ class GroupSpec:
 
 class GroupEnumeration:
     """A finite permutation group from its stabilizer chain's levels, as the products h u: u from the first level's
-    transversal outer, and h inner from that base point's stabilizer H, kept as one run of images. The elements are
-    listed only when read. A listed group (see listed) is one level of its elements under the identity."""
+    transversal (.transversal) outer, and h inner from that base point's stabilizer H, kept as one run of images
+    (.stabilizer). The elements are listed only when read. A listed group (see listed) is one level of its elements
+    under the identity, so its run holds them all and its transversal is the identity alone."""
 
     def __init__(self, degree: int, levels: list[list[Perm]], name: str = ""):
         self.degree, self.name, self.levels = degree, name, levels or [[identity(degree)]]  # a trivial chain has none
@@ -179,10 +181,6 @@ class GroupEnumeration:
         self.stabilizer = functools.reduce(_times, reversed(below), identity(degree))  # u_k ... u_2 from the bottom up
 
     order = property(lambda self: math.prod(map(len, self.levels)))
-
-    def cosets(self):
-        """(images, us) pairs: the products h u, u from us outer and h from the run inner, are the elements in order."""
-        return [(self.stabilizer, self.transversal)]
 
     @functools.cached_property
     def elements(self) -> list[Perm]:
@@ -450,6 +448,8 @@ def load_group(path) -> GroupSpec:
                 if parts[0] == "n" and degree is None:
                     (degree,) = map(int, parts[1:])
                 elif parts[0] == "order":
+                    if declared is not None:
+                        raise ValueError(f"a second order line, {line!r}")
                     (declared,) = map(int, parts[1:])
                     if declared < 1:  # no group has it, and the CLI divides by it
                         raise ValueError(f"order {declared} is not positive")

@@ -328,8 +328,7 @@ def test_run_case_m22_modes_agree(m22_enum):
 def test_coset_and_bfs_enumerations_give_one_report(monkeypatch, witt, case, options):
     # the walk over the cosets and the walk over the same elements listed in one run, as a BFS-ordered or hand-built
     # enumeration is walked, give one report: the spectrum is written sorted
-    if case == "m22":
-        options = {**options, "design": witt}
+    monkeypatch.setattr(designs, "golay_witt_design", lambda: witt)
     by_cosets = json.dumps(run_case(case, **options).as_dict())
 
     def listed(spec):
@@ -349,9 +348,10 @@ def test_m22_walk_lists_no_element_of_the_group(monkeypatch, witt):
         raise AssertionError(f"listed the {G.order} elements")
 
     monkeypatch.setattr(perm.GroupEnumeration, "elements", property(listed))
+    monkeypatch.setattr(designs, "golay_witt_design", lambda: witt)
     tracemalloc.start()
     try:
-        report = run_case("m22", enumerated=True, design=witt)
+        report = run_case("m22", enumerated=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

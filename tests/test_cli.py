@@ -262,6 +262,8 @@ def test_bad_flags_exit_2(tmp_path, capsys):
         ["verify", "sp", "--n", "2", "--q", "3"],
         ["verify", "sp", "--n", "1", "--q", "2"],
         ["verify", "sp", "--n", "2", "--q", "4", "--modulus", "5"],
+        ["verify", "sp", "--n", "2", "--q", "4", "--modulus", "-7"],  # read as irreducible of degree 2 by bit_length
+        ["verify", "sp", "--n", "2", "--q", "8", "--modulus", "-9"],  # poly_mod(-9, 3) cycled between -3 and -2
         ["linsys", "--group", c5, "--t", "9", "--ring", "z"],
         ["search-sharp", "--group", c5, "--t", "0"],
         ["search-sharp", "--group", c5, "--budget", "0"],
@@ -821,6 +823,26 @@ def test_sp_past_the_orbit_cap_is_refused_at_once(tmp_path, capsys):
         assert err.startswith("refused for size") and "nonsingular lines" in err
 
 
+def test_sp_family_too_large_to_hold_is_refused_before_the_space(tmp_path, monkeypatch, capsys):
+    # sp (2,32): 1,049,600 lines on 33,825 points, about 4.4 GB of projective members, more for the vector lift
+    import time
+
+    from sharpsets import geometry
+
+    def built(*args):
+        raise AssertionError("the space was built")
+
+    monkeypatch.setattr(geometry, "symplectic_space", built)
+    for action in ("projective", "vector"):
+        start = time.perf_counter()
+        code, report = run_cli(tmp_path, "verify", "sp", "--n", "2", "--q", "32", "--action", action)
+        assert (code, report) == (4, None)
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith(f"refused for size: sp(4,32) {action}: 1049600 lines hold") and err.count("\n") == 1, err
+        assert "past the cap of 8589934592" in err
+
+
 def test_a_result_too_long_to_print_is_refused_for_size(tmp_path, monkeypatch, capsys):
     # a witness entry past Python's int-to-str limit was computed, so it is not bad input (2): exit 4, no report
     import sys
@@ -884,6 +906,46 @@ def test_export_design_matches_construction(tmp_path):
 
     again = read_design(design_path)
     assert again.v == 23 and again.k == 7 and again.b == 253
+
+
+def test_verify_flags_are_their_runners_keywords():
+    # each verify case's parsed options, less --out, are keyword parameters of its runner, so main passes them on as
+    # they are
+    import inspect
+
+    from sharpsets import certify, cli
+
+    required = {"sp": ["--n", "2", "--q", "2"], "alt": ["--n", "5"]}
+    keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    for case in cli.CASES:
+        argv = ["verify", case, *required.get(case, [])]
+        dests = set(vars(cli._build_parser(argv).parse_args(argv))) - {"command", "case", "out"}
+        parameters = inspect.signature(getattr(certify, f"_run_{case}")).parameters.values()
+        keywords = {parameter.name for parameter in parameters if parameter.kind in keyword}
+        assert dests <= keywords, (case, dests - keywords)
+
+
+def test_verify_passes_its_parsed_options_to_run_case(tmp_path, monkeypatch):
+    from sharpsets import certify
+
+    class Report:
+        def as_dict(self):
+            return {"case": "recorded"}
+
+    calls = []
+
+    def recorded(case, **options):
+        calls.append((case, options))
+        return Report()
+
+    monkeypatch.setattr(certify, "run_case", recorded)
+    m22 = str(shipped_group_path("m22"))
+    assert run_cli(tmp_path, "verify", "sp", "--n", "2", "--q", "2", "--action", "vector", "--enumerate-group")[0] == 0
+    assert run_cli(tmp_path, "verify", "m22", "--group", m22)[0] == 0
+    assert calls == [
+        ("sp", {"n": 2, "q": 2, "modulus": None, "action": "vector", "enumerate_group_flag": True}),
+        ("m22", {"group_file": m22, "enumerated": False, "export_design": None}),
+    ]
 
 
 @pytest.mark.parametrize(

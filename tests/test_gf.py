@@ -15,6 +15,14 @@ def test_reducible_modulus_rejected():
         gf.FieldSpec(2, 0b101)  # x^2 + 1 = (x+1)^2
 
 
+def test_negative_modulus_rejected_at_once():
+    # bit_length ignores the sign: -9 would pass as degree 3 and poly_mod(-9, 3) would never end
+    with pytest.raises(ValueError, match="negative"):
+        gf.FieldSpec(3, -9)
+    with pytest.raises(ValueError, match="negative"):
+        gf.field_for_q(4, -7)
+
+
 def test_char_two_addition():
     F = gf.field_for_q(8)
     for a in F.elements():  # addition is xor: a (a + 1) = a^2 + a

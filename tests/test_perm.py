@@ -587,7 +587,7 @@ def test_group_file_roundtrip(tmp_path):
     "text",
     [
         "n 3\n0 1\n", "n 3\n0 x 2\n", "n 3\n0 0 1\n", "1 2 0\n", "n\n1 2 0\n", "n 3\n", "n 3\norder 3 3\n1 2 0\n",
-        "n 3\norder 4\n1 2 0\n",
+        "n 3\norder 4\n1 2 0\n", "n 3\norder 6\norder 3\n1 2 0\n",
     ],
 )
 def test_malformed_group_file(tmp_path, text):
