@@ -20,8 +20,7 @@ the enumerated mode counts a run of elements at once, by columns.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field as dc_field, replace
+from collections import Counter, namedtuple
 from itertools import compress
 
 from . import designs, geometry, gf, linsys
@@ -46,22 +45,21 @@ INCONCLUSIVE = "inconclusive"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "b_set c_set p domain")):
     """Candidate contradicting pair (B, C) with a prime p on a fixed domain."""
 
-    b_set: int
-    c_set: int
-    p: int
-    domain: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its copy too
 
-    def __post_init__(self):
+    def __new__(cls, b_set: int, c_set: int, p: int, domain: int):
+        self = super().__new__(cls, b_set, c_set, p, domain)
         if self.b_set == 0 or self.c_set == 0:
             raise ValueError("B and C must be nonempty")
         if (self.b_set | self.c_set) >> self.domain:
             raise ValueError(f"B and C must lie in the {self.domain} points of the domain")
         if not linsys.is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
+        return self
 
     @property
     def b_size(self) -> int:
@@ -72,17 +70,12 @@ class Certificate:
         return self.c_set.bit_count()
 
 
-@dataclass
 class VerificationReport:
-    case: str
-    mode: str
-    certificate: Certificate | None
-    spectrum: dict[int, int]          # intersection size -> multiplicity
-    conclusion: str
-    assumptions: tuple[str, ...] = ()
-    notes: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(self, case: str, mode: str, certificate: Certificate | None, spectrum: dict[int, int], conclusion: str,
+                 assumptions: tuple[str, ...] = ()):
+        self.case, self.mode, self.certificate = case, mode, certificate
+        self.spectrum = spectrum  # intersection size -> multiplicity
+        self.conclusion, self.assumptions, self.notes = conclusion, assumptions, {}
         if self.conclusion == REFUTED:
             expect(self.refutes, "refuted requires p coprime to |B||C|, |B & C| in the spectrum and p | every size in it")
 
@@ -92,7 +85,7 @@ class VerificationReport:
     ) -> VerificationReport:
         """The report on a certificate's spectrum: refuted exactly when the verdict rule holds, else inconclusive."""
         report = cls(case, mode, certificate, spectrum, INCONCLUSIVE, assumptions)
-        return replace(report, conclusion=REFUTED) if report.refutes else report
+        return cls(case, mode, certificate, spectrum, REFUTED, assumptions) if report.refutes else report
 
     @property
     def side_condition_ok(self) -> bool:
@@ -125,12 +118,9 @@ class VerificationReport:
 # The counting identity
 
 
-@dataclass
 class DoublecountReport:
-    sharply_transitive: bool
-    lhs: int                     # sum over g of |B & C^g|
-    rhs: int                     # |B| |C|
-    equal: bool
+    def __init__(self, sharply_transitive: bool, lhs: int, rhs: int, equal: bool):  # lhs sums |B & C^g|, rhs is |B| |C|
+        self.sharply_transitive, self.lhs, self.rhs, self.equal = sharply_transitive, lhs, rhs, equal
 
 
 def doublecount_check(S: list[Perm], b_set: int, c_set: int) -> DoublecountReport:

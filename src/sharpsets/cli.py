@@ -328,7 +328,7 @@ def _cmd_selftest(args) -> dict:
     def doublecount():
         c5 = enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), "C5"))
         rep = certify.doublecount_check(c5.elements, 0b10101, 0b00111)
-        expect(rep.sharply_transitive and rep.equal, f"{rep}")
+        expect(rep.sharply_transitive and rep.equal, f"sharply_transitive={rep.sharply_transitive}, lhs={rep.lhs}, rhs={rep.rhs}")
 
     def solver_ladder():
         c5 = enumerate_group(GroupSpec(5, (from_cycles(5, (0, 1, 2, 3, 4)),), "C5"))

@@ -11,8 +11,7 @@ regularity) rather than taken from tables.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from . import gf
@@ -22,16 +21,11 @@ GOLAY_LENGTH = 23
 QUADRATIC_RESIDUES_23 = tuple(sorted({(i * i) % 23 for i in range(1, 23)}))
 
 
-@dataclass
 class Design:
     """Point set {0..v-1} with blocks stored as bitsets."""
 
-    v: int
-    k: int
-    blocks: tuple[int, ...]
-    name: str = ""
-
-    def __post_init__(self):
+    def __init__(self, v: int, k: int, blocks: tuple[int, ...], name: str = ""):
+        self.v, self.k, self.blocks, self.name = v, k, blocks, name
         if any(b.bit_count() != self.k for b in self.blocks):
             raise ValueError(f"a block does not have {self.k} points")
         if len(set(self.blocks)) != len(self.blocks):
@@ -131,15 +125,11 @@ def bit_text(rows, width: int) -> str:
     return "".join(format(row, f"0{width}b")[::-1] for row in rows)
 
 
-@dataclass
 class Graph:
     """Simple graph on {0..n-1}; adjacency rows are bitsets."""
 
-    n: int
-    adj: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        self.n, self.adj = n, adj
         if len(self.adj) != n:
             raise ValueError(f"{len(self.adj)} adjacency rows for {n} vertices")
         for i, row in enumerate(self.adj):
@@ -159,10 +149,9 @@ class Graph:
         return bool(self.adj[i] >> j & 1)
 
 
-@dataclass
 class SrgReport:
-    ok: bool
-    violation: str | None = None
+    def __init__(self, ok: bool, violation: str | None = None):
+        self.ok, self.violation = ok, violation
 
 
 def srg_check(graph: Graph, params: tuple[int, int, int, int]) -> SrgReport:
@@ -183,7 +172,6 @@ def srg_check(graph: Graph, params: tuple[int, int, int, int]) -> SrgReport:
     return SrgReport(True)
 
 
-@dataclass
 class McLaughlinData:
     """The 275-vertex graph and its point vertices.
 
@@ -191,8 +179,8 @@ class McLaughlinData:
     then the 77 blocks through it, then the 176 blocks avoiding it.
     """
 
-    graph: Graph
-    point_vertex_mask: int            # vertices 0..21
+    def __init__(self, graph: Graph, point_vertex_mask: int):
+        self.graph, self.point_vertex_mask = graph, point_vertex_mask  # the mask: vertices 0..21
 
 
 def _holding_exactly(points: list[int], incidence: list[int], c: int) -> int:
@@ -235,32 +223,28 @@ def mclaughlin_graph() -> McLaughlinData:
 # Symmetric 2-designs: the stabilizer counting argument as checkable steps
 
 
-@dataclass(frozen=True)
-class SymmetricDesignParams:
-    v: int
-    k: int
-    lam: int
+class SymmetricDesignParams(namedtuple("SymmetricDesignParams", "v k lam")):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its copy too
 
-    def __post_init__(self):
+    def __new__(cls, v: int, k: int, lam: int):
+        self = super().__new__(cls, v, k, lam)
         if not (self.v > self.k > self.lam >= 1):
             raise ValueError(f"need v > k > lambda >= 1, got {self}")
         if (self.v - 1) * self.lam != self.k * (self.k - 1):
             raise ValueError(f"(v-1)*lambda != k*(k-1) for {self}")
+        return self
 
 
-@dataclass
 class RefutationStep:
-    name: str
-    equation: str
-    ok: bool
-    detail: str
+    def __init__(self, name: str, equation: str, ok: bool, detail: str):
+        self.name, self.equation, self.ok, self.detail = name, equation, ok, detail
 
 
-@dataclass
 class RefutationTrace:
-    params: SymmetricDesignParams
-    steps: list[RefutationStep]
-    conclusion: str  # "refuted" or "trivial-inapplicable"
+    def __init__(self, params: SymmetricDesignParams, steps: list[RefutationStep], conclusion: str):
+        self.params, self.steps = params, steps
+        self.conclusion = conclusion  # "refuted" or "trivial-inapplicable"
 
     def as_dict(self) -> dict:
         return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import gf
 from .gf import FieldSpec
@@ -21,16 +21,16 @@ from .perm import GroupSpec, Perm, apply_to_set, expect
 Vector = tuple[int, ...]
 
 
-@dataclass(eq=False)
 class SymplecticSpace:
     """F_q^(2n) with the standard alternating form on hyperbolic coordinate pairs."""
 
-    n: int
-    field: FieldSpec
-    vectors: list[Vector] = field(repr=False)           # all nonzero vectors, lex order
-    proj_points: list[Vector] = field(repr=False)       # canonical representatives
-    scalar_maps: list[tuple[int, ...]] = field(repr=False)  # for c = 1..q-1: projective index -> index of c * rep
-    proj_of: list[int] = field(repr=False)              # vector index -> projective index, read off scalar_maps
+    def __init__(self, n: int, field: FieldSpec, vectors: list[Vector], proj_points: list[Vector],
+                 scalar_maps: list[tuple[int, ...]], proj_of: list[int]):
+        self.n, self.field = n, field
+        self.vectors = vectors                # all nonzero vectors, lex order
+        self.proj_points = proj_points        # canonical representatives
+        self.scalar_maps = scalar_maps        # for c = 1..q-1: projective index -> index of c * rep
+        self.proj_of = proj_of                # vector index -> projective index, read off scalar_maps
 
     @property
     def q(self) -> int:
@@ -98,13 +98,13 @@ def symplectic_form(space: SymplecticSpace, x: Vector, y: Vector) -> int:
 # Elliptic quadric
 
 
-@dataclass
 class QuadricData:
     """Zero set of Q(x) = x0 x1 + ... + x_{2n-4} x_{2n-3} + (x_{2n-2}^2 + x_{2n-2} x_{2n-1} + delta x_{2n-1}^2)."""
 
-    delta: int
-    projective_set: int     # bitset over projective point indices
-    vector_set: int         # bitset over vector indices (preimage under projection)
+    def __init__(self, delta: int, projective_set: int, vector_set: int):
+        self.delta = delta
+        self.projective_set = projective_set  # bitset over projective point indices
+        self.vector_set = vector_set          # bitset over vector indices (preimage under projection)
 
     @property
     def projective_size(self) -> int:
@@ -167,13 +167,10 @@ def _check_polarization(space: SymplecticSpace, delta: int) -> None:
 # Lines of PG(2n-1, q)
 
 
-@dataclass(frozen=True)
-class ProjectiveLine:
-    """The q+1 projective points spanned by two independent vectors."""
+class ProjectiveLine(namedtuple("ProjectiveLine", "points u v")):
+    """The q+1 projective points spanned by two independent vectors; points is their bitset over projective indices."""
 
-    points: int          # bitset over projective indices
-    u: Vector
-    v: Vector
+    __slots__ = ()
 
 
 def line_through(space: SymplecticSpace, u: Vector, v: Vector) -> ProjectiveLine:

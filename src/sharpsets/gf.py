@@ -6,7 +6,7 @@ fixed irreducible modulus (bit i = coefficient of x^i). Addition is xor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 from .perm import expect
@@ -46,14 +46,14 @@ def default_modulus(m: int) -> int:
     raise AssertionError("irreducible polynomial exists for every degree")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(namedtuple("FieldSpec", "m modulus")):
     """GF(2^m) with an explicit modulus; q = 2^m."""
 
-    m: int
-    modulus: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its copy too
 
-    def __post_init__(self):
+    def __new__(cls, m: int, modulus: int):
+        self = super().__new__(cls, m, modulus)
         if not 1 <= self.m <= MAX_M:
             raise ValueError(f"extension degree must be in 1..{MAX_M}")
         if self.modulus < 0:  # bit_length ignores the sign, and poly_mod would never end on it
@@ -62,6 +62,7 @@ class FieldSpec:
             raise ValueError(f"modulus degree {self.modulus.bit_length() - 1} != m={self.m}")
         if not is_irreducible(self.modulus):
             raise ValueError(f"modulus {self.modulus:#x} is reducible")
+        return self
 
     @property
     def q(self) -> int:

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -54,13 +53,14 @@ INFEASIBLE = "infeasible"
 UNKNOWN_BUDGET = "unknown-budget"
 
 
-@dataclass
 class ExactSystem:
     """A x = b by column: columns[k] is {row: nonzero coefficient}, column_elements[k] its element."""
 
-    columns: list[dict[int, int]]
-    rhs: list[int]
-    column_elements: list[Perm] | None = field(default=None, repr=False)
+    def __init__(self, columns: list[dict[int, int]], rhs: list[int], column_elements: list[Perm] | None = None):
+        self.columns, self.rhs, self.column_elements = columns, rhs, column_elements
+        rows = len(self.rhs)
+        if not set(range(rows)).issuperset(chain.from_iterable(self.columns)):
+            raise ValueError(f"a column names a row outside 0..{rows - 1}")
 
     @property
     def rows(self) -> int:
@@ -69,11 +69,6 @@ class ExactSystem:
     @property
     def cols(self) -> int:
         return len(self.columns)
-
-    def __post_init__(self):
-        rows = len(self.rhs)
-        if not set(range(rows)).issuperset(chain.from_iterable(self.columns)):
-            raise ValueError(f"a column names a row outside 0..{rows - 1}")
 
     @classmethod
     def from_rows(cls, matrix: list[list[int]], rhs: list[int]) -> ExactSystem:
@@ -112,11 +107,11 @@ def check_run_cap(rows: int, cols: int, ring: str, p: int | None, export: bool, 
     _check_cap((rows, cols + 1), what)
 
 
-@dataclass
 class SolveOutcome:
-    status: str
-    witness: list | None = None        # ints, or Fractions for the rational solver
-    notes: dict = field(default_factory=dict)
+    def __init__(self, status: str, witness: list | None = None, notes: dict | None = None):
+        self.status = status
+        self.witness = witness  # ints, or Fractions for the rational solver
+        self.notes = {} if notes is None else notes
 
     def as_dict(self) -> dict:
         wit = None

@@ -22,7 +22,7 @@ import functools
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 Perm = bytes | tuple[int, ...]  # bytes up to degree 256, a tuple above
@@ -148,25 +148,24 @@ def is_sharply_transitive(elements: list[Perm], degree: int) -> bool:
     return len(elements) == degree and all(len(set(images)) == degree for images in zip(*elements))
 
 
-@dataclass(frozen=True)
-class GroupSpec:
-    """A permutation group given by generators on {0, ..., degree-1}; any int sequences, stored as Perms."""
+class GroupSpec(namedtuple("GroupSpec", "degree generators name declared_order path")):
+    """A permutation group given by generators on {0, ..., degree-1}; any int sequences, stored as Perms.
 
-    degree: int
-    generators: tuple[Perm, ...]
-    name: str = ""
-    declared_order: int | None = None
-    path: str = ""  # the group file it was read from, if any
+    path is the group file it was read from, if any. Like the package's other frozen records, a namedtuple validated
+    in __new__: immutable, and equal and hashed by value."""
 
-    def __post_init__(self):
-        if not self.generators:
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks its copy too
+
+    def __new__(cls, degree: int, generators, name: str = "", declared_order: int | None = None, path: str = ""):
+        if not generators:
             raise ValueError("generator list is empty")
-        for g in self.generators:
-            if len(g) != self.degree:
-                raise DegreeMismatch(f"generator of length {len(g)}, degree {self.degree}")
+        for g in generators:
+            if len(g) != degree:
+                raise DegreeMismatch(f"generator of length {len(g)}, degree {degree}")
             if not is_permutation(g):
                 raise ValueError(f"not a permutation: {g}")
-        object.__setattr__(self, "generators", tuple(map(as_perm, self.generators)))
+        return super().__new__(cls, degree, tuple(map(as_perm, generators)), name, declared_order, path)
 
 
 class GroupEnumeration:
@@ -342,15 +341,12 @@ def check_group_axioms(enum: GroupEnumeration, samples: int = 200):
 # Induced action on t-arrangements
 
 
-@dataclass(eq=False)
 class ArrangementAction:
     """The set of ordered t-tuples of distinct points, indexed in lexicographic order."""
 
-    n: int
-    t: int
-    cells: tuple[tuple[int, ...], ...] = field(repr=False)
-    index: dict = field(repr=False)
-    points: itemgetter = field(repr=False)  # points(g): the images of every cell's points, cell after cell
+    def __init__(self, n: int, t: int, cells: tuple[tuple[int, ...], ...], index: dict, points: itemgetter):
+        self.n, self.t, self.cells, self.index = n, t, cells, index
+        self.points = points  # points(g): the images of every cell's points, cell after cell
 
     @property
     def size(self) -> int:

@@ -11,7 +11,7 @@ on t-arrangements, so one search core handles every arity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -27,7 +27,6 @@ DEFAULT_BUDGET = 10**8
 ZERO_ONE = bytes.maketrans(b"01", b"\0\1")
 
 
-@dataclass
 class CoverInstance:
     """Exact-cover matrix: columns[j] is the row bitset of column j, and
     units[i] a 1 in bit width * j for each of row i's columns j, read as one
@@ -35,10 +34,8 @@ class CoverInstance:
     width. `width` is the least with every column's row count below
     2^width - 1."""
 
-    n_cells: int
-    columns: list[int]
-    units: list[int]
-    width: int
+    def __init__(self, n_cells: int, columns: list[int], units: list[int], width: int):
+        self.n_cells, self.columns, self.units, self.width = n_cells, columns, units, width
 
     @property
     def n_columns(self) -> int:
@@ -58,17 +55,16 @@ def build_cover_instance(elements: list[Perm]) -> CoverInstance:
     return CoverInstance(n, columns, units, width)
 
 
-@dataclass
-class SharpSet:
-    element_indices: tuple[int, ...]
-    t: int
+class SharpSet(namedtuple("SharpSet", "element_indices t")):
+    """The indices of a sharply transitive set's elements in the searched group, and the arity t."""
+
+    __slots__ = ()
 
 
-@dataclass
-class SearchResult:
-    status: str                     # found / none-exhaustive / unknown-budget
-    sharp_set: SharpSet | None
-    nodes: int
+class SearchResult(namedtuple("SearchResult", "status sharp_set nodes")):
+    """found / none-exhaustive / unknown-budget, the SharpSet found or None, and the nodes entered; equal by value."""
+
+    __slots__ = ()
 
 
 def check_cover_cap(order: int, degree: int, t: int) -> None:

@@ -631,3 +631,45 @@ def test_certificate_validation():
         Certificate(0b1, 0b1, 4, 4)  # composite p
     with pytest.raises(ValueError):
         Certificate(0b1, 0b1, 1, 4)  # unit p
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (perm.GroupSpec(3, ((1, 2, 0),), "C3"), "generators"),
+        (gf.FieldSpec(2, 0b111), "modulus"),
+        (Certificate(0b1, 0b10, 2, 4), "p"),
+        (designs.SymmetricDesignParams(7, 3, 1), "lam"),
+        (geometry.ProjectiveLine(0b111, (0, 1), (1, 0)), "points"),
+    ],
+    ids=["GroupSpec", "FieldSpec", "Certificate", "SymmetricDesignParams", "ProjectiveLine"],
+)
+def test_validated_records_stay_frozen(record, field):
+    # a record checked when it is made cannot be changed afterwards, on a field or by a new attribute
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert getattr(record, field) != 0
+
+
+def test_validated_records_are_equal_and_hashed_by_value():
+    made, given = gf.field_for_q(4), gf.FieldSpec(2, 0b111)
+    assert made is not given
+    assert made == given and hash(made) == hash(given)
+    assert {made: "GF(4)"}[given] == "GF(4)"
+
+
+@pytest.mark.parametrize(
+    "record, change",
+    [
+        (perm.GroupSpec(3, ((1, 2, 0),), "C3"), {"generators": ((1, 1, 0),)}),
+        (gf.FieldSpec(2, 0b111), {"modulus": 0b101}),
+        (Certificate(0b1, 0b10, 2, 4), {"p": 4}),
+        (designs.SymmetricDesignParams(7, 3, 1), {"lam": 2}),
+    ],
+    ids=["GroupSpec", "FieldSpec", "Certificate", "SymmetricDesignParams"],
+)
+def test_a_changed_copy_of_a_validated_record_is_checked_again(record, change):
+    with pytest.raises(ValueError):
+        record._replace(**change)
+    assert record._replace() == record

@@ -1011,3 +1011,41 @@ def test_design_check_report_is_pinned(tmp_path, params):
         "params": {"v": v, "k": k, "lambda": lam},
         "steps": [dict(zip(("name", "equation", "ok", "detail"), step)) for step in steps],
     }
+
+
+def test_cli_import_generates_no_record_methods():
+    # the package's records are plain classes and namedtuples, so starting the command line neither imports
+    # dataclasses (nor the inspect module it pulls in) nor writes and execs methods for each record
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import sharpsets
+
+    src = str(Path(sharpsets.__file__).resolve().parents[1])
+    script = "import sys\nimport sharpsets.cli\nprint(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+
+@pytest.mark.parametrize(
+    "v, k, lam, line",
+    [
+        (7, 3, 2, "bad input: (v-1)*lambda != k*(k-1) for SymmetricDesignParams(v=7, k=3, lam=2)\n"),
+        (4, 5, 1, "bad input: need v > k > lambda >= 1, got SymmetricDesignParams(v=4, k=5, lam=1)\n"),
+    ],
+)
+def test_design_check_refusal_prints_the_params_record(tmp_path, capsys, v, k, lam, line):
+    assert run_cli(tmp_path, "design-check", "--v", str(v), "--k", str(k), "--lambda", str(lam)) == (2, None)
+    assert capsys.readouterr().err == line
+
+
+def test_selftest_doublecount_failure_names_the_fields(tmp_path, monkeypatch):
+    from sharpsets import certify
+
+    monkeypatch.setattr(certify, "doublecount_check", lambda S, b_set, c_set: certify.DoublecountReport(True, 5, 9, False))
+    code, report = run_cli(tmp_path, "selftest")
+    assert code == 1
+    failed = {c["name"]: c["error"] for c in report["checks"] if not c["ok"]}
+    assert failed == {"doublecount-c5": "InvariantViolation: sharply_transitive=True, lhs=5, rhs=9"}
